@@ -102,8 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="set any config field directly")
         p.add_argument("--records", default=None, metavar="PATH",
                        help="records.jsonl to aggregate (report)")
-        p.add_argument("--toy-unit-weights", action="store_true",
-                       help="sieve with a(n) = 1 (the default for the sieve kind)")
     return parser
 
 

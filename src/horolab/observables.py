@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import roots_legendre
@@ -266,13 +266,9 @@ def haar_reference_k2(f, lattice, t_span: float = 20000.0, samples: int = 400000
             [[0.8, -0.33], [0.29, (1.0 - 0.33 * 0.29) / 0.8]],
         ])
         base = QuotientPoint(lattice, sl2.GroupElement(seed_mats))
-    ts = (np.arange(samples) + 0.5) * (t_span / samples)
-    k = lattice.k
-    stack = np.broadcast_to(base.rep.mats, (samples, k, 2, 2)).copy()
-    # right-multiply by u(t): adds t * first column to second column, factor 0
-    stack[:, 0, 0, 1] += ts * stack[:, 0, 0, 0]
-    stack[:, 0, 1, 1] += ts * stack[:, 0, 1, 0]
-    vals = f.evaluate_coords(qt.coords_of_stack(lattice, stack))
+    # the arc base * u(t) at t = (j + 1/2) t_span / samples, as offsets -t
+    offsets = -(np.arange(samples) + 0.5) * (t_span / samples)
+    vals = f.evaluate_coords(qt.coords_of_stack(lattice, qt.orbit_mats(base.rep.mats, offsets)))
     half = samples // 2
     full_avg = float(vals.mean())
     half_avg = float(vals[:half].mean())

@@ -62,10 +62,15 @@ def point_preset(name: str) -> QuotientPoint:
 def point_from_spec(spec: str, lattice: Lattice) -> QuotientPoint:
     """Resolve a point spec: preset:NAME | identity | coords:x,y,theta | matrix:...
 
-    Presets carry their own lattice; the other forms live on `lattice`.
+    Presets carry their own lattice, which must be `lattice`; the other
+    forms live on `lattice`.
     """
     if spec.startswith("preset:"):
-        return point_preset(spec.split(":", 1)[1])
+        p = point_preset(spec.split(":", 1)[1])
+        if p.lattice != lattice:
+            raise ConfigError(f"point {spec} lives on {p.lattice.label()}, "
+                              f"not on the requested {lattice.label()}")
+        return p
     if spec == "identity":
         return qt.identity_coset(lattice)
     if spec.startswith("coords:"):

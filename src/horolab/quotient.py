@@ -29,7 +29,7 @@ Gamma, and are certified only within the enumeration validity radius.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -189,6 +189,14 @@ def act(w: GroupElement, p: QuotientPoint) -> QuotientPoint:
 def flow_u(p: QuotientPoint, t: float) -> QuotientPoint:
     """Horocycle flow for time t (translation by u(t))."""
     return act(sl2.unipotent_u(t, p.lattice.k), p)
+
+
+def orbit_mats(base: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """(N,k,2,2) stack base * u(-offset): the flow by u(offset) on classes."""
+    out = np.broadcast_to(base, (len(offsets),) + base.shape).copy()
+    out[:, 0, 0, 1] -= offsets * out[:, 0, 0, 0]
+    out[:, 0, 1, 1] -= offsets * out[:, 0, 1, 0]
+    return out
 
 
 def flow_a_contracting(p: QuotientPoint, t: float) -> QuotientPoint:
@@ -562,31 +570,6 @@ def _enumerate_hilbert(lat: HilbertLattice, max_entry: float, budget: int) -> np
 # distances, injectivity radius, cusp height
 # ----------------------------------------------------------------------
 
-def _stack_displacement(stack: np.ndarray) -> np.ndarray:
-    """distance(identity, w) for a (N,k,2,2) stack, matching sl2.distance."""
-    n, k = stack.shape[:2]
-    asinh_parts = np.empty((n, k))
-    log_parts = np.empty((n, k))
-    in_branch = np.empty((n, k), dtype=bool)
-    eye = np.eye(2)[None, :, :]
-    for i in range(k):
-        m = stack[:, i]
-        diff = m - eye
-        frob = np.sqrt(np.sum(diff * diff, axis=(1, 2)))
-        fb = 2.0 * np.arcsinh(0.5 * frob)
-        asinh_parts[:, i] = fb
-        ok = fb <= sl2.LOG_BRANCH_RADIUS + 1e-12
-        in_branch[:, i] = ok
-        log_parts[:, i] = 0.0
-        if np.any(ok):
-            log_parts[ok, i] = sl2.displacement_from_identity_batch(m[ok])
-    all_ok = in_branch.all(axis=1)
-    out = np.where(all_ok,
-                   np.sqrt(np.sum(log_parts * log_parts, axis=1)),
-                   np.sum(asinh_parts, axis=1))
-    return out
-
-
 def _with_negations(stack: np.ndarray) -> np.ndarray:
     """Append the sign-flipped copies (Gamma contains -identity)."""
     return np.concatenate([stack, -stack], axis=0)
@@ -609,7 +592,7 @@ def quotient_distance(p: QuotientPoint, q: QuotientPoint,
         moved = np.einsum("nkab,kbc->nkac", gammas, right.rep.mats)
         inv_left = sl2.inverse(left.rep).mats
         w = np.einsum("kab,nkbc->nkac", inv_left, moved)
-        best = min(best, float(_stack_displacement(w).min()))
+        best = min(best, float(sl2.displacement_from_identity_batch(w).min()))
     return best
 
 
@@ -626,7 +609,7 @@ def injectivity_radius(p: QuotientPoint, max_entry: float = ENUM_MAX_ENTRY,
     rep = p.rep.mats
     inv_rep = sl2.inverse(p.rep).mats
     w = np.einsum("kab,nkbc,kcd->nkad", inv_rep, gammas, rep)
-    disp = _stack_displacement(w)
+    disp = sl2.displacement_from_identity_batch(w)
     return float(min(0.5 * disp.min(), validity_radius))
 
 

@@ -25,7 +25,7 @@ from . import sieve
 from . import sl2
 from .errors import ConfigError
 from .quotient import QuotientPoint
-from .sl2 import GroupDomainError, GroupElement
+from .sl2 import GroupDomainError
 
 # quadrature panels use this many Gauss-Legendre nodes each
 _GL_ORDER = 5
@@ -168,32 +168,21 @@ def block_taylor_remainder(m_base: int, gamma_exp: float) -> float:
 # orbit evaluation in reduced chunks
 # ----------------------------------------------------------------------
 
-def _orbit_mats(base: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """(N,k,2,2) stack base * u(-offset): the flow by u(offset) on classes."""
-    k = base.shape[0]
-    n = len(offsets)
-    out = np.broadcast_to(base, (n, k, 2, 2)).copy()
-    out[:, 0, 0, 1] -= offsets * out[:, 0, 0, 0]
-    out[:, 0, 1, 1] -= offsets * out[:, 0, 1, 0]
-    return out
-
-
 def _checkpoint(p: QuotientPoint, t0: float) -> np.ndarray:
     """Reduced representative of the orbit point at time t0."""
     if abs(t0) > TIME_RANGE_MAX:
         raise GroupDomainError(f"orbit time {t0} beyond safe range {TIME_RANGE_MAX}")
-    mats = _orbit_mats(p.rep.mats, np.array([t0]))
-    red, _ = qt.reduce_stack(p.lattice, mats)
+    red, _ = qt.reduce_stack(p.lattice, qt.orbit_mats(p.rep.mats, np.array([t0])))
     return red[0]
 
 
-def _orbit_values(f, p: QuotientPoint, times: np.ndarray,
-                  workers: int = 1) -> np.ndarray:
-    """f(u(t) . p) for every t, chunked with per-chunk reduced anchors.
+def _orbit_chunks(p: QuotientPoint, times: np.ndarray, workers: int,
+                  per_chunk) -> np.ndarray:
+    """per_chunk(reduced coordinates of u(t) . p), chunk by chunk, concatenated.
 
-    Chunk boundaries depend only on the time array, and chunks are
-    evaluated independently, so the output is identical for any worker
-    count.
+    Each chunk re-anchors at a reduced checkpoint.  Chunk boundaries
+    depend only on the time array, and chunks are evaluated
+    independently, so the output is identical for any worker count.
     """
     if len(times) and abs(float(times[-1])) > TIME_RANGE_MAX:
         raise GroupDomainError(
@@ -204,37 +193,8 @@ def _orbit_values(f, p: QuotientPoint, times: np.ndarray,
     def one_chunk(start: int) -> np.ndarray:
         stop = min(start + _SLAB_NODES, len(times))
         t0 = float(times[start])
-        base = _checkpoint(p, t0)
-        mats = _orbit_mats(base, times[start:stop] - t0)
-        return f.evaluate_coords(qt.coords_of_stack(lattice, mats))
-
-    if workers <= 1:
-        parts = [one_chunk(s) for s in spans]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one_chunk, spans))
-    return np.concatenate(parts) if parts else np.empty(0)
-
-
-def orbit_coordinates(p: QuotientPoint, times: np.ndarray,
-                      workers: int = 1) -> np.ndarray:
-    """Reduced coordinates (N,k,3) of u(t) . p for every t.
-
-    Materialises the whole stack (24 bytes per sample per factor); use
-    _orbit_values when only one observable is needed.
-    """
-    if len(times) and abs(float(times[-1])) > TIME_RANGE_MAX:
-        raise GroupDomainError(
-            f"orbit time {times[-1]} beyond safe range {TIME_RANGE_MAX}")
-    lattice = p.lattice
-    spans = range(0, len(times), _SLAB_NODES)
-
-    def one_chunk(start: int) -> np.ndarray:
-        stop = min(start + _SLAB_NODES, len(times))
-        t0 = float(times[start])
-        base = _checkpoint(p, t0)
-        mats = _orbit_mats(base, times[start:stop] - t0)
-        return qt.coords_of_stack(lattice, mats)
+        mats = qt.orbit_mats(_checkpoint(p, t0), times[start:stop] - t0)
+        return per_chunk(qt.coords_of_stack(lattice, mats))
 
     if workers <= 1:
         parts = [one_chunk(s) for s in spans]
@@ -242,8 +202,18 @@ def orbit_coordinates(p: QuotientPoint, times: np.ndarray,
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(one_chunk, spans))
     if not parts:
-        return np.empty((0, p.lattice.k, 3))
+        return per_chunk(np.empty((0, lattice.k, 3)))
     return np.concatenate(parts, axis=0)
+
+
+def orbit_coordinates(p: QuotientPoint, times: np.ndarray,
+                      workers: int = 1) -> np.ndarray:
+    """Reduced coordinates (N,k,3) of u(t) . p for every t.
+
+    Materialises the whole stack (24 bytes per sample per factor); the
+    averages evaluate their observable chunk by chunk instead.
+    """
+    return _orbit_chunks(p, times, workers, lambda coords: coords)
 
 
 def _panel_nodes(t_span: float, step: float):
@@ -319,7 +289,7 @@ def horocycle_average(f, p: QuotientPoint, t_span: float,
     t0 = _time.perf_counter()
     h = _resolve_step(f, step)
     nodes, weights = _panel_nodes(t_span, h)
-    vals = _orbit_values(f, p, nodes, workers=workers)
+    vals = _orbit_chunks(p, nodes, workers, f.evaluate_coords)
     # fixed-order combination: slab sums, then one final sum
     slab_sums = [float(np.dot(weights[s:s + _SLAB_NODES], vals[s:s + _SLAB_NODES]))
                  for s in range(0, len(nodes), _SLAB_NODES)]
@@ -346,7 +316,7 @@ def sparse_average(f, p: QuotientPoint, ts: TimeSet, workers: int = 1,
     times = generate(ts, table=table)
     if len(times) == 0:
         raise ConfigError(f"empty time set: {ts!r}")
-    vals = _orbit_values(f, p, times, workers=workers)
+    vals = _orbit_chunks(p, times, workers, f.evaluate_coords)
     slab_sums = [float(np.sum(vals[s:s + _SLAB_NODES]))
                  for s in range(0, len(vals), _SLAB_NODES)]
     value = sum(slab_sums) / len(times)
@@ -398,7 +368,7 @@ def haar_reference(f, p: QuotientPoint, t_ref: float,
         starts = np.arange(start, stop) * ph
         nodes = (starts[:, None] + 0.5 * ph * (_GL_X[None, :] + 1.0)).ravel()
         weights = np.broadcast_to(0.5 * ph * _GL_W, (stop - start, _GL_ORDER)).ravel()
-        vals = _orbit_values(f, p, nodes, workers=workers)
+        vals = _orbit_chunks(p, nodes, workers, f.evaluate_coords)
         ones = np.ones_like(vals)
         num += float(np.dot(weights, vals))
         mass += float(np.dot(weights, ones))
@@ -432,7 +402,7 @@ def renormalization_identity_check(f, p: QuotientPoint, t_span: float,
         raise ConfigError("averaging horizon must be positive")
     h = _resolve_step(f, step)
     lhs_nodes, lhs_w = _panel_nodes(t_span, h)
-    lhs_vals = _orbit_values(f, p, lhs_nodes, workers=workers)
+    lhs_vals = _orbit_chunks(p, lhs_nodes, workers, f.evaluate_coords)
     lhs = float(np.dot(lhs_w, lhs_vals)) / t_span
 
     tau = math.log(t_span)
@@ -451,12 +421,7 @@ def renormalization_identity_check(f, p: QuotientPoint, t_span: float,
         w_first = a_fwd.mats[0] @ u_stack @ a_bwd.mats[0]
         w_stack = np.broadcast_to(np.eye(2), (n, k, 2, 2)).copy()
         w_stack[:, 0] = w_first
-        inv = np.empty_like(w_stack)
-        inv[..., 0, 0] = w_stack[..., 1, 1]
-        inv[..., 0, 1] = -w_stack[..., 0, 1]
-        inv[..., 1, 0] = -w_stack[..., 1, 0]
-        inv[..., 1, 1] = w_stack[..., 0, 0]
-        mats = np.einsum("kab,nkbc->nkac", p.rep.mats, inv)
+        mats = np.einsum("kab,nkbc->nkac", p.rep.mats, sl2.inverse(w_stack))
         vals[start:stop] = f.evaluate_coords(qt.coords_of_stack(p.lattice, mats))
     rhs = float(np.dot(sig_w, vals))
     return abs(lhs - rhs)
@@ -470,8 +435,8 @@ def block_average_compare(f, p: QuotientPoint, m_base: int, gamma_exp: float,
     first-order regularity of f times the block time error.
     """
     pair = block_decompose(m_base, gamma_exp)
-    exact_vals = _orbit_values(f, p, pair.exact_times, workers=workers)
-    linear_vals = _orbit_values(f, p, pair.linear_times, workers=workers)
+    exact_vals = _orbit_chunks(p, pair.exact_times, workers, f.evaluate_coords)
+    linear_vals = _orbit_chunks(p, pair.linear_times, workers, f.evaluate_coords)
     exact_avg = float(exact_vals.mean())
     linear_avg = float(linear_vals.mean())
     return exact_avg, linear_avg, abs(exact_avg - linear_avg)

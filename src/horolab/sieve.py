@@ -66,19 +66,13 @@ class FactorTable:
     n_max: int
     spf: np.ndarray
     primes: np.ndarray
-
-    def omega_upper(self, n: int) -> int:
-        """Omega(n): number of prime factors counted with multiplicity."""
-        if n < 1 or n > self.n_max:
-            raise ValueError(f"n={n} outside table range 1..{self.n_max}")
-        count = 0
-        while n > 1:
-            n //= int(self.spf[n])
-            count += 1
-        return count
+    _omega: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def omega_all(self) -> np.ndarray:
-        """Vector of Omega(n) for n = 0..n_max (index 0 unused, set to 0)."""
+        """Omega(n), prime factors with multiplicity, for n = 0..n_max
+        (index 0 unused, set to 0).  Computed once and cached on the table."""
+        if self._omega is not None:
+            return self._omega
         counts = np.zeros(self.n_max + 1, dtype=np.int32)
         m = np.arange(self.n_max + 1, dtype=np.int64)
         m[0] = 1
@@ -88,6 +82,8 @@ class FactorTable:
                 break
             counts[active] += 1
             m[active] //= self.spf[m[active]]
+        counts.flags.writeable = False  # shared by every caller of this table
+        self._omega = counts
         return counts
 
 
@@ -104,22 +100,6 @@ def build_factor_table(n_max: int) -> FactorTable:
     spf[1] = 1
     primes = np.flatnonzero(spf == np.arange(n_max + 1))[2:]  # drop 0 and 1
     return FactorTable(n_max=n_max, spf=spf, primes=primes)
-
-
-def omega_count(table: FactorTable, n) -> np.ndarray | int:
-    """Omega with multiplicity; Omega(1) = 0.  Accepts scalars or arrays."""
-    if np.isscalar(n):
-        return table.omega_upper(int(n))
-    arr = np.asarray(n, dtype=np.int64)
-    counts = np.zeros(arr.shape, dtype=np.int32)
-    m = arr.copy()
-    while True:
-        active = m > 1
-        if not active.any():
-            break
-        counts[active] += 1
-        m[active] //= table.spf[m[active]]
-    return counts
 
 
 def almost_primes(table: FactorTable, level: int, n_max: int | None = None) -> np.ndarray:
@@ -654,7 +634,7 @@ def dynamical_sieve_pipeline(weights: np.ndarray, alpha_exp: float,
     report = sieve_bounds(problem, table, fns)
     s = report.s
     f0 = float(fns.lower(s))
-    omega_vals = omega_count(table, np.arange(1, n_max + 1))
+    omega_vals = table.omega_all()[1:n_max + 1]
     omega_sum = float(w[1:][omega_vals <= level].sum())
     chain_ok = (omega_sum >= report.s_exact - 1e-9) and (report.s_exact >= report.lower - 1e-9)
     margin = report.s_exact - (0.01 * report.big_x - report.remainder)

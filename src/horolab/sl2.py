@@ -21,20 +21,13 @@ over all factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-# Determinant drift tolerated before renormalize() is considered overdue.
-DET_TOL = 1e-10
 # Branch radius for the principal matrix logarithm (per factor, in the
 # fallback metric below).
 LOG_BRANCH_RADIUS = 0.5
 # Parameter guard for diagonal_a: e^(700) overflows float64.
 A_PARAM_MAX = 1400.0
-# Composition count after which renormalize() is applied automatically in
-# long incremental chains.
-RENORM_EVERY = 64
 
 BASIS_X = np.array([[0.0, 1.0], [0.0, 0.0]])
 BASIS_Y = np.array([[0.0, 0.0], [1.0, 0.0]])
@@ -124,26 +117,6 @@ class LieAlgebraElement:
         return f"LieAlgebraElement({self.coords.tolist()})"
 
 
-@dataclass(frozen=True)
-class FlowGenerators:
-    """Bookkeeping for the flow pair acting on a k-factor product.
-
-    The diagonal flow expands the horocycle direction at exponential rate
-    `alpha`; with the parametrisations in this module alpha == 1.  Flows
-    act on the first factor (`active_factor` 0) unless stated otherwise.
-    """
-
-    k: int = 1
-    alpha: float = 1.0
-    active_factor: int = 0
-
-    def commutation_defect(self, t: float, s: float) -> float:
-        """|a(t) u(s) a(-t) - u(e^(alpha t) s)| max-entry defect."""
-        lhs = compose(diagonal_a(t, self.k), compose(unipotent_u(s, self.k), diagonal_a(-t, self.k)))
-        rhs = unipotent_u(np.exp(self.alpha * t) * s, self.k)
-        return float(np.max(np.abs(lhs.mats - rhs.mats)))
-
-
 def identity(k: int = 1) -> GroupElement:
     out = np.zeros((k, 2, 2))
     out[:, 0, 0] = 1.0
@@ -158,15 +131,18 @@ def compose(g: GroupElement, h: GroupElement) -> GroupElement:
     return GroupElement(np.matmul(g.mats, h.mats))
 
 
-def inverse(g: GroupElement) -> GroupElement:
-    """Adjugate inverse; exact for det = 1 factors."""
-    m = g.mats
+def inverse(g):
+    """Adjugate inverse; exact for det = 1 factors.
+
+    Takes a GroupElement or any (..., 2, 2) array and returns the same kind.
+    """
+    m = g.mats if isinstance(g, GroupElement) else g
     out = np.empty_like(m)
-    out[:, 0, 0] = m[:, 1, 1]
-    out[:, 0, 1] = -m[:, 0, 1]
-    out[:, 1, 0] = -m[:, 1, 0]
-    out[:, 1, 1] = m[:, 0, 0]
-    return GroupElement(out)
+    out[..., 0, 0] = m[..., 1, 1]
+    out[..., 0, 1] = -m[..., 0, 1]
+    out[..., 1, 0] = -m[..., 1, 0]
+    out[..., 1, 1] = m[..., 0, 0]
+    return GroupElement(out) if isinstance(g, GroupElement) else out
 
 
 def unipotent_u(t: float, k: int = 1) -> GroupElement:
@@ -184,18 +160,6 @@ def diagonal_a(t: float, k: int = 1) -> GroupElement:
     out.mats[0, 0, 0] = np.exp(0.5 * t)
     out.mats[0, 1, 1] = np.exp(-0.5 * t)
     return out
-
-
-def renormalize(g: GroupElement) -> GroupElement:
-    """Divide each factor by sqrt(det) to restore unimodularity.
-
-    Raises if a factor determinant strays outside (0.5, 2): that is not
-    drift but a corrupted element.
-    """
-    d = g.det()
-    if np.any(d < 0.5) or np.any(d > 2.0):
-        raise GroupDomainError(f"determinant out of renormalization range: {d}")
-    return GroupElement(g.mats / np.sqrt(d)[:, None, None])
 
 
 def adjoint(g: GroupElement, x: LieAlgebraElement) -> LieAlgebraElement:
@@ -235,18 +199,16 @@ def exp_map(x: LieAlgebraElement) -> GroupElement:
     return GroupElement(_exp_2x2(x.matrices()))
 
 
-def _log_branch_ok(g: GroupElement) -> np.ndarray:
-    """Per-factor mask: inside the principal-log branch radius."""
-    diff = g.mats - np.eye(2)[None, :, :]
-    frob = np.sqrt(np.sum(diff * diff, axis=(1, 2)))
-    return 2.0 * np.arcsinh(0.5 * frob) <= LOG_BRANCH_RADIUS + 1e-12
+def _branch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per 2x2 factor of a (..., 2, 2) array: the proxy 2 asinh(|w - I|_F / 2)
+    and the mask of factors inside the principal-log branch radius."""
+    diff = mats - np.eye(2)
+    proxy = 2.0 * np.arcsinh(0.5 * np.sqrt(np.sum(diff * diff, axis=(-2, -1))))
+    return proxy, proxy <= LOG_BRANCH_RADIUS + 1e-12
 
 
-def log_map(g: GroupElement) -> LieAlgebraElement:
-    """Principal logarithm; domain = each factor within 0.5 of identity."""
-    if not np.all(_log_branch_ok(g)):
-        raise GroupDomainError("log_map operand outside the principal branch radius 0.5")
-    m = g.mats
+def _log_2x2(m: np.ndarray) -> np.ndarray:
+    """Principal logarithm of a (M,2,2) stack of in-branch factors, as matrices."""
     half_tr = 0.5 * (m[:, 0, 0] + m[:, 1, 1])
     q = half_tr * half_tr - 1.0  # = lambda^2 (hyperbolic) resp. -omega^2 (elliptic)
     ratio = np.empty_like(q)
@@ -254,91 +216,48 @@ def log_map(g: GroupElement) -> LieAlgebraElement:
     qs = q[small]
     ratio[small] = 1.0 - qs / 6.0 + 7.0 * qs * qs / 360.0
     pos = (~small) & (q > 0)
-    lam = np.sqrt(q[pos])
-    ratio[pos] = np.arccosh(half_tr[pos]) / lam
+    ratio[pos] = np.arccosh(half_tr[pos]) / np.sqrt(q[pos])
     neg = (~small) & (q < 0)
-    om = np.sqrt(-q[neg])
-    ratio[neg] = np.arccos(half_tr[neg]) / om
-    traceless = m - half_tr[:, None, None] * np.eye(2)[None, :, :]
-    lg = ratio[:, None, None] * traceless
-    out = np.empty((g.k, 3))
-    out[:, 0] = lg[:, 0, 1]
-    out[:, 1] = lg[:, 1, 0]
-    out[:, 2] = lg[:, 0, 0]
-    return LieAlgebraElement(out)
+    ratio[neg] = np.arccos(half_tr[neg]) / np.sqrt(-q[neg])
+    return ratio[:, None, None] * (m - half_tr[:, None, None] * np.eye(2)[None, :, :])
 
 
-def _fallback_distance(w: GroupElement) -> float:
-    """Sum over factors of 2 asinh(|w - I|_F / 2); w = g^{-1} h."""
-    diff = w.mats - np.eye(2)[None, :, :]
-    frob = np.sqrt(np.sum(diff * diff, axis=(1, 2)))
-    return float(np.sum(2.0 * np.arcsinh(0.5 * frob)))
+def log_map(g: GroupElement) -> LieAlgebraElement:
+    """Principal logarithm; domain = each factor within 0.5 of identity."""
+    if not np.all(_branch(g.mats)[1]):
+        raise GroupDomainError("log_map operand outside the principal branch radius 0.5")
+    lg = _log_2x2(g.mats)
+    return LieAlgebraElement(np.stack([lg[:, 0, 1], lg[:, 1, 0], lg[:, 0, 0]], axis=1))
+
+
+def displacement_from_identity_batch(stack: np.ndarray) -> np.ndarray:
+    """Displacement from the identity of each element of a (N,k,2,2) stack.
+
+    |log w| (the norm of the concatenated per-factor logs) when every
+    factor of w is in branch, else the sum of the per-factor proxies
+    2 asinh(|w - I|_F / 2).  Symmetric under w -> w^{-1} and vanishing
+    exactly at w == I.
+    """
+    proxy, in_branch = _branch(stack)
+    log_norm = np.zeros(proxy.shape)
+    if np.any(in_branch):
+        lg = _log_2x2(stack[in_branch])
+        log_norm[in_branch] = np.sqrt(lg[:, 0, 1] ** 2 + lg[:, 1, 0] ** 2 + lg[:, 0, 0] ** 2)
+    return np.where(in_branch.all(axis=1),
+                    np.sqrt(np.sum(log_norm * log_norm, axis=1)),
+                    np.sum(proxy, axis=1))
 
 
 def distance(g: GroupElement, h: GroupElement) -> float:
-    """Displacement |log(g^{-1} h)| when in branch, else the asinh proxy.
+    """Displacement of g^{-1} h from the identity: one row of the batch kernel.
 
-    Symmetric and vanishing exactly at g == h; only comparability with the
-    genuine left-invariant metric is relied on elsewhere.
+    Only comparability with the genuine left-invariant metric is relied
+    on elsewhere.
     """
-    w = compose(inverse(g), h)
-    if np.all(_log_branch_ok(w)):
-        return log_map(w).norm()
-    return _fallback_distance(w)
-
-
-def displacement_from_identity_batch(mats: np.ndarray) -> np.ndarray:
-    """Vectorised distance(identity, w) for a (N,2,2) stack of factors.
-
-    Used by the quotient layer when scanning thousands of lattice
-    candidates at once.  Matches `distance` on each single element.
-    """
-    eye = np.eye(2)[None, :, :]
-    diff = mats - eye
-    frob = np.sqrt(np.sum(diff * diff, axis=(1, 2)))
-    fallback = 2.0 * np.arcsinh(0.5 * frob)
-    in_branch = fallback <= LOG_BRANCH_RADIUS + 1e-12
-    out = fallback.copy()
-    if np.any(in_branch):
-        m = mats[in_branch]
-        half_tr = 0.5 * (m[:, 0, 0] + m[:, 1, 1])
-        q = half_tr * half_tr - 1.0
-        ratio = np.empty_like(q)
-        small = np.abs(q) < 1e-10
-        qs = q[small]
-        ratio[small] = 1.0 - qs / 6.0 + 7.0 * qs * qs / 360.0
-        pos = (~small) & (q > 0)
-        ratio[pos] = np.arccosh(half_tr[pos]) / np.sqrt(q[pos])
-        neg = (~small) & (q < 0)
-        ratio[neg] = np.arccos(half_tr[neg]) / np.sqrt(-q[neg])
-        tl = m - half_tr[:, None, None] * np.eye(2)[None, :, :]
-        lg = ratio[:, None, None] * tl
-        out[in_branch] = np.sqrt(lg[:, 0, 1] ** 2 + lg[:, 1, 0] ** 2 + lg[:, 0, 0] ** 2)
-    return out
+    return float(displacement_from_identity_batch(compose(inverse(g), h).mats[None])[0])
 
 
 def random_element(rng: np.random.Generator, k: int = 1, scale: float = 0.5) -> GroupElement:
     """Random element: exp of a Gaussian algebra element, one per factor."""
     coords = rng.normal(0.0, scale, size=(k, 3))
     return exp_map(LieAlgebraElement(coords))
-
-
-class CompositionChain:
-    """Incremental right-composition with automatic renormalization.
-
-    Long flows multiply thousands of factors together; every RENORM_EVERY
-    steps the running product is renormalized so determinant drift never
-    accumulates past DET_TOL.
-    """
-
-    def __init__(self, start: GroupElement):
-        self.current = start.copy()
-        self._since_renorm = 0
-
-    def push(self, step: GroupElement) -> GroupElement:
-        self.current = compose(self.current, step)
-        self._since_renorm += 1
-        if self._since_renorm >= RENORM_EVERY:
-            self.current = renormalize(self.current)
-            self._since_renorm = 0
-        return self.current

@@ -326,13 +326,37 @@ class TestCli:
         assert (tmp_path / "records.jsonl").exists()
 
     def test_sieve_example(self, capsys):
-        code = main(["sieve", "--toy-unit-weights", "N=1e6",
-                     "z-exp", "0.1111", "s", "9"])
+        code = main(["sieve", "N=1e6", "z-exp=0.1111", "s=9"])
         assert code == 0
-        assert "brackets_hold = True" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "brackets_hold = True" in out
+        assert " content 9ed36d62cf1399fb " in out
 
     def test_torus_example(self, capsys):
         code = main(["torus", "--lattice", "hilbert", "D=2", "--point", "identity"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "torus_dim = 2" in out
+        assert " content 9717c529984f90bd " in out
+
+    @pytest.mark.parametrize("argv, content_id", [
+        (["average", "N=1", "T=1e3", "K=1"], "dad93dbe8998f80a"),
+        (["reduce"], "65786cf01b0d7b6d"),
+        (["average", "--timeset", "interval", "T=1e3"], "9c5ad06c18d300b7"),
+    ])
+    def test_pinned_content_id(self, capsys, argv, content_id):
+        assert main(argv) == 0
+        assert f" content {content_id} " in capsys.readouterr().out
+
+    def test_preset_point_must_match_lattice(self, capsys):
+        code = main(["average", "--lattice", "hilbert", "--point", "preset:generic1",
+                     "N=1", "T=1e2", "K=1"])
+        assert code == 1
+        assert "config error" in capsys.readouterr().err
+
+    def test_preset_point_on_its_lattice(self, capsys):
+        code = main(["torus", "--lattice", "hilbert", "D=2",
+                     "--point", "preset:hilbert-identity"])
         assert code == 0
         assert "torus_dim = 2" in capsys.readouterr().out
 

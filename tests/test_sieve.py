@@ -67,14 +67,20 @@ class TestFactorTable:
         assert len(table_1e6.primes) == oracle == 78498
 
     def test_omega_pinned_values(self, table_small):
-        assert sieve.omega_count(table_small, 1) == 0
-        assert sieve.omega_count(table_small, 2 ** 10) == 10
-        assert sieve.omega_count(table_small, 6) == 2
-        assert sieve.omega_count(table_small, 8) == 3
+        omega = table_small.omega_all()
+        assert omega[1] == 0
+        assert omega[2 ** 10] == 10
+        assert omega[6] == 2
+        assert omega[8] == 3
 
     def test_omega_against_oracle(self, table_1e6, omega_1e6):
-        ours = sieve.omega_count(table_1e6, np.arange(1, 1_000_001))
+        ours = table_1e6.omega_all()[1:1_000_001]
         assert np.array_equal(ours, omega_1e6[1:])
+
+    def test_omega_computed_once_per_table(self):
+        table = sieve.build_factor_table(1000)
+        first = table.omega_all()
+        assert table.omega_all() is first
 
     def test_almost_primes_level_one(self, table_small):
         got = set(sieve.almost_primes(table_small, 1, 20).tolist())

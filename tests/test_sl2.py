@@ -159,34 +159,3 @@ class TestMetric:
             g = sl2.random_element(rng, k=2, scale=0.2)
             h = sl2.random_element(rng, k=2, scale=0.2)
             assert abs(sl2.distance(g, h) - sl2.distance(h, g)) <= 1e-12
-
-
-class TestRenormalization:
-    def test_identity_fixed(self):
-        assert mats_close(sl2.renormalize(sl2.identity(1)), sl2.identity(1), 0.0)
-
-    def test_scaled_factor_restored(self):
-        g = sl2.GroupElement(1.000001 * sl2.unipotent_u(1.0).mats)
-        r = sl2.renormalize(g)
-        assert abs(float(r.det()[0]) - 1.0) <= 1e-15
-
-    def test_near_singular_rejected(self):
-        bad = sl2.GroupElement(np.array([[[0.0, 1.0], [-1e-4, 0.0]]]) * 0.0)
-        with pytest.raises(GroupDomainError):
-            sl2.renormalize(bad)
-
-    def test_ten_million_composition_drift(self):
-        """Sequential product of 10^7 copies of u(0.1) stays on the group."""
-        chain = sl2.CompositionChain(sl2.identity(1))
-        step = sl2.unipotent_u(0.1)
-        for _ in range(10_000_000):
-            chain.push(step)
-        assert chain.current.det_drift() <= 1e-9
-        # the product is u(10^6); entries must agree to relative 1e-6
-        assert abs(chain.current.factor(0)[0, 1] - 1.0e6) <= 1.0
-
-
-def test_flow_generators_commutation_defect():
-    gen = sl2.FlowGenerators(alpha=1.0)
-    for t, s in [(0.5, 1.0), (2.0, -3.0), (-1.0, 7.0)]:
-        assert gen.commutation_defect(t, s) <= 1e-9
