@@ -245,46 +245,57 @@ def reduce_batch_k1(mats: np.ndarray, max_iter: int = REDUCE_MAX_ITER):
     (-1/2, 1/2] and to Re z >= 0 on the unit circle; the output sign is
     canonicalised so the frame angle lies in [0, pi).
     """
-    out = np.array(mats, dtype=float, copy=True)
-    n = out.shape[0]
+    mats = np.asarray(mats, dtype=float)
+    n = mats.shape[0]
     # flip word tracked exactly (integer-valued float entries); the final
     # representative is word @ input in one product, so rounding does not
     # accumulate across reduction steps
     word = np.broadcast_to(np.eye(2), (n, 2, 2)).copy()
     active = np.ones(n, dtype=bool)
+    # the rows still being reduced, held as contiguous 1-D entries of the
+    # matrix and of its word and compacted as rows finish
+    rows = np.arange(n)
+    a, b = mats[:, 0, 0].copy(), mats[:, 0, 1].copy()
+    c, d = mats[:, 1, 0].copy(), mats[:, 1, 1].copy()
+    w00, w01, w10, w11 = np.ones(n), np.zeros(n), np.zeros(n), np.ones(n)
     for _ in range(max_iter):
-        idx = np.flatnonzero(active)
-        if len(idx) == 0:
+        if len(rows) == 0:
             break
-        sub = out[idx]
-        x, y = _mobius_coords(sub)
+        den = c * c + d * d
+        x = (a * c + b * d) / den
         # integer translation bringing x into (-1/2, 1/2]
         m = np.ceil(x - 0.5)
         need_shift = m != 0.0
         if np.any(need_shift):
-            rows = idx[need_shift]
             shift = m[need_shift]
-            out[rows, 0, 0] -= shift * out[rows, 1, 0]
-            out[rows, 0, 1] -= shift * out[rows, 1, 1]
-            word[rows, 0, 0] -= shift * word[rows, 1, 0]
-            word[rows, 0, 1] -= shift * word[rows, 1, 1]
-            sub = out[idx]
-            x, y = _mobius_coords(sub)
+            a[need_shift] -= shift * c[need_shift]
+            b[need_shift] -= shift * d[need_shift]
+            w00[need_shift] -= shift * w10[need_shift]
+            w01[need_shift] -= shift * w11[need_shift]
+            x = (a * c + b * d) / den
+        y = (a * d - b * c) / den
         r2 = x * x + y * y
         inside = r2 < 1.0 - REDUCE_TOL
         boundary_left = (np.abs(r2 - 1.0) <= REDUCE_TOL) & (x < -REDUCE_TOL)
         invert = inside | boundary_left
         if np.any(invert):
-            rows = idx[invert]
-            top = out[rows, 0].copy()
-            out[rows, 0] = -out[rows, 1]
-            out[rows, 1] = top
-            wtop = word[rows, 0].copy()
-            word[rows, 0] = -word[rows, 1]
-            word[rows, 1] = wtop
+            a[invert], c[invert] = -c[invert], a[invert]
+            b[invert], d[invert] = -d[invert], b[invert]
+            w00[invert], w10[invert] = -w10[invert], w00[invert]
+            w01[invert], w11[invert] = -w11[invert], w01[invert]
         done = ~invert & ~need_shift
-        active[idx[done]] = False
-    out = word @ np.asarray(mats, dtype=float)
+        if np.any(done):
+            fin = rows[done]
+            word[fin, 0, 0], word[fin, 0, 1] = w00[done], w01[done]
+            word[fin, 1, 0], word[fin, 1, 1] = w10[done], w11[done]
+            active[fin] = False
+            keep = ~done
+            rows = rows[keep]
+            a, b, c, d = a[keep], b[keep], c[keep], d[keep]
+            w00, w01, w10, w11 = w00[keep], w01[keep], w10[keep], w11[keep]
+    word[rows, 0, 0], word[rows, 0, 1] = w00, w01
+    word[rows, 1, 0], word[rows, 1, 1] = w10, w11
+    out = word @ mats
     # canonical sign: bottom row angle in [0, pi)
     c, d = out[:, 1, 0], out[:, 1, 1]
     flip = (c < 0) | ((c == 0) & (d < 0))
