@@ -406,16 +406,10 @@ def _run_torus(cfg: ExperimentConfig):
     return payload, {}, None
 
 
-def _orbit_weights(p: qt.QuotientPoint, f, n_max: int, workers: int,
-                   coords: np.ndarray | None = None) -> np.ndarray:
-    """Weights a(n) = f(u(n) . p) for n = 1..N, with a(0) = 0."""
-    if coords is None:
-        times = np.arange(1, n_max + 1, dtype=float)
-        coords = sp.orbit_coordinates(p, times, workers=workers)
-    w = np.empty(n_max + 1)
-    w[0] = 0.0
-    w[1:] = f.evaluate_coords(coords)
-    return w
+def _orbit_weights(f, coords: np.ndarray) -> np.ndarray:
+    """Weights a(n) = f(u(n) . p) for n = 1..N, with a(0) = 0, from the
+    orbit coordinates at times 1..N."""
+    return np.concatenate(([0.0], f.evaluate_coords(coords)))
 
 
 def _run_pipeline(cfg: ExperimentConfig):
@@ -423,7 +417,7 @@ def _run_pipeline(cfg: ExperimentConfig):
     f = _resolve_observable(cfg, p.lattice)
     times = np.arange(1, cfg.n_max + 1, dtype=float)
     coords = sp.orbit_coordinates(p, times, workers=cfg.workers)
-    w = _orbit_weights(p, f, cfg.n_max, cfg.workers, coords=coords)
+    w = _orbit_weights(f, coords)
     rep = sieve.dynamical_sieve_pipeline(
         w, cfg.alpha_exp, epsilon=cfg.epsilon, s_target=cfg.s_target)
     payload = _sieve_report_payload(rep)
@@ -490,7 +484,7 @@ def _run_dichotomy(cfg: ExperimentConfig):
         bump_rows = []
         all_positive = True
         for i, b in enumerate(cover):
-            w = _orbit_weights(p, b, cfg.n_max, cfg.workers, coords=coords)
+            w = _orbit_weights(b, coords)
             rep = sieve.dynamical_sieve_pipeline(
                 w, cfg.alpha_exp, epsilon=cfg.epsilon, s_target=cfg.s_target,
                 table=table, u_tilde=u_tilde)

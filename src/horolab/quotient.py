@@ -18,8 +18,11 @@ Two lattice families are supported:
 * HilbertLattice: k = 2, Gamma = SL2(O) for the ring of integers O of a
   real quadratic field Q(sqrt(D)), embedded by its two real places.
   Reduction is a best-effort bounded local search over O-translations,
-  unit rescalings and inversion; the reduced flag reports whether the
-  search reached a local optimum inside its budget.
+  unit rescalings and inversion, run on whole (N,2,2,2) stacks with
+  masked updates; the reduced flag reports whether the search reached a
+  local optimum inside its budget.  The fundamental unit comes from the
+  continued-fraction expansion of a reduced generator of O, in exact
+  integers, once per lattice.
 
 Injectivity radius, lattice-point enumeration and the distance between
 classes are all computed from bounded generator-ball enumerations of
@@ -30,16 +33,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import sl2
-from .errors import BudgetExhausted
 from .sl2 import GroupElement
 
 # reduction tolerances (k=1 exact Gauss loop)
 REDUCE_TOL = 1e-13
 REDUCE_MAX_ITER = 400
+# round budget of the k=2 local search
+HILBERT_MAX_ROUNDS = 40
 # default enumeration bounds (config-overridable everywhere they appear)
 ENUM_MAX_ENTRY = 200.0
 ENUM_BUDGET_K1 = 6000
@@ -135,17 +140,32 @@ class HilbertLattice:
         return m
 
     def fundamental_unit(self) -> tuple[int, int]:
-        """Smallest unit > 1 under the first embedding, by direct scan."""
-        best = None
-        for n in range(1, 2000):
-            for m in range(-3 * n - 2, 3 * n + 3):
-                if self.norm((m, n)) in (1, -1):
-                    e1, _ = self.embed(m, n)
-                    if e1 > 1.0 + 1e-12 and (best is None or e1 < best[0]):
-                        best = (e1, (m, n))
-            if best is not None:
-                return best[1]
-        raise BudgetExhausted(f"no fundamental unit found for D={self.disc}")
+        """Smallest unit > 1 under the first embedding, as (m, n).
+
+        Continued fraction, in exact integers, of w = omega + t = (P + sqrt(D))/Q,
+        whose conjugate lies in (-1, 0), so the expansion is purely periodic:
+        over one period of length l the convergent denominators give the unit
+        q_{l-1} w + q_{l-2} (Cohen, GTM 138, ch. 5).
+        """
+        s = math.isqrt(self.disc)
+        t = (s - 1) // 2 if self.omega_mod4 else s
+        start = (2 * t + 1, 2) if self.omega_mod4 else (t, 1)
+        P, Q = start
+        q_prev, q_cur = 1, 0
+        while True:
+            a = (P + s) // Q
+            q_prev, q_cur = q_cur, a * q_cur + q_prev
+            P = a * Q - P
+            Q = (self.disc - P * P) // Q
+            if (P, Q) == start:
+                return (q_cur * t + q_prev, q_cur)
+
+    @cached_property
+    def unit_pair(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        """(eps, eps^{-1}) in O for the fundamental unit eps, computed once."""
+        eps = self.fundamental_unit()
+        inv = self.conj(eps)
+        return eps, inv if self.norm(eps) == 1 else (-inv[0], -inv[1])
 
 
 Lattice = ModularLattice | HilbertLattice
@@ -229,16 +249,16 @@ def phi_map(x: float, gamma_exp: float, alpha: float = 1.0, k: int = 1) -> Group
 # ----------------------------------------------------------------------
 
 def _mobius_coords(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(x, y) of g*i for a (N,2,2) stack; y uses the exact determinant."""
-    a, b = mats[:, 0, 0], mats[:, 0, 1]
-    c, d = mats[:, 1, 0], mats[:, 1, 1]
+    """(x, y) of g*i for a (...,2,2) stack; y uses the exact determinant."""
+    a, b = mats[..., 0, 0], mats[..., 0, 1]
+    c, d = mats[..., 1, 0], mats[..., 1, 1]
     den = c * c + d * d
     x = (a * c + b * d) / den
     y = (a * d - b * c) / den
     return x, y
 
 
-def reduce_batch_k1(mats: np.ndarray, max_iter: int = REDUCE_MAX_ITER):
+def reduce_batch_k1(mats: np.ndarray):
     """Gauss-reduce a (N,2,2) stack in place of z = g*i.
 
     Returns (reduced mats, converged mask).  Ties go to Re z in
@@ -258,7 +278,7 @@ def reduce_batch_k1(mats: np.ndarray, max_iter: int = REDUCE_MAX_ITER):
     a, b = mats[:, 0, 0].copy(), mats[:, 0, 1].copy()
     c, d = mats[:, 1, 0].copy(), mats[:, 1, 1].copy()
     w00, w01, w10, w11 = np.ones(n), np.zeros(n), np.zeros(n), np.ones(n)
-    for _ in range(max_iter):
+    for _ in range(REDUCE_MAX_ITER):
         if len(rows) == 0:
             break
         den = c * c + d * d
@@ -304,13 +324,13 @@ def reduce_batch_k1(mats: np.ndarray, max_iter: int = REDUCE_MAX_ITER):
 
 
 def iwasawa_coords(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(x, y, theta) with theta in [0, pi), for a (N,2,2) stack.
+    """(x, y, theta) with theta in [0, pi), for a (...,2,2) stack.
 
     g = n(x) a(y) k(theta); the bottom row determines the frame angle
     via theta = atan2(c, d) folded modulo pi.
     """
     x, y = _mobius_coords(mats)
-    theta = np.arctan2(mats[:, 1, 0], mats[:, 1, 1])
+    theta = np.arctan2(mats[..., 1, 0], mats[..., 1, 1])
     theta = np.mod(theta, np.pi)
     return x, y, theta
 
@@ -351,14 +371,7 @@ def reduce_point(p: QuotientPoint) -> QuotientPoint:
 def coords_of_stack(lattice: Lattice, stack: np.ndarray) -> np.ndarray:
     """Reduced coordinates, shape (N, k, 3): per factor (x, y, theta)."""
     red, _ = reduce_stack(lattice, stack)
-    n, k = red.shape[:2]
-    out = np.empty((n, k, 3))
-    for i in range(k):
-        x, y, th = iwasawa_coords(red[:, i])
-        out[:, i, 0] = x
-        out[:, i, 1] = y
-        out[:, i, 2] = th
-    return out
+    return np.stack(iwasawa_coords(red), axis=-1)
 
 
 def coordinates(p: QuotientPoint) -> np.ndarray:
@@ -372,9 +385,7 @@ def coordinates(p: QuotientPoint) -> np.ndarray:
 
 def _unit_matrices(lat: HilbertLattice) -> tuple[np.ndarray, np.ndarray]:
     """Embedded diag(eps, eps^{-1}) and its inverse as (2,2,2) stacks."""
-    eps = lat.fundamental_unit()
-    nrm = lat.norm(eps)
-    inv = lat.conj(eps) if nrm == 1 else tuple(-v for v in lat.conj(eps))
+    eps, inv = lat.unit_pair
     e1, e2 = lat.embed(*eps)
     i1, i2 = lat.embed(*inv)
     fwd = np.array([[[e1, 0.0], [0.0, i1]], [[e2, 0.0], [0.0, i2]]])
@@ -382,67 +393,70 @@ def _unit_matrices(lat: HilbertLattice) -> tuple[np.ndarray, np.ndarray]:
     return fwd, bwd
 
 
-def _reduce_stack_hilbert(lat: HilbertLattice, stack: np.ndarray,
-                          max_rounds: int = 40):
+def _balance_units(out: np.ndarray, units: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Apply diag-unit^m in place to balance y1 against y2; returns the
+    rows moved.  y1/y2 scales by eps^{4m}; the unit is applied |m| times
+    one step after another (not as a power eps^m, which rounds differently).
+    """
+    log_unit = math.log(abs(units[0][0, 0, 0]))
+    _, y = _mobius_coords(out)
+    ratio = 0.5 * np.log(y[:, 0] / y[:, 1])
+    m_balance = np.rint(-ratio / (2.0 * log_unit)).astype(int)
+    moved = [np.flatnonzero(m_balance * sign > 0) for sign in (1, -1)]
+    for rows, unit in zip(moved, units):
+        left = np.abs(m_balance[rows])
+        while len(rows):
+            for i in range(2):  # factor by factor halves the temporaries
+                out[rows, i] = unit[i] @ out[rows, i]
+            left -= 1
+            rows, left = rows[left > 0], left[left > 0]
+    return np.concatenate(moved)
+
+
+def _translate(out: np.ndarray, lat: HilbertLattice) -> np.ndarray:
+    """Apply the nearest O-translation of (x1, x2) in place; returns the rows moved."""
+    w1, w2 = lat.omega_embeddings()
+    basis_inv = np.linalg.inv(np.array([[1.0, w1], [1.0, w2]]))
+    x, _ = _mobius_coords(out)
+    coeffs = (basis_inv @ np.stack([x[:, 0], x[:, 1]]))
+    mn = np.rint(coeffs).astype(int)
+    nonzero = (mn[0] != 0) | (mn[1] != 0)
+    rows = np.flatnonzero(nonzero)
+    # apply [[1, -t],[0,1]] on the left, factor-wise
+    t1 = mn[0, rows] + mn[1, rows] * w1
+    t2 = mn[0, rows] + mn[1, rows] * w2
+    out[rows, 0, 0, 0] -= t1 * out[rows, 0, 1, 0]
+    out[rows, 0, 0, 1] -= t1 * out[rows, 0, 1, 1]
+    out[rows, 1, 0, 0] -= t2 * out[rows, 1, 1, 0]
+    out[rows, 1, 0, 1] -= t2 * out[rows, 1, 1, 1]
+    return rows
+
+
+def _invert(out: np.ndarray) -> np.ndarray:
+    """Invert in place where it grows the product height; returns the rows moved."""
+    x, y = _mobius_coords(out)
+    r2 = x * x + y * y
+    gain = 1.0 / (r2[:, 0] * r2[:, 1])
+    rows = np.flatnonzero(gain > 1.0 + 1e-12)
+    out[rows, :, 0], out[rows, :, 1] = -out[rows, :, 1], out[rows, :, 0]
+    return rows
+
+
+def _reduce_stack_hilbert(lat: HilbertLattice, stack: np.ndarray):
     """Bounded local search: translations, unit balancing, inversion.
 
     Maximises the product height y1*y2 and centres (x1, x2) at the
     origin of the embedded integer lattice; the flag reports whether a
-    fixed point was reached within the round budget (best effort).
+    fixed point was reached within the round budget (best effort).  Each
+    step is a helper, so its temporaries are freed before the next one.
     """
     out = np.array(stack, dtype=float, copy=True)
-    n = out.shape[0]
-    w1, w2 = lat.omega_embeddings()
-    basis = np.array([[1.0, w1], [1.0, w2]])
-    basis_inv = np.linalg.inv(basis)
-    unit_fwd, unit_bwd = _unit_matrices(lat)
-    log_unit = math.log(abs(unit_fwd[0, 0, 0]))
-    converged = np.zeros(n, dtype=bool)
-    for _ in range(max_rounds):
-        changed = np.zeros(n, dtype=bool)
-        x1, y1 = _mobius_coords(out[:, 0])
-        x2, y2 = _mobius_coords(out[:, 1])
-        # unit balancing: y1/y2 scales by eps^{4m} under diag-unit^m
-        ratio = 0.5 * np.log(y1 / y2)
-        m_balance = np.rint(-ratio / (2.0 * log_unit)).astype(int)
-        for sign in (1, -1):
-            rows = np.flatnonzero(m_balance * sign > 0)
-            if len(rows) == 0:
-                continue
-            mat = unit_fwd if sign > 0 else unit_bwd
-            reps = np.abs(m_balance[rows])
-            for r, cnt in zip(rows, reps):
-                for _ in range(int(cnt)):
-                    out[r, 0] = mat[0] @ out[r, 0]
-                    out[r, 1] = mat[1] @ out[r, 1]
-                changed[r] = True
-        x1, y1 = _mobius_coords(out[:, 0])
-        x2, y2 = _mobius_coords(out[:, 1])
-        # nearest O-translation of (x1, x2)
-        coeffs = (basis_inv @ np.stack([x1, x2]))
-        mn = np.rint(coeffs).astype(int)
-        nonzero = (mn[0] != 0) | (mn[1] != 0)
-        rows = np.flatnonzero(nonzero)
-        if len(rows):
-            # apply [[1, -t],[0,1]] on the left, factor-wise
-            t1 = mn[0, rows] + mn[1, rows] * w1
-            t2 = mn[0, rows] + mn[1, rows] * w2
-            out[rows, 0, 0, 0] -= t1 * out[rows, 0, 1, 0]
-            out[rows, 0, 0, 1] -= t1 * out[rows, 0, 1, 1]
-            out[rows, 1, 0, 0] -= t2 * out[rows, 1, 1, 0]
-            out[rows, 1, 0, 1] -= t2 * out[rows, 1, 1, 1]
-            changed[rows] = True
-        # inversion when it grows the product height
-        x1, y1 = _mobius_coords(out[:, 0])
-        x2, y2 = _mobius_coords(out[:, 1])
-        gain = 1.0 / ((x1 * x1 + y1 * y1) * (x2 * x2 + y2 * y2))
-        rows = np.flatnonzero(gain > 1.0 + 1e-12)
-        for r in rows:
-            for i in range(2):
-                top = out[r, i, 0].copy()
-                out[r, i, 0] = -out[r, i, 1]
-                out[r, i, 1] = top
-            changed[r] = True
+    units = _unit_matrices(lat)
+    for _ in range(HILBERT_MAX_ROUNDS):
+        changed = np.zeros(len(out), dtype=bool)
+        changed[_balance_units(out, units)] = True
+        changed[_translate(out, lat)] = True
+        changed[_invert(out)] = True
         converged = ~changed
         if not changed.any():
             break
@@ -483,6 +497,30 @@ def enumerate_gamma(lattice: Lattice, max_entry: float = ENUM_MAX_ENTRY,
     return stack
 
 
+def _generator_ball(start, gens, mul, key, height, max_entry: float, budget: int) -> list:
+    """Words in gens breadth-first from start, one per key, pruned by
+    height > max_entry.  Whole word-length shells are expanded until the
+    budget is reached: stopping mid-shell would leave the ball without
+    some inverses, and downstream minima assume a ball.
+    """
+    seen = {key(start)}
+    order = [start]
+    frontier = [start]
+    while frontier and len(order) < budget:
+        next_frontier = []
+        for cur in frontier:
+            for g in gens:
+                nxt = mul(cur, g)
+                tag = key(nxt)
+                if tag in seen or height(nxt) > max_entry:
+                    continue
+                seen.add(tag)
+                order.append(nxt)
+                next_frontier.append(nxt)
+        frontier = next_frontier
+    return order
+
+
 def _enumerate_modular(max_entry: float, budget: int) -> np.ndarray:
     gens = [
         (1, 1, 0, 1), (1, -1, 0, 1),      # T, T^{-1}
@@ -492,27 +530,10 @@ def _enumerate_modular(max_entry: float, budget: int) -> np.ndarray:
     def mul(p, q):
         a, b, c, d = p
         e, f, g, h = q
-        return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+        return _canonical_sign((a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h))
 
-    start = (1, 0, 0, 1)
-    seen = {start}
-    order = [start]
-    frontier = [start]
-    # Expand whole word-length shells: stopping mid-shell would leave the
-    # ball without some inverses, and downstream minima assume a ball.
-    while frontier and len(order) < budget:
-        next_frontier = []
-        for cur in frontier:
-            for g in gens:
-                nxt = _canonical_sign(mul(cur, g))
-                if nxt in seen:
-                    continue
-                if max(abs(v) for v in nxt) > max_entry:
-                    continue
-                seen.add(nxt)
-                order.append(nxt)
-                next_frontier.append(nxt)
-        frontier = next_frontier
+    order = _generator_ball((1, 0, 0, 1), gens, mul, _canonical_sign,
+                            lambda mat: max(abs(v) for v in mat), max_entry, budget)
     mats = np.array(order, dtype=float).reshape(-1, 2, 2)
     return mats[:, None, :, :]
 
@@ -520,9 +541,7 @@ def _enumerate_modular(max_entry: float, budget: int) -> np.ndarray:
 def _enumerate_hilbert(lat: HilbertLattice, max_entry: float, budget: int) -> np.ndarray:
     one = (1, 0)
     zero = (0, 0)
-    eps = lat.fundamental_unit()
-    nrm = lat.norm(eps)
-    eps_inv = lat.conj(eps) if nrm == 1 else tuple(-v for v in lat.conj(eps))
+    eps, eps_inv = lat.unit_pair
     neg = lambda a: (-a[0], -a[1])
     gens = [
         (one, one, zero, one), (one, neg(one), zero, one),            # T_1^{+-1}
@@ -539,42 +558,14 @@ def _enumerate_hilbert(lat: HilbertLattice, max_entry: float, budget: int) -> np
         return (add(m(a, e), m(b, g)), add(m(a, f), m(b, h)),
                 add(m(c, e), m(d, g)), add(m(c, f), m(d, h)))
 
-    def height(mat) -> float:
-        vals = []
-        for entry in mat:
-            e1, e2 = lat.embed(*entry)
-            vals.extend((abs(e1), abs(e2)))
-        return max(vals)
-
-    def flat(mat):
-        return tuple(v for entry in mat for v in entry)
-
-    start = (one, zero, zero, one)
-    seen = {_canonical_sign(flat(start))}
-    order = [start]
-    frontier = [start]
-    # Same shell-completion rule as the modular case.
-    while frontier and len(order) < budget:
-        next_frontier = []
-        for cur in frontier:
-            for g in gens:
-                nxt = mul(cur, g)
-                key = _canonical_sign(flat(nxt))
-                if key in seen:
-                    continue
-                if height(nxt) > max_entry:
-                    continue
-                seen.add(key)
-                order.append(nxt)
-                next_frontier.append(nxt)
-        frontier = next_frontier
-    n = len(order)
-    stack = np.empty((n, 2, 2, 2))
-    for i, (a, b, c, d) in enumerate(order):
-        for j, place in enumerate((0, 1)):
-            emb = lambda ent: lat.embed(*ent)[j]
-            stack[i, j] = [[emb(a), emb(b)], [emb(c), emb(d)]]
-    return stack
+    order = _generator_ball(
+        (one, zero, zero, one), gens, mul,
+        lambda mat: _canonical_sign(tuple(v for entry in mat for v in entry)),
+        lambda mat: max(abs(v) for entry in mat for v in lat.embed(*entry)),
+        max_entry, budget)
+    # (n, entry, place) -> (n, place, 2, 2)
+    emb = np.array([[lat.embed(*entry) for entry in mat] for mat in order])
+    return np.ascontiguousarray(emb.transpose(0, 2, 1)).reshape(-1, 2, 2, 2)
 
 
 # ----------------------------------------------------------------------
@@ -633,7 +624,7 @@ def cusp_height(p: QuotientPoint) -> float:
     """
     if isinstance(p.lattice, ModularLattice):
         red = reduce_point(p)
-        _, y = _mobius_coords(red.rep.mats[0][None])
+        _, y = _mobius_coords(red.rep.mats)
         return float(y[0])
     return _hilbert_cusp_height(p.lattice, p.rep.mats)
 
@@ -643,16 +634,12 @@ def _cd_rows(lat: HilbertLattice, bound: int = CUSP_CD_COEFF_BOUND) -> np.ndarra
     key = ("cdrows", lat.label(), bound)
     if key in _ENUM_CACHE:
         return _ENUM_CACHE[key]
-    w1, w2 = lat.omega_embeddings()
     rng = np.arange(-bound, bound + 1)
     m, n = np.meshgrid(rng, rng, indexing="ij")
-    vals1 = (m + n * w1).ravel()
-    vals2 = (m + n * w2).ravel()
-    pairs = np.stack([vals1, vals2], axis=1)  # embeddings of one O-element
-    c = pairs[:, None, :]
-    d = pairs[None, :, :]
-    ce = np.broadcast_to(c, (len(pairs), len(pairs), 2)).reshape(-1, 2)
-    de = np.broadcast_to(d, (len(pairs), len(pairs), 2)).reshape(-1, 2)
+    # both embeddings of one O-element per row
+    pairs = m.reshape(-1, 1) + n.reshape(-1, 1) * np.array(lat.omega_embeddings())
+    ce = np.repeat(pairs, len(pairs), axis=0)
+    de = np.tile(pairs, (len(pairs), 1))
     keep = ~((np.abs(ce).max(axis=1) < 1e-12) & (np.abs(de).max(axis=1) < 1e-12))
     rows = np.stack([ce[keep], de[keep]], axis=1)  # (M, 2=c/d, 2=place)
     _ENUM_CACHE[key] = rows
@@ -661,18 +648,11 @@ def _cd_rows(lat: HilbertLattice, bound: int = CUSP_CD_COEFF_BOUND) -> np.ndarra
 
 def _hilbert_cusp_height(lat: HilbertLattice, mats: np.ndarray) -> float:
     red, _ = _reduce_stack_hilbert(lat, mats[None])
-    z = []
-    for i in range(2):
-        x, y = _mobius_coords(red[0, i][None])
-        z.append((float(x[0]), float(y[0])))
+    x, y = _mobius_coords(red[0])  # (x, y) of both factors
     rows = _cd_rows(lat)
-    prod = np.ones(len(rows))
-    for i, (x, y) in enumerate(z):
-        c = rows[:, 0, i]
-        d = rows[:, 1, i]
-        prod *= (c * x + d) ** 2 + (c * y) ** 2
-    y1y2 = z[0][1] * z[1][1]
-    return float(y1y2 / prod.min())
+    c, d = rows[:, 0], rows[:, 1]
+    terms = (c * x + d) ** 2 + (c * y) ** 2
+    return float(y[0] * y[1] / (terms[:, 0] * terms[:, 1]).min())
 
 
 # ----------------------------------------------------------------------

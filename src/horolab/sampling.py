@@ -15,6 +15,7 @@ import math
 import time as _time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.special import roots_legendre
@@ -457,20 +458,10 @@ def correlation(f, g, t: float, flow: str = "geodesic",
         elem = sl2.unipotent_u(t, 1)
     else:
         raise ConfigError(f"unknown flow {flow!r}")
-    inv = sl2.inverse(elem)
-
-    class _Pair:
-        lattice = f.lattice
-        k = 1
-
-        @staticmethod
-        def evaluate_coords(coords: np.ndarray) -> np.ndarray:
-            mats = qt.mats_from_coords(coords)
-            moved = np.einsum("nkab,kbc->nkac", mats, inv.mats)
-            fvals = f.evaluate_coords(qt.coords_of_stack(f.lattice, moved))
-            return fvals * g.evaluate_coords(coords)
-
-    return ob.haar_integral_k1(_Pair(), nx=nx, nv=nv, ntheta=ntheta)
+    shifted = ob.TranslatedObservable(f, sl2.inverse(elem))
+    pair = SimpleNamespace(
+        evaluate_coords=lambda coords: shifted.evaluate_coords(coords) * g.evaluate_coords(coords))
+    return ob.haar_integral_k1(pair, nx=nx, nv=nv, ntheta=ntheta)
 
 
 # ----------------------------------------------------------------------

@@ -151,7 +151,9 @@ def _prime_log_prefix(z_max: int) -> tuple[np.ndarray, np.ndarray]:
             p = 2 * i + 1
             sieve[(p * p) // 2:: p] = False
     odd_primes = 2 * np.flatnonzero(sieve) + 1
-    primes = np.concatenate(([2], odd_primes)).astype(np.int64)
+    # float64 is exact below 2^53 and matches the float search keys, so
+    # np.searchsorted never casts the whole table
+    primes = np.concatenate(([2], odd_primes)).astype(float)
     terms = -np.log1p(-1.0 / primes)
     prefix = np.concatenate(([0.0], np.cumsum(terms)))
     _PRIME_LOG_CACHE.clear()

@@ -343,10 +343,20 @@ class TestCli:
         (["average", "N=1", "T=1e3", "K=1"], "dad93dbe8998f80a"),
         (["reduce"], "65786cf01b0d7b6d"),
         (["average", "--timeset", "interval", "T=1e3"], "9c5ad06c18d300b7"),
+        (["reduce", "--lattice", "hilbert", "D=2",
+          "--point", "coords:0.1,1.3,0.4,-0.2,1.1,1.7"], "4c5cf3c5c835b6b1"),
+        (["dichotomy", "mode=poly", "--lattice", "hilbert", "D=2", "--point", "identity"],
+         "d13e102178387d0f"),
     ])
     def test_pinned_content_id(self, capsys, argv, content_id):
         assert main(argv) == 0
         assert f" content {content_id} " in capsys.readouterr().out
+
+    def test_torus_hilbert_d19(self, capsys):
+        # the unit 170 + 39 sqrt(19) lies outside any small coefficient box
+        code = main(["torus", "--lattice", "hilbert", "D=19", "--point", "identity"])
+        assert code == 0
+        assert "torus_dim = 2" in capsys.readouterr().out
 
     def test_preset_point_must_match_lattice(self, capsys):
         code = main(["average", "--lattice", "hilbert", "--point", "preset:generic1",

@@ -1,6 +1,8 @@
 """Quotient layer: reduction, translation flows, heights, stabilizers."""
 
+import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
@@ -36,6 +38,29 @@ def point_at(z: complex, lattice=None) -> qt.QuotientPoint:
     return qt.QuotientPoint(lattice, sl2.GroupElement(qt.mats_from_coords(coords[None])[0]))
 
 
+def squarefree(d: int) -> bool:
+    return all(d % (p * p) for p in range(2, math.isqrt(d) + 1))
+
+
+def pell_unit(disc: int) -> tuple[int, int]:
+    """Fundamental unit (m, n) of O by brute force over Pell equations.
+
+    D = 2, 3 mod 4: the smallest y > 0 with x^2 - D y^2 = +-1 gives
+    x + y sqrt(D).  D = 1 mod 4: the smallest b > 0 with a^2 - D b^2 = +-4
+    gives (a + b sqrt(D))/2 = (a - b)/2 + b omega, the smaller a winning
+    when both signs are solvable at that b.
+    """
+    rhs = (4, -4) if disc % 4 == 1 else (1, -1)
+    b = 1
+    while True:
+        sols = [math.isqrt(disc * b * b + r) for r in rhs]  # D b^2 - 4 >= 1 here
+        sols = [a for a, r in zip(sols, rhs) if a * a == disc * b * b + r]
+        if sols:
+            a = min(sols)
+            return ((a - b) // 2, b) if disc % 4 == 1 else (a, b)
+        b += 1
+
+
 class TestHilbertArithmetic:
     def test_embeddings(self, hilbert):
         w1, w2 = hilbert.omega_embeddings()
@@ -56,6 +81,28 @@ class TestHilbertArithmetic:
         unit = hilbert.fundamental_unit()
         assert unit == (1, 1)            # 1 + sqrt(2)
         assert hilbert.norm(unit) == -1
+
+    @pytest.mark.parametrize("disc", [d for d in range(2, 100) if squarefree(d)])
+    def test_fundamental_unit_against_pell(self, disc):
+        assert qt.HilbertLattice(disc).fundamental_unit() == pell_unit(disc)
+
+    @pytest.mark.parametrize("disc, unit", [(19, (170, 39)), (31, (1520, 273)), (5, (0, 1))])
+    def test_fundamental_unit_pinned(self, disc, unit):
+        assert qt.HilbertLattice(disc).fundamental_unit() == unit
+
+    def test_fundamental_unit_fast_for_all_small_discriminants(self):
+        for disc in filter(squarefree, range(2, 1000)):
+            lat = qt.HilbertLattice(disc)
+            start = time.perf_counter()
+            unit = lat.fundamental_unit()
+            assert time.perf_counter() - start < 0.1
+            assert abs(lat.norm(unit)) == 1
+            assert lat.embed(*unit)[0] > 1.0
+
+    def test_unit_pair_inverse(self, hilbert):
+        eps, inv = hilbert.unit_pair
+        assert hilbert.mul(eps, inv) == (1, 0)
+        assert hilbert == qt.HilbertLattice(2) and hash(hilbert) == hash(qt.HilbertLattice(2))
 
     def test_non_squarefree_rejected(self):
         with pytest.raises(ValueError):
@@ -126,6 +173,23 @@ class TestReduction:
                 moved = qt.QuotientPoint(modular, sl2.GroupElement(
                     (g[0] @ p.rep.mats[0])[None]))
                 assert np.max(np.abs(qt.coordinates(qt.reduce_point(moved)) - base)) <= 1e-9
+
+    def test_hilbert_reduction_pinned_bytes(self, hilbert):
+        # log y in [-4, 4] per factor: 230 rows need two unit steps in the
+        # first round and 883 rows are inverted in it; identity rows last
+        rng = np.random.default_rng(2024)
+        n = 2000
+        coords = np.stack([np.stack([rng.uniform(-3.0, 3.0, n), np.exp(rng.uniform(-4.0, 4.0, n)),
+                                     rng.uniform(0.0, math.pi, n)], axis=1)
+                           for _ in range(2)], axis=1)
+        stack = np.concatenate([qt.mats_from_coords(coords),
+                                np.broadcast_to(np.eye(2), (3, 2, 2, 2))])
+        red, conv = qt._reduce_stack_hilbert(hilbert, stack)
+        assert np.array_equal(red[-3:], stack[-3:])
+        assert hashlib.sha256(red.tobytes()).hexdigest() == \
+            "215156ee7e9a3ae3c2b60648ea2e50ab74e1aa2fd1488f777fb75ff477f2dea8"
+        assert hashlib.sha256(conv.tobytes()).hexdigest() == \
+            "0b9f610ec11a88c67f626da6e11167bf061299199ce152540c1eddf7e9ccfca6"
 
     def test_hilbert_reduction_lowers_height(self, hilbert, rng):
         for _ in range(20):
