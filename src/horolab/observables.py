@@ -102,13 +102,17 @@ class BumpFunction:
         coords = np.asarray(coords, dtype=float)
         if coords.ndim == 2:
             coords = coords[None]
-        vals = np.full(coords.shape[0], self.amplitude)
+        dx = (coords[:, :, 0] - self.center[:, 0]) / self.widths[:, 0]
+        dy = (coords[:, :, 1] - self.center[:, 1]) / self.widths[:, 1]
+        # off the support box a factor is 0, so the product is amplitude * 0.0
+        rows = np.flatnonzero(((np.abs(dx) < 1.0) & (np.abs(dy) < 1.0)).all(axis=1))
+        vals = np.full(coords.shape[0], self.amplitude * 0.0)
+        inner = np.full(len(rows), self.amplitude)
         for i in range(self.k):
-            dx = (coords[:, i, 0] - self.center[i, 0]) / self.widths[i, 0]
-            dy = (coords[:, i, 1] - self.center[i, 1]) / self.widths[i, 1]
-            dt = np.abs(coords[:, i, 2] - self.center[i, 2]) % math.pi
+            dt = np.abs(coords[rows, i, 2] - self.center[i, 2]) % math.pi
             dt = np.minimum(dt, math.pi - dt) / self.widths[i, 2]
-            vals = vals * bump_profile(dx) * bump_profile(dy) * bump_profile(dt)
+            inner = inner * bump_profile(dx[rows, i]) * bump_profile(dy[rows, i]) * bump_profile(dt)
+        vals[rows] = inner
         return vals
 
     def value(self, p: QuotientPoint) -> float:
@@ -268,7 +272,7 @@ def haar_reference_k2(f, lattice, t_span: float = 20000.0, samples: int = 400000
         base = QuotientPoint(lattice, sl2.GroupElement(seed_mats))
     # the arc base * u(t) at t = (j + 1/2) t_span / samples, as offsets -t
     offsets = -(np.arange(samples) + 0.5) * (t_span / samples)
-    vals = f.evaluate_coords(qt.coords_of_stack(lattice, qt.orbit_mats(base.rep.mats, offsets)))
+    vals = qt.orbit_values(lattice, base.rep.mats, offsets, f.evaluate_coords)
     half = samples // 2
     full_avg = float(vals.mean())
     half_avg = float(vals[:half].mean())

@@ -6,7 +6,8 @@ progressions, almost primes, polynomial times, or Taylor blocks).  Both
 walk the orbit in fixed-size chunks: each chunk re-anchors at a reduced
 checkpoint representative so matrix entries stay bounded no matter how
 long the orbit is, and partial sums are combined in a fixed order so
-results are bit-identical for any worker count.
+results are bit-identical for any worker count.  Chunks set the numbers;
+their cache-sized row blocks (quotient.orbit_values) only tile memory.
 """
 
 from __future__ import annotations
@@ -177,13 +178,12 @@ def _checkpoint(p: QuotientPoint, t0: float) -> np.ndarray:
     return red[0]
 
 
-def _orbit_chunks(p: QuotientPoint, times: np.ndarray, workers: int,
-                  per_chunk) -> np.ndarray:
-    """per_chunk(reduced coordinates of u(t) . p), chunk by chunk, concatenated.
+def _orbit_chunks(p: QuotientPoint, times: np.ndarray, workers: int, fn) -> np.ndarray:
+    """fn(reduced coordinates of u(t) . p), chunk by chunk, concatenated.
 
-    Each chunk re-anchors at a reduced checkpoint.  Chunk boundaries
-    depend only on the time array, and chunks are evaluated
-    independently, so the output is identical for any worker count.
+    Each chunk re-anchors at a reduced checkpoint that its row blocks
+    share.  Chunk boundaries depend only on the time array and chunks
+    are evaluated independently, so any worker count gives one output.
     """
     if len(times) and abs(float(times[-1])) > TIME_RANGE_MAX:
         raise GroupDomainError(
@@ -194,25 +194,23 @@ def _orbit_chunks(p: QuotientPoint, times: np.ndarray, workers: int,
     def one_chunk(start: int) -> np.ndarray:
         stop = min(start + _SLAB_NODES, len(times))
         t0 = float(times[start])
-        mats = qt.orbit_mats(_checkpoint(p, t0), times[start:stop] - t0)
-        return per_chunk(qt.coords_of_stack(lattice, mats))
+        return qt.orbit_values(lattice, _checkpoint(p, t0), times[start:stop] - t0, fn)
 
     if workers <= 1:
         parts = [one_chunk(s) for s in spans]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(one_chunk, spans))
-    if not parts:
-        return per_chunk(np.empty((0, lattice.k, 3)))
-    return np.concatenate(parts, axis=0)
+    return np.concatenate(parts, axis=0) if parts else fn(np.empty((0, lattice.k, 3)))
 
 
 def orbit_coordinates(p: QuotientPoint, times: np.ndarray,
                       workers: int = 1) -> np.ndarray:
     """Reduced coordinates (N,k,3) of u(t) . p for every t.
 
+    Chunks set the numbers (re-anchoring); row blocks only tile memory.
     Materialises the whole stack (24 bytes per sample per factor); the
-    averages evaluate their observable chunk by chunk instead.
+    averages evaluate their observable block by block instead.
     """
     return _orbit_chunks(p, times, workers, lambda coords: coords)
 

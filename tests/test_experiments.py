@@ -347,6 +347,14 @@ class TestCli:
           "--point", "coords:0.1,1.3,0.4,-0.2,1.1,1.7"], "4c5cf3c5c835b6b1"),
         (["dichotomy", "mode=poly", "--lattice", "hilbert", "D=2", "--point", "identity"],
          "d13e102178387d0f"),
+        # the first pin through haar_reference_k2's 400 k-row arc
+        (["average", "--lattice", "hilbert", "D=2",
+          "--point", "coords:0.1,1.3,0.4,-0.2,1.1,1.7",
+          "--timeset", "poly", "N=1e3"], "a562b743fce67bc9"),
+        (["orbit", "--timeset", "progression", "K=0.01", "T=1e3"], "5216e9984061f1e5"),
+        (["orbit", "--lattice", "hilbert", "D=2",
+          "--point", "coords:0.1,1.3,0.4,-0.2,1.1,1.7",
+          "--timeset", "progression", "K=0.05", "T=1e3"], "965c621d62917407"),
     ])
     def test_pinned_content_id(self, capsys, argv, content_id):
         assert main(argv) == 0

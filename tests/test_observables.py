@@ -28,6 +28,18 @@ def edge_mass_oracle(kern: ob.SmoothingKernel) -> float:
     return total
 
 
+def full_bump_product(b: ob.BumpFunction, coords: np.ndarray) -> np.ndarray:
+    """The bump's product of profiles evaluated on every row."""
+    vals = np.full(coords.shape[0], b.amplitude)
+    for i in range(b.k):
+        dx = (coords[:, i, 0] - b.center[i, 0]) / b.widths[i, 0]
+        dy = (coords[:, i, 1] - b.center[i, 1]) / b.widths[i, 1]
+        dt = np.abs(coords[:, i, 2] - b.center[i, 2]) % math.pi
+        dt = np.minimum(dt, math.pi - dt) / b.widths[i, 2]
+        vals = vals * ob.bump_profile(dx) * ob.bump_profile(dy) * ob.bump_profile(dt)
+    return vals
+
+
 class TestBumpEvaluation:
     def test_peak_is_amplitude(self, modular):
         b = ob.BumpFunction(modular, [[-0.1, 1.4, 0.9]], [[0.2, 0.3, 0.4]],
@@ -42,6 +54,28 @@ class TestBumpEvaluation:
             [[0.45, 3.9, 0.1]],
         ])
         assert np.all(test_bump.evaluate_coords(outside) == 0.0)
+
+    @pytest.mark.parametrize("amplitude", [1.0, -2.5])
+    @pytest.mark.parametrize("lattice_name", ["modular", "hilbert"])
+    def test_bytes_match_full_product(self, request, rng, lattice_name, amplitude):
+        lat = request.getfixturevalue(lattice_name)
+        preset = bump_preset(lat)
+        b = ob.BumpFunction(lat, preset.center, preset.widths, amplitude=amplitude)
+        c, w = b.center, b.widths
+        edge = np.repeat(c[None], 8, axis=0)
+        edge[1, 0, 0] += w[0, 0]          # on centre + width
+        edge[2, -1, 1] -= w[-1, 1]        # on centre - width
+        edge[3, 0, 2] += w[0, 2]          # theta on its edge, x and y inside
+        edge[4, -1, 0] = np.nan
+        edge[5, 0, 2] = np.nan            # NaN theta, x and y inside
+        edge[6] = np.nan
+        edge[7, 0, 1] += 5.0 * w[0, 1]    # far outside
+        coords = np.concatenate([edge, rng.normal(c, w, (4000,) + c.shape)])
+        with np.errstate(invalid="ignore"):
+            ref = full_bump_product(b, coords)
+        got = b.evaluate_coords(coords)
+        assert got.tobytes() == ref.tobytes()
+        assert got[0] == amplitude and np.signbit(got[7]) == (amplitude < 0)
 
     def test_theta_wraps_modulo_pi(self, modular):
         b = ob.BumpFunction(modular, [[0.0, 1.5, 0.05]], [[0.3, 0.3, 0.3]])

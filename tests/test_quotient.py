@@ -9,7 +9,7 @@ import pytest
 
 from horolab import quotient as qt
 from horolab import sl2
-from horolab.presets import point_preset
+from horolab.presets import bump_preset, point_preset
 
 HEIGHT_COMPARABILITY_C = 4.0
 
@@ -197,6 +197,22 @@ class TestReduction:
             red = qt.reduce_point(p)
             # reduction must not worsen the cusp-height proxy
             assert qt.cusp_height(red) <= qt.cusp_height(p) * (1.0 + 1e-9)
+
+
+class TestOrbitValues:
+    @pytest.mark.parametrize("n", [0, 1, qt._BLOCK_ROWS - 1, qt._BLOCK_ROWS,
+                                   3 * qt._BLOCK_ROWS + 17])
+    @pytest.mark.parametrize("lattice_name", ["modular", "hilbert"])
+    def test_blocked_bytes_equal_whole_stack(self, request, lattice_name, n):
+        lat = request.getfixturevalue(lattice_name)
+        rng = np.random.default_rng(n)
+        base = sl2.random_element(rng, k=lat.k, scale=1.5).mats
+        offsets = rng.uniform(-50.0, 50.0, n)
+        for fn in (lambda coords: coords, bump_preset(lat).evaluate_coords):
+            blocked = qt.orbit_values(lat, base, offsets, fn)
+            whole = fn(qt.coords_of_stack(lat, qt.orbit_mats(base, offsets)))
+            assert blocked.dtype == whole.dtype and blocked.shape == whole.shape
+            assert blocked.tobytes() == whole.tobytes()
 
 
 class TestActionAndFlows:
