@@ -1,7 +1,9 @@
 """Command-line surface: one subcommand per experiment kind.
 
 Precedence for settings, lowest to highest: built-in defaults, --config
-file, HOROLAB_* environment variables, then explicit flags/tokens.
+file, HOROLAB_* environment variables, tokens and --set, then dedicated
+flags; the subcommand sets `kind`.  Every source hands over text or
+plain values, which ExperimentConfig reads by field type.
 Exit codes: 0 success, 1 malformed config, 2 tolerance failure,
 3 budget exhaustion.
 """
@@ -9,7 +11,6 @@ Exit codes: 0 success, 1 malformed config, 2 tolerance failure,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import fields
@@ -34,23 +35,11 @@ TOKEN_ALIASES = {
     "step": "quadrature_step",
 }
 
-_INT_FIELDS = {"disc", "level", "n_max", "m_base", "workers", "seed"}
-_FLOAT_FIELDS = {"step_k", "t_span", "gamma_exp", "quadrature_step",
-                 "alpha_exp", "epsilon", "s_target", "deviation_tolerance"}
-
-
-def _coerce(field_name: str, raw: str):
-    if field_name in _INT_FIELDS:
-        return int(float(raw))
-    if field_name in _FLOAT_FIELDS:
-        return float(raw)
-    if field_name == "t_grid":
-        return tuple(float(v) for v in raw.split(","))
-    return raw
+_FIELD_NAMES = {f.name for f in fields(ex.ExperimentConfig)}
 
 
 def _parse_tokens(tokens: list[str]) -> dict:
-    """Turn ["K=1", "T", "1e4"] into config-field assignments."""
+    """Turn ["K=1", "T", "1e4"] into config-field assignments, values as text."""
     out = {}
     queue = list(tokens)
     while queue:
@@ -62,10 +51,9 @@ def _parse_tokens(tokens: list[str]) -> dict:
                 raise ConfigError(f"dangling parameter token {tok!r} (expected a value)")
             key, val = tok, queue.pop(0)
         field_name = TOKEN_ALIASES.get(key, key)
-        known = {f.name for f in fields(ex.ExperimentConfig)}
-        if field_name not in known:
+        if field_name not in _FIELD_NAMES:
             raise ConfigError(f"unknown parameter {key!r}")
-        out[field_name] = _coerce(field_name, val)
+        out[field_name] = val
     return out
 
 
@@ -88,48 +76,33 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("tokens", nargs="*", metavar="PARAM",
                        help="key=value pairs, e.g. N=1e6 T=1e4 K=10")
         p.add_argument("--config", metavar="PATH", help="config file (text or JSON)")
-        p.add_argument("--out", metavar="DIR", help="directory for records/CSV/plots")
-        p.add_argument("--workers", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--tolerance", type=float, default=None,
+        # flags whose dest is a config field set that field
+        p.add_argument("--out", dest="out_dir", metavar="DIR",
+                       help="directory for records/CSV/plots")
+        p.add_argument("--workers")
+        p.add_argument("--tolerance", dest="deviation_tolerance", metavar="X",
                        help="fail (exit 2) if the deviation exceeds this")
-        p.add_argument("--lattice", default=None, choices=["modular", "hilbert"])
-        p.add_argument("--point", default=None)
-        p.add_argument("--observable", default=None)
-        p.add_argument("--timeset", default=None,
-                       choices=["progression", "almost", "poly", "interval", "block"])
+        p.add_argument("--lattice", choices=["modular", "hilbert"])
+        p.add_argument("--point")
+        p.add_argument("--observable")
+        p.add_argument("--timeset", choices=["progression", "almost", "poly", "interval", "block"])
         p.add_argument("--set", action="append", default=[], metavar="FIELD=VALUE",
                        help="set any config field directly")
-        p.add_argument("--records", default=None, metavar="PATH",
+        p.add_argument("--records", dest="records_path", metavar="PATH",
                        help="records.jsonl to aggregate (report)")
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> ex.ExperimentConfig:
-    data = ex.ExperimentConfig(kind="average").to_dict()
-    if args.config:
-        data.update(ex.ExperimentConfig.from_file(args.config).to_dict())
+    """Merge the sources' assignments in precedence order and build the config once."""
+    bad = [item for item in args.set if "=" not in item]
+    if bad:
+        raise ConfigError(f"--set wants FIELD=VALUE, got {bad[0]!r}")
+    data = ex.file_fields(args.config) if args.config else {}
+    data.update(ex.env_fields(os.environ))
+    data.update(_parse_tokens(args.tokens + args.set))
+    data.update({k: v for k, v in vars(args).items() if k in _FIELD_NAMES and v is not None})
     data["kind"] = args.command
-    cfg = ex.apply_env_overrides(ex.ExperimentConfig.from_dict(data), os.environ)
-    data = cfg.to_dict()
-    data["kind"] = args.command  # the subcommand always wins
-    data.update(_parse_tokens(args.tokens))
-    for item in args.set:
-        if "=" not in item:
-            raise ConfigError(f"--set wants FIELD=VALUE, got {item!r}")
-        key, val = item.split("=", 1)
-        try:
-            data[key] = json.loads(val)
-        except json.JSONDecodeError:
-            data[key] = val
-    for flag, field_name in [("workers", "workers"), ("seed", "seed"),
-                             ("out", "out_dir"), ("lattice", "lattice"),
-                             ("point", "point"), ("observable", "observable"),
-                             ("timeset", "timeset"), ("tolerance", "deviation_tolerance"),
-                             ("records", "records_path")]:
-        val = getattr(args, flag, None)
-        if val is not None:
-            data[field_name] = val
     return ex.ExperimentConfig.from_dict(data)
 
 

@@ -71,14 +71,13 @@ class ExperimentConfig:
     deviation_tolerance: float = 0.0  # > 0 gates averages (ToleranceFailure)
     records_path: str = ""            # input for kind=report
     workers: int = 1
-    seed: int = 0
     out_dir: str = ""
 
     def __post_init__(self):
+        for f in fields(self):
+            setattr(self, f.name, _typed(f.name, type(f.default), getattr(self, f.name)))
         if self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}; choose from {KINDS}")
-        if isinstance(self.t_grid, list):
-            self.t_grid = tuple(self.t_grid)
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
 
@@ -102,45 +101,77 @@ class ExperimentConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
-        data: dict = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"config line {lineno}: expected 'key = value', got {raw!r}")
-            key, val = line.split("=", 1)
-            key = key.strip()
-            try:
-                data[key] = json.loads(val.strip())
-            except json.JSONDecodeError:
-                data[key] = val.strip()
-        return cls.from_dict(data)
+        return cls.from_dict(_text_fields(text))
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
-        text = Path(path).read_text()
-        stripped = text.lstrip()
-        if stripped.startswith("{"):
-            return cls.from_dict(json.loads(text))
-        return cls.from_text(text)
+        return cls.from_dict(file_fields(path))
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.to_text().encode()).hexdigest()[:16]
 
 
+def _typed(name: str, kind: type, value):
+    """`value`, or its text, as a `kind` (the type of field `name`'s default).
+
+    An int field takes integral numbers only (`1e6`, not `150.7`); a float
+    field takes any number; the tuple field takes a JSON list or `1,2,4,8`;
+    a str field keeps its text, unquoting a JSON string.
+    """
+    try:
+        if kind is tuple:
+            if isinstance(value, str):
+                value = json.loads(value) if value.lstrip().startswith("[") else value.split(",")
+            return tuple(_typed(name, float, v) for v in value)
+        if kind is str:
+            if not isinstance(value, str):
+                raise TypeError
+            quoted = len(value) > 1 and value[0] == value[-1] == '"'
+            return json.loads(value) if quoted else value
+        if isinstance(value, bool):
+            raise TypeError
+        num = float(value)
+        if kind is float:
+            return num
+        if not num.is_integer():
+            raise ValueError
+        return int(num)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name}: expected {kind.__name__}, got {value!r}") from None
+
+
+def _text_fields(text: str) -> dict:
+    """The `key = value` lines of a text config, values as written."""
+    data: dict = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"config line {lineno}: expected 'key = value', got {raw!r}")
+        key, val = line.split("=", 1)
+        data[key.strip()] = val.strip()
+    return data
+
+
+def file_fields(path: str | Path) -> dict:
+    """The assignments of a JSON or `key = value` text config file."""
+    try:
+        text = Path(path).read_text()
+        return json.loads(text) if text.lstrip().startswith("{") else _text_fields(text)
+    except (OSError, json.JSONDecodeError) as err:
+        raise ConfigError(f"config file {path}: {err}") from None
+
+
+def env_fields(environ) -> dict:
+    """The HOROLAB_<FIELD> assignments in `environ`."""
+    names = {ENV_PREFIX + f.name.upper(): f.name for f in fields(ExperimentConfig)}
+    return {name: environ[var] for var, name in names.items() if var in environ}
+
+
 def apply_env_overrides(cfg: ExperimentConfig, environ: dict) -> ExperimentConfig:
     """Apply HOROLAB_<FIELD> variables on top of a config."""
-    data = cfg.to_dict()
-    for f in fields(ExperimentConfig):
-        var = ENV_PREFIX + f.name.upper()
-        if var in environ:
-            raw = environ[var]
-            try:
-                data[f.name] = json.loads(raw)
-            except json.JSONDecodeError:
-                data[f.name] = raw
-    return ExperimentConfig.from_dict(data)
+    return ExperimentConfig.from_dict({**cfg.to_dict(), **env_fields(environ)})
 
 
 def environment_fingerprint() -> dict:
@@ -515,8 +546,9 @@ def _run_dichotomy(cfg: ExperimentConfig):
 
 def _config_family_key(rec: ResultRecord) -> tuple:
     cfg = dict(rec.config)
-    for scale_field in ("t_span", "n_max", "m_base", "timeset", "step_k"):
-        cfg.pop(scale_field, None)
+    # scale fields, plus `seed`, which records from before its removal carry
+    for dropped in ("t_span", "n_max", "m_base", "timeset", "step_k", "seed"):
+        cfg.pop(dropped, None)
     return (rec.kind, json.dumps(cfg, sort_keys=True))
 
 
@@ -590,8 +622,6 @@ def run(cfg: ExperimentConfig) -> ResultRecord:
     """
     started = time.perf_counter()
     payload, exponents, table = _RUNNERS[cfg.kind](cfg)
-    for volatile in ("runtime_s", "workers"):
-        payload.pop(volatile, None)
     record = make_record(cfg, payload, exponents)
     record.elapsed_s = time.perf_counter() - started
     if cfg.out_dir:

@@ -380,18 +380,7 @@ class SobolevRecord:
 
 def _direction_basis(k: int) -> list[np.ndarray]:
     """3k right-invariant directions: X, Y, Z in each factor."""
-    dirs = []
-    for i in range(k):
-        for base in (sl2.BASIS_X, sl2.BASIS_Y, sl2.BASIS_Z):
-            coords = np.zeros((k, 3))
-            if base is sl2.BASIS_X:
-                coords[i, 0] = 1.0
-            elif base is sl2.BASIS_Y:
-                coords[i, 1] = 1.0
-            else:
-                coords[i, 2] = 1.0
-            dirs.append(coords)
-    return dirs
+    return list(np.eye(3 * k).reshape(3 * k, k, 3))
 
 
 def _offset_elements(word: tuple[int, ...], dirs, eps: float, k: int):

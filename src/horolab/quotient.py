@@ -791,9 +791,7 @@ def torus_orbit_check(p: QuotientPoint, max_entry: float = ENUM_MAX_ENTRY,
         coords = np.stack([m.ravel() for m in mesh], axis=1)
         for c in coords:
             shift = sum(ci * ni for ci, ni in zip(c, nil))
-            elem = GroupElement(np.eye(2)[None] + shift) if k == 1 else \
-                GroupElement(np.stack([np.eye(2) + shift[i] for i in range(k)]))
-            heights.append(cusp_height(translate(p, elem)))
+            heights.append(cusp_height(translate(p, GroupElement(np.eye(2) + shift))))
         bound = float(max(heights))
         found = bound <= height_cap
     return TorusReport(found=found, torus_dim=torus_dim, generators=gens,

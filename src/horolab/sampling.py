@@ -13,7 +13,6 @@ their cache-sized row blocks (quotient.orbit_values) only tile memory.
 from __future__ import annotations
 
 import math
-import time as _time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -285,7 +284,6 @@ def horocycle_average(f, p: QuotientPoint, t_span: float,
     """
     if t_span <= 0:
         raise ConfigError("averaging horizon must be positive")
-    t0 = _time.perf_counter()
     h = _resolve_step(f, step)
     nodes, weights = _panel_nodes(t_span, h)
     vals = _orbit_chunks(p, nodes, workers, f.evaluate_coords)
@@ -302,8 +300,6 @@ def horocycle_average(f, p: QuotientPoint, t_span: float,
         point_id=point_id, metadata={
             "reference_kind": ref_kind,
             "eta_renormalized": eta,
-            "runtime_s": _time.perf_counter() - t0,
-            "workers": workers,
         })
 
 
@@ -311,7 +307,6 @@ def sparse_average(f, p: QuotientPoint, ts: TimeSet, workers: int = 1,
                    reference: float | None = None, point_id: str = "",
                    table: sieve.FactorTable | None = None) -> AverageResult:
     """Plain mean of f over {u(t) . p : t in the time set}."""
-    t0 = _time.perf_counter()
     times = generate(ts, table=table)
     if len(times) == 0:
         raise ConfigError(f"empty time set: {ts!r}")
@@ -323,11 +318,7 @@ def sparse_average(f, p: QuotientPoint, ts: TimeSet, workers: int = 1,
     return AverageResult(
         value=value, sample_count=len(times), reference=ref,
         deviation=abs(value - ref), timeset=ts, point_id=point_id,
-        metadata={
-            "reference_kind": ref_kind,
-            "runtime_s": _time.perf_counter() - t0,
-            "workers": workers,
-        })
+        metadata={"reference_kind": ref_kind})
 
 
 @dataclass

@@ -274,14 +274,8 @@ class LinearSieveFunctions:
 
     def check_invariants(self) -> dict:
         """Grid-level shape certificates; raises AssertionError on failure."""
-        F = 1.0 + self.p_dev / self.s_grid
-        f = 1.0 - self.q_dev / self.s_grid
-        head = self.s_grid <= 3.0
-        F[head] = 2.0 * np.exp(EULER_GAMMA) / self.s_grid[head]
-        fhead = self.s_grid <= 2.0
-        f[fhead] = 0.0
-        fbranch = (self.s_grid > 2.0) & (self.s_grid <= 4.0)
-        f[fbranch] = 2.0 * np.exp(EULER_GAMMA) * np.log(self.s_grid[fbranch] - 1.0) / self.s_grid[fbranch]
+        F = self.upper(self.s_grid)
+        f = self.lower(self.s_grid)
         assert np.all(np.diff(F) <= 1e-12), "F0 must be nonincreasing"
         assert np.all(np.diff(f) >= -1e-12), "f0 must be nondecreasing"
         assert np.all(f <= 1.0 + 1e-12) and np.all(F >= 1.0 - 1e-12), "f0 <= 1 <= F0"

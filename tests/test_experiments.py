@@ -1,6 +1,7 @@
 """Experiment configs, result records, runners, report, and the CLI."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ def mixing_record_dir(tmp_path_factory):
 
 class TestConfig:
     def test_text_round_trip_bit_identical(self):
-        cfg = quick_average_config(workers=3, seed=11, epsilon=0.003)
+        cfg = quick_average_config(workers=3, epsilon=0.003)
         text = cfg.to_text()
         again = ex.ExperimentConfig.from_text(text)
         assert again == cfg
@@ -104,6 +105,29 @@ class TestConfig:
 
         args = parser.parse_args(["average", "--config", str(cfgfile), "T=999"])
         assert config_from_args(args).t_span == 999.0  # token beats env
+
+    @pytest.mark.parametrize("f", fields(ex.ExperimentConfig), ids=lambda f: f.name)
+    def test_default_read_back_from_text(self, f):
+        # the field's type comes from its default, so its text reads back as it;
+        # spelled as a text config file and as a token would spell it
+        listed = isinstance(f.default, tuple)
+        as_file = json.dumps(list(f.default) if listed else f.default)
+        as_token = ",".join(map(str, f.default)) if listed else str(f.default)
+        for text in (as_file, as_token):
+            value = getattr(ex.ExperimentConfig.from_dict({f.name: text}), f.name)
+            assert value == f.default and type(value) is type(f.default), text
+
+    def test_int_field_takes_integral_numbers_only(self):
+        assert ex.ExperimentConfig(n_max="1e6").n_max == 1_000_000
+        assert ex.ExperimentConfig(n_max=1e5).n_max == 100_000
+        for bad in ("150.7", 150.7, "abc", True, [1]):
+            with pytest.raises(ConfigError, match="n_max"):
+                ex.ExperimentConfig(n_max=bad)
+
+    def test_float_field_takes_any_number(self):
+        cfg = ex.ExperimentConfig(t_span=1000, step_k="2")
+        assert (cfg.t_span, cfg.step_k) == (1000.0, 2.0)
+        assert type(cfg.t_span) is float and type(cfg.step_k) is float
 
 
 class TestRecords:
@@ -307,6 +331,18 @@ class TestReport:
         with pytest.raises(ConfigError):
             ex.run(ex.ExperimentConfig(kind="report"))
 
+    def test_record_with_seed_joins_its_family(self, tmp_path):
+        # records written before the `seed` field was removed still carry it
+        path = tmp_path / "records.jsonl"
+        rec = ex.run(quick_average_config(out_dir=str(tmp_path)))
+        older = json.loads(rec.to_json())
+        older["config"].update(seed=11, t_span=2.0e3)
+        with path.open("a") as fh:
+            fh.write(json.dumps(older) + "\n")
+        report = ex.run(ex.ExperimentConfig(kind="report", records_path=str(path)))
+        assert report.payload["records"] == 2
+        assert report.payload["families"] == 1
+
 
 class TestCli:
     def test_describe(self, capsys):
@@ -407,3 +443,49 @@ class TestCli:
         cfg = config_from_args(args)
         assert cfg.m_base == 12345
         assert cfg.gamma_exp == 0.2
+
+    @pytest.mark.parametrize("how", ["token", "text", "json", "env", "set"])
+    def test_every_spelling_of_t_gives_one_content_id(self, how, tmp_path, monkeypatch,
+                                                      capsys):
+        argv = ["average", "N=1", "K=1"]
+        if how == "token":
+            argv.append("T=1e3")
+        elif how == "text":
+            (tmp_path / "c.cfg").write_text("t_span = 1000\n")
+            argv += ["--config", str(tmp_path / "c.cfg")]
+        elif how == "json":
+            (tmp_path / "c.json").write_text(json.dumps({"t_span": 1000}))
+            argv += ["--config", str(tmp_path / "c.json")]
+        elif how == "env":
+            monkeypatch.setenv("HOROLAB_T_SPAN", "1000")
+        else:
+            argv += ["--set", "t_span=1000"]
+        assert main(argv) == 0
+        assert " content dad93dbe8998f80a " in capsys.readouterr().out
+
+    def test_int_field_in_scientific_notation_from_file(self, tmp_path, capsys):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("n_max = 1e5\n")
+        assert main(["sieve", "--config", str(cfgfile)]) == 0
+        assert "n_max = 100000" in capsys.readouterr().out
+
+    def test_set_t_grid_matches_token(self):
+        parser = build_parser()
+        by_set = config_from_args(parser.parse_args(["mixing", "--set", "t_grid=1,2,4,8"]))
+        by_token = config_from_args(parser.parse_args(["mixing", "t_grid=1,2,4,8"]))
+        assert by_set == by_token
+        assert by_set.t_grid == (1.0, 2.0, 4.0, 8.0)
+
+    @pytest.mark.parametrize("argv, text, named", [
+        (["average", "N=150.7"], None, "n_max"),
+        (["sieve"], 'n_max = "abc"\n', "n_max"),
+        (["sieve"], "seed = 0\n", "seed"),
+        (["sieve"], '{"n_max": ', "c.cfg"),
+    ], ids=["token-N=150.7", "file-n_max-abc", "file-seed", "file-bad-json"])
+    def test_malformed_value_is_config_error(self, argv, text, named, tmp_path, capsys):
+        if text is not None:
+            (tmp_path / "c.cfg").write_text(text)
+            argv = argv + ["--config", str(tmp_path / "c.cfg")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and named in err
