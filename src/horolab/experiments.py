@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import platform
+import re
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -140,11 +141,15 @@ def _typed(name: str, kind: type, value):
         raise ConfigError(f"{name}: expected {kind.__name__}, got {value!r}") from None
 
 
+# a double-quoted value (escapes allowed), kept, or a `#` comment, cut
+_COMMENT = re.compile(r'("(?:\\.|[^"\\])*")|#.*')
+
+
 def _text_fields(text: str) -> dict:
     """The `key = value` lines of a text config, values as written."""
     data: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.sub(lambda m: m.group(1) or "", raw).strip()
         if not line:
             continue
         if "=" not in line:

@@ -236,12 +236,12 @@ def haar_integral_k1(f, nx: int = 64, nv: int = 64, ntheta: int = 32) -> float:
     ss, ws = _gl_nodes(nv, 0.0, 1.0)
     ths, wth = _gl_nodes(ntheta, 0.0, math.pi)
     vmax = 1.0 / np.sqrt(1.0 - xs * xs)
-    # tensor points: (x, s, theta) with v = s * vmax(x)
-    X, S, TH = np.meshgrid(xs, ss, ths, indexing="ij")
-    V = S * vmax[:, None, None]
-    Y = 1.0 / V
-    coords = np.stack([X.ravel(), Y.ravel(), TH.ravel()], axis=1)[:, None, :]
-    vals = f.evaluate_coords(coords).reshape(X.shape)
+    # tensor points (x, y, theta) with y = 1/v, v = s * vmax(x), filled in place
+    grid = np.empty((nx, nv, ntheta, 3))
+    grid[..., 0] = xs[:, None, None]
+    grid[..., 1] = (1.0 / (ss[None, :] * vmax[:, None]))[:, :, None]
+    grid[..., 2] = ths
+    vals = f.evaluate_coords(grid.reshape(-1, 1, 3)).reshape(nx, nv, ntheta)
     W = wx[:, None, None] * ws[None, :, None] * wth[None, None, :] * vmax[:, None, None]
     total = float(np.sum(vals * W))
     mass = float(np.sum(W))

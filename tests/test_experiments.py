@@ -63,6 +63,14 @@ class TestConfig:
         assert cfg.kind == "reduce"
         assert cfg.t_span == 12.5
 
+    @pytest.mark.parametrize("out_dir", ["runs#1", "#", 'a"#b', "x\\#y"])
+    def test_hash_inside_quoted_value_round_trips(self, tmp_path, out_dir):
+        cfg = ex.ExperimentConfig(out_dir=out_dir)
+        assert ex.ExperimentConfig.from_text(cfg.to_text()) == cfg
+        path = tmp_path / "c.cfg"
+        path.write_text(f"out_dir = {json.dumps(out_dir)}  # comment \"q\"\n")
+        assert ex.ExperimentConfig.from_file(path).out_dir == out_dir
+
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError):
             ex.ExperimentConfig.from_dict({"kind": "average", "bogus": 1})

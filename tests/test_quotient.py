@@ -199,6 +199,109 @@ class TestReduction:
             assert qt.cusp_height(red) <= qt.cusp_height(p) * (1.0 + 1e-9)
 
 
+def reduce_paths(monkeypatch, mats):
+    """reduce_batch_k1(mats) with the Gauss-loop calls it made, as
+    (seeded, rows) pairs in call order."""
+    calls = []
+    loop = qt._gauss_words
+
+    def spy(m, seed=None):
+        calls.append((seed is not None, len(m)))
+        return loop(m, seed)
+
+    monkeypatch.setattr(qt, "_gauss_words", spy)
+    result = qt.reduce_batch_k1(mats)
+    monkeypatch.undo()
+    return result, calls
+
+
+def cold_reduce(mats):
+    """The cold kernel: reduce_batch_k1 with the warm start switched off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qt, "WARM_AGREE", math.inf)
+        return qt.reduce_batch_k1(mats)
+
+
+def assert_cold_bytes(mats, result):
+    out, conv, word = result
+    ref_out, ref_conv, ref_word = cold_reduce(mats)
+    assert out.tobytes() == ref_out.tobytes()
+    assert conv.tobytes() == ref_conv.tobytes()
+    # the word's zeros may differ in sign; its values may not
+    assert np.array_equal(word, ref_word, equal_nan=True)
+
+
+class TestWarmReduction:
+    """The warm-started k = 1 kernel gives the cold kernel's bytes and flags."""
+
+    N = 3 * qt.WARM_STRIDE * 341
+
+    def dense_block(self, generic_point):
+        # quadrature-like nodes 0.005 apart, far along the orbit
+        return qt.orbit_mats(generic_point.rep.mats, -(700.0 + 0.005 * np.arange(self.N)))[:, 0]
+
+    def test_dense_orbit_block(self, monkeypatch, generic_point):
+        mats = self.dense_block(generic_point)
+        result, calls = reduce_paths(monkeypatch, mats)
+        assert calls[1] == (True, self.N)
+        assert_cold_bytes(mats, result)
+
+    def test_integer_time_block_takes_cold_branch(self, monkeypatch, generic_point):
+        mats = qt.orbit_mats(generic_point.rep.mats, -(1000.0 + np.arange(self.N)))[:, 0]
+        result, calls = reduce_paths(monkeypatch, mats)
+        assert not any(seeded for seeded, _ in calls)
+        assert_cold_bytes(mats, result)
+
+    def test_random_and_gamma_moved_stacks(self, monkeypatch, generic_point, rng):
+        random = np.stack([sl2.random_element(rng, scale=2.0).mats[0] for _ in range(2000)])
+        gammas = qt.enumerate_gamma(qt.ModularLattice())[:, 0]
+        picks = gammas[rng.integers(0, len(gammas), self.N)]
+        dense = self.dense_block(generic_point)
+        for mats in (random, picks[:2000] @ random, picks @ dense, gammas[17] @ dense):
+            result, calls = reduce_paths(monkeypatch, mats)
+            assert_cold_bytes(mats, result)
+        assert calls[1][0]  # one gamma for the whole orbit keeps the warm path
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("theta", [0.0, 0.8, 2.0])
+    @pytest.mark.parametrize("z", [1j, complex(0.5, math.sqrt(3.0) / 2.0),
+                                   complex(-0.5, math.sqrt(3.0) / 2.0)],
+                             ids=["i", "rho", "rho2"])
+    def test_orbit_through_elliptic_points(self, monkeypatch, z, theta, sign):
+        """Orbits over offsets in [-1, 1) through i, rho or rho^2 at offset 0,
+        on row 8200, which is not an anchor; at z = i, theta = 0 this is the
+        identity class.  The horocycles cross |z| = 1 (and |x| = 1/2 at rho)
+        there, where a seeded word can differ from the cold one by the
+        stabiliser of the point, so the margin fallback must fire."""
+        base = qt.mats_from_coords(np.array([[[z.real, z.imag, theta]]]))[0]
+        offsets = sign * (np.arange(16 * 1024) - 8200) / 8192.0
+        mats = qt.orbit_mats(base, offsets)[:, 0]
+        result, calls = reduce_paths(monkeypatch, mats)
+        assert calls[1] == (True, len(mats))
+        assert len(calls) == 3 and not calls[2][0] and calls[2][1] >= 1
+        assert_cold_bytes(mats, result)
+
+    def test_nan_rows(self, monkeypatch, generic_point):
+        mats = self.dense_block(generic_point)
+        mats[5::97] = np.nan
+        mats[7::131, 1, 0] = np.nan
+        result, calls = reduce_paths(monkeypatch, mats)
+        assert calls[1][0]
+        assert not result[1][5::97].any()
+        assert_cold_bytes(mats, result)
+
+    def test_word_is_exact(self, generic_point, rng):
+        dense = self.dense_block(generic_point)
+        random = np.stack([sl2.random_element(rng, scale=2.0).mats[0] for _ in range(1000)])
+        for mats in (dense, random):
+            out, conv, word = qt.reduce_batch_k1(mats)
+            assert conv.all()
+            assert np.array_equal(word, np.round(word))
+            w = word.astype(np.int64)
+            assert np.all(w[:, 0, 0] * w[:, 1, 1] - w[:, 0, 1] * w[:, 1, 0] == 1)
+            assert (word @ mats).tobytes() == out.tobytes()
+
+
 class TestOrbitValues:
     @pytest.mark.parametrize("n", [0, 1, qt._BLOCK_ROWS - 1, qt._BLOCK_ROWS,
                                    3 * qt._BLOCK_ROWS + 17])
@@ -397,7 +500,74 @@ class TestTorusSearch:
             assert qt.quotient_distance(p, moved) <= 1e-6
 
 
+def reference_ball(lattice, max_entry: float, budget: int) -> np.ndarray:
+    """The breadth-first generator ball as a plain Python loop over tuples,
+    one product at a time (cur-major, generator-minor), kept as an
+    independent reference for quotient.enumerate_gamma."""
+    def canonical(key):
+        neg = tuple(-v for v in key)
+        return key if key >= neg else neg
+
+    if isinstance(lattice, qt.ModularLattice):
+        gens = [(1, 1, 0, 1), (1, -1, 0, 1), (0, -1, 1, 0), (0, 1, -1, 0)]
+
+        def mul(p, q):
+            a, b, c, d = p
+            e, f, g, h = q
+            return canonical((a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h))
+
+        start, key = (1, 0, 0, 1), canonical
+        height = lambda mat: max(abs(v) for v in mat)
+    else:
+        lat = lattice
+        one, zero = (1, 0), (0, 0)
+        eps, eps_inv = lat.unit_pair
+        neg = lambda a: (-a[0], -a[1])
+        gens = [(one, one, zero, one), (one, neg(one), zero, one),
+                (one, (0, 1), zero, one), (one, (0, -1), zero, one),
+                (zero, neg(one), one, zero), (zero, one, neg(one), zero),
+                (eps, zero, zero, eps_inv), (eps_inv, zero, zero, eps)]
+
+        def mul(p, q):
+            a, b, c, d = p
+            e, f, g, h = q
+            m = lat.mul
+            add = lambda u, v: (u[0] + v[0], u[1] + v[1])
+            return (add(m(a, e), m(b, g)), add(m(a, f), m(b, h)),
+                    add(m(c, e), m(d, g)), add(m(c, f), m(d, h)))
+
+        start = (one, zero, zero, one)
+        key = lambda mat: canonical(tuple(v for entry in mat for v in entry))
+        height = lambda mat: max(abs(v) for entry in mat for v in lat.embed(*entry))
+    seen, order, frontier = {key(start)}, [start], [start]
+    while frontier and len(order) < budget:
+        next_frontier = []
+        for cur in frontier:
+            for g in gens:
+                nxt = mul(cur, g)
+                tag = key(nxt)
+                if tag in seen or height(nxt) > max_entry:
+                    continue
+                seen.add(tag)
+                order.append(nxt)
+                next_frontier.append(nxt)
+        frontier = next_frontier
+    if isinstance(lattice, qt.ModularLattice):
+        return np.array(order, dtype=float).reshape(-1, 1, 2, 2)
+    emb = np.array([[lat.embed(*entry) for entry in mat] for mat in order])
+    return np.ascontiguousarray(emb.transpose(0, 2, 1)).reshape(-1, 2, 2, 2)
+
+
 class TestEnumeration:
+    @pytest.mark.parametrize("disc", [None, 2, 3, 5, 13, 19])
+    def test_bytes_match_reference_loop(self, disc):
+        lat = qt.ModularLattice() if disc is None else qt.HilbertLattice(disc)
+        for max_entry, budget in [(200.0, 6000), (200.0, 500), (50.0, 6000)]:
+            stack = qt.enumerate_gamma(lat, max_entry, budget)
+            ref = reference_ball(lat, max_entry, budget)
+            assert stack.dtype == ref.dtype and stack.shape == ref.shape
+            assert stack.tobytes() == ref.tobytes()
+
     def test_identity_first_and_unimodular(self, modular):
         gam = qt.enumerate_gamma(modular)
         assert gam.shape[1:] == (1, 2, 2)

@@ -303,6 +303,52 @@ class TestDecayFit:
                           (1000.0, 0.1)])
 
 
+class TestLayerBoundary:
+    """Every k = 1 orbit row is reduced through quotient.reduce_stack, the
+    boundary that per-layer reduction metrics are measured at."""
+
+    @staticmethod
+    def count_reductions(monkeypatch):
+        counts = {"calls": 0, "rows": 0, "kernel_calls": 0, "kernel_rows": 0}
+        reduce_stack, kernel = qt.reduce_stack, qt.reduce_batch_k1
+
+        def counted_stack(lattice, stack):
+            counts["calls"] += 1
+            counts["rows"] += len(stack)
+            return reduce_stack(lattice, stack)
+
+        def counted_kernel(mats):
+            counts["kernel_calls"] += 1
+            counts["kernel_rows"] += len(mats)
+            return kernel(mats)
+
+        monkeypatch.setattr(qt, "reduce_stack", counted_stack)
+        monkeypatch.setattr(qt, "reduce_batch_k1", counted_kernel)
+        return counts
+
+    @staticmethod
+    def expected(n: int) -> dict:
+        chunks = -(-n // sp._SLAB_NODES)
+        blocks = sum(-(-min(sp._SLAB_NODES, n - s) // qt._BLOCK_ROWS)
+                     for s in range(0, n, sp._SLAB_NODES))
+        # one single-row checkpoint per chunk, then the chunk's row blocks
+        return {"calls": chunks + blocks, "rows": chunks + n,
+                "kernel_calls": chunks + blocks, "kernel_rows": chunks + n}
+
+    def test_orbit_coordinates(self, monkeypatch, generic_point):
+        times = sp.generate(sp.Progression(0.37, 250000.0))
+        assert len(times) > 3 * sp._SLAB_NODES
+        counts = self.count_reductions(monkeypatch)
+        sp.orbit_coordinates(generic_point, times, workers=2)
+        assert counts == self.expected(len(times))
+
+    def test_horocycle_average_k1(self, monkeypatch, test_bump, generic_point):
+        counts = self.count_reductions(monkeypatch)
+        r = sp.horocycle_average(test_bump, generic_point, 1500.0)
+        assert r.sample_count > sp._SLAB_NODES
+        assert counts == self.expected(r.sample_count)
+
+
 class TestOrbitCoordinates:
     def test_matches_pointwise_flow(self, modular, generic_point):
         times = np.array([0.0, 1.5, 7.25, 300.0])
