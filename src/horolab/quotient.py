@@ -15,10 +15,11 @@ Two lattice families are supported:
   reduction of z = rep * i to the fundamental domain |Re z| <= 1/2,
   |z| >= 1 (ties: Re z in (-1/2, 1/2], and Re z >= 0 on the unit
   circle), fully vectorised over batches.  It returns the exact integer
-  word with the reduced stack.  Dense orbit stacks, whose neighbouring
-  rows share words, are warm-started from the words of every 16th row;
-  a warm row gives the cold bytes because an equal word gives an equal
-  product, and every row that needs a tie-break stays on the cold path.
+  word with the reduced stack.  Every stack is warm-started from the
+  words of every 16th row.  A warm row gives the cold bytes because an
+  equal word gives an equal product; every row that needs a tie-break,
+  or lies nearer the domain's boundary than rounding can move it, stays
+  on the cold path.
 * HilbertLattice: k = 2, Gamma = SL2(O) for the ring of integers O of a
   real quadratic field Q(sqrt(D)), embedded by its two real places.
   Reduction is a best-effort bounded local search over O-translations,
@@ -47,17 +48,18 @@ from .sl2 import GroupElement
 # reduction tolerances (k=1 exact Gauss loop)
 REDUCE_TOL = 1e-13
 REDUCE_MAX_ITER = 400
-# warm start of the k=1 reduction (see reduce_batch_k1), measured on the
-# 2 M dense nodes of the horocycle-k1 benchmark on 2 vCPUs.  Stride 16:
-# they reduce in 0.64 s, against 0.95 s cold.  Margin inside the
-# fundamental domain: far above the rounding of a reduced product, and no
-# row of that stream falls back.  Share of agreeing adjacent anchor pairs
-# that seeds a stack: its median is 0.80 on those blocks, 0.000 on
-# integer-time blocks and under 0.03 on random stacks, where forced
-# seeding ran 24% slower.
+# warm start of the k=1 reduction (see reduce_batch_k1).  Stride: on the
+# 2 M captured nodes of the horocycle-k1 benchmark (2 vCPUs) the kernel took
+# 0.75 / 0.68 / 0.64 / 0.64 / 0.65 s at strides 4 / 8 / 16 / 32 / 64 against
+# 0.85 s cold, and 0.72-0.74 s at strides 8-64 against 0.90 s on the 1 M
+# integer-time nodes of dichotomy-almost.  Margin: WARM_MARGIN clears the
+# REDUCE_TOL band around |z| = 1, and WARM_ULPS counts units of
+# eps |word| |mats| y.  On 6.4 M rows of orbit blocks from seven base points
+# at offsets 3e3-1e6, every seeded word that differed from the cold word
+# lay within 0.75 of those units of the boundary; 16 leaves a factor of 21.
 WARM_STRIDE = 16
 WARM_MARGIN = 1e-9
-WARM_AGREE = 0.5
+WARM_ULPS = 16.0
 # round budget of the k=2 local search
 HILBERT_MAX_ROUNDS = 40
 # default enumeration bounds (config-overridable everywhere they appear)
@@ -281,15 +283,12 @@ def _gauss_words(mats: np.ndarray, seed: np.ndarray | None = None):
     """The Gauss loop on a (N,2,2) stack, from the word seed (identity if None).
 
     Returns (word, converged): the exact integer word of every row and
-    whether the row finished within REDUCE_MAX_ITER passes.  A finished row
-    is neither translated nor inverted again, so it may stay in the loop
-    for a few passes.
+    whether the row finished within REDUCE_MAX_ITER passes.
     """
     n = mats.shape[0]
     # flip word tracked exactly (integer-valued float entries); the final
     # representative is word @ input in one product, so rounding does not
-    # accumulate across reduction steps.  Rows that finish on the first
-    # pass keep their starting word.
+    # accumulate across reduction steps
     if seed is None:
         words = np.zeros((n, 4))
         words[:, 0] = words[:, 3] = 1.0
@@ -304,7 +303,7 @@ def _gauss_words(mats: np.ndarray, seed: np.ndarray | None = None):
     w00, w01, w10, w11 = (words[:, i].copy() for i in range(4))
     if seed is not None:
         a, b, c, d = w00 * a + w01 * c, w00 * b + w01 * d, w10 * a + w11 * c, w10 * b + w11 * d
-    for it in range(1, REDUCE_MAX_ITER + 1):
+    for _ in range(REDUCE_MAX_ITER):
         if len(rows) == 0:
             break
         den = c * c + d * d
@@ -328,18 +327,13 @@ def _gauss_words(mats: np.ndarray, seed: np.ndarray | None = None):
             b, d = np.where(invert, -d, b), np.where(invert, b, d)
             w00, w10 = np.where(invert, -w10, w00), np.where(invert, w00, w10)
             w01, w11 = np.where(invert, -w11, w01), np.where(invert, w01, w11)
-        # finished rows stay put until an eighth of the rows has finished
-        # (or the last pass): on the integer-time benchmark stream that ran
-        # 12% faster than compacting on every finish, and no slower elsewhere
         done = ~(invert | need_shift)
-        sel = np.flatnonzero(done)
-        if len(sel) * 8 >= len(rows) or (len(sel) and it == REDUCE_MAX_ITER):
-            fin = rows[sel]
-            if it > 1:
-                words[fin, 0], words[fin, 1] = w00[sel], w01[sel]
-                words[fin, 2], words[fin, 3] = w10[sel], w11[sel]
+        if done.any():
+            fin = rows[done]
+            words[fin, 0], words[fin, 1] = w00[done], w01[done]
+            words[fin, 2], words[fin, 3] = w10[done], w11[done]
             converged[fin] = True
-            keep = np.flatnonzero(~done)
+            keep = ~done
             rows = rows[keep]
             a, b, c, d = a[keep], b[keep], c[keep], d[keep]
             w00, w01, w10, w11 = w00[keep], w01[keep], w10[keep], w11[keep]
@@ -351,51 +345,47 @@ def _gauss_words(mats: np.ndarray, seed: np.ndarray | None = None):
 def reduce_batch_k1(mats: np.ndarray):
     """Gauss-reduce a (N,2,2) stack in place of z = g*i.
 
-    Returns (reduced mats, converged mask, word): the output is word @ mats
-    (up to the sign of exact zeros) for the exact integer word, det 1.
-    Ties go to Re z in (-1/2, 1/2] and to Re z >= 0 on the unit circle;
-    the output sign, and the word's, is canonicalised so the frame angle
-    lies in [0, pi).
+    Returns (reduced mats, converged mask, word): the output is
+    +-word @ mats for the exact integer word, det 1, the sign fixed so the
+    frame angle lies in [0, pi).  Ties go to Re z in (-1/2, 1/2] and to
+    Re z >= 0 on the unit circle.
 
     Warm start: every WARM_STRIDE-th row is an anchor, reduced from the
-    identity.  When at least WARM_AGREE of the adjacent anchor pairs share
-    a word up to sign, as on a dense orbit, every row starts the Gauss loop
-    from the word of the anchor at or before it, and rows the first pass
-    does not finish continue from there.  A seeded row stands only if its
-    word @ mats lies WARM_MARGIN inside the fundamental domain (|x| < 1/2
-    and |z|^2 > 1 by the margin) and has no zero entry; every other row,
-    NaN rows included, is reduced cold.  Why that gives the cold bytes:
-    a point that far inside has one word up to sign, so the seeded word is
-    the cold word, and the same word in the same product (and sign flip)
-    gives the same bytes.  Only the sign of an exact zero can depend on
-    the word's signed zeros, hence the zero rule.  Every row whose
+    identity, and every row starts the Gauss loop from the word of the
+    anchor at or before it; on a dense orbit most rows finish on the first
+    pass.  A seeded row stands only if its loop finished, word @ mats has
+    no zero entry, and the point lies inside the fundamental domain
+    (|x| < 1/2, |z|^2 > 1) by WARM_MARGIN + WARM_ULPS * eps * |word| *
+    |mats| * y, with Frobenius norms; every other row, NaN rows included,
+    is reduced cold.  Why that gives the cold bytes: rounding moves the
+    cold loop's point by about eps * |word| * |mats| * y (the constants
+    say how this was measured), so the cold loop cannot stop at another
+    translate of a point that far inside.  The seeded word is then the
+    cold word up to sign, and the same word in the same product and sign
+    flip gives the same bytes.  Only the sign of an exact zero can depend
+    on the word's signed zeros, hence the zero rule.  Every row whose
     reduction needs a tie-break (|x| = 1/2, |z| = 1, the elliptic points i
-    and rho) fails the margin and takes the cold path.  The returned word's
-    zero entries may differ in sign from the cold word's.
+    and rho) fails the margin and takes the cold path.  The returned
+    word's zero entries may differ in sign from the cold word's.
     """
     mats = np.asarray(mats, dtype=float)
     n = mats.shape[0]
     anchors, _ = _gauss_words(mats[::WARM_STRIDE])
-    agree = (np.all(anchors[1:] == anchors[:-1], axis=(1, 2))
-             | np.all(anchors[1:] == -anchors[:-1], axis=(1, 2)))
-    if len(agree) and agree.mean() >= WARM_AGREE:
-        word, conv = _gauss_words(mats, np.repeat(anchors, WARM_STRIDE, axis=0)[:n])
-        out = word @ mats
-        x, y = _mobius_coords(out)
-        inside = (np.abs(x) < 0.5 - WARM_MARGIN) & (x * x + y * y > 1.0 + WARM_MARGIN)
-        # an exact zero entry takes its sign from the word's signed zeros
-        cold = ~(inside & conv & np.all(out != 0.0, axis=(1, 2)))
-        if np.any(cold):
-            word[cold], conv[cold] = _gauss_words(mats[cold])
-            out[cold] = word[cold] @ mats[cold]
-    else:
-        word, conv = _gauss_words(mats)
-        out = word @ mats
+    word, conv = _gauss_words(mats, np.repeat(anchors, WARM_STRIDE, axis=0)[:n])
+    out = word @ mats
+    x, y = _mobius_coords(out)
+    size = np.sqrt(np.einsum("nij,nij->n", word, word) * np.einsum("nij,nij->n", mats, mats))
+    margin = WARM_MARGIN + WARM_ULPS * np.finfo(float).eps * size * y
+    inside = (np.abs(x) < 0.5 - margin) & (x * x + y * y > 1.0 + margin)
+    # an exact zero entry takes its sign from the word's signed zeros
+    cold = ~(inside & conv & np.all(out != 0.0, axis=(1, 2)))
+    if np.any(cold):
+        word[cold], conv[cold] = _gauss_words(mats[cold])
+        out[cold] = word[cold] @ mats[cold]
     # canonical sign: bottom row angle in [0, pi)
     c, d = out[:, 1, 0], out[:, 1, 1]
     flip = (c < 0) | ((c == 0) & (d < 0))
-    for arr in (out, word):
-        np.multiply(arr, -1.0, out=arr, where=flip[:, None, None])
+    out[flip] *= -1.0
     return out, conv, word
 
 
