@@ -494,19 +494,15 @@ def _run_dichotomy(cfg: ExperimentConfig):
         else:
             times = sp.generate(sp.PolynomialTimes(cfg.gamma_exp, 200))
         sampled = times[:: max(1, len(times) // 400)]
-        heights = []
-        single_point = True
-        base_red = qt.reduce_point(p)
-        for t in sampled:
-            moved = qt.reduce_point(qt.flow_u(p, float(t)))
-            heights.append(qt.cusp_height(moved))
-            if not np.array_equal(moved.rep.mats, base_red.rep.mats):
-                single_point = False
+        base_red, _ = qt.reduce_stack(lattice, p.rep.mats[None])
+        flowed = np.array([qt.flow_u(p, float(t)).rep.mats for t in sampled])
+        moved, _ = qt.reduce_stack(lattice, flowed)
+        height_max = float(qt.cusp_heights(lattice, moved).max())
         payload["sparse_orbit"] = {
             "samples": len(sampled),
-            "height_max": float(max(heights)),
-            "bounded": float(max(heights)) <= qt.HEIGHT_THRESHOLD,
-            "single_point_exact": single_point,
+            "height_max": height_max,
+            "bounded": height_max <= qt.HEIGHT_THRESHOLD,
+            "single_point_exact": bool(np.all(moved == base_red)),
         }
         payload["verdict"] = "torus-confirmed" if payload["sparse_orbit"]["bounded"] else "inconclusive"
         return payload, {}, None

@@ -62,7 +62,7 @@ WARM_MARGIN = 1e-9
 WARM_ULPS = 16.0
 # round budget of the k=2 local search
 HILBERT_MAX_ROUNDS = 40
-# default enumeration bounds (config-overridable everywhere they appear)
+# default enumeration bounds (keyword defaults; no config field sets them)
 ENUM_MAX_ENTRY = 200.0
 ENUM_BUDGET_K1 = 6000
 ENUM_BUDGET_K2 = 4000
@@ -378,7 +378,9 @@ def reduce_batch_k1(mats: np.ndarray):
     margin = WARM_MARGIN + WARM_ULPS * np.finfo(float).eps * size * y
     inside = (np.abs(x) < 0.5 - margin) & (x * x + y * y > 1.0 + margin)
     # an exact zero entry takes its sign from the word's signed zeros
-    cold = ~(inside & conv & np.all(out != 0.0, axis=(1, 2)))
+    nonzero = (out[:, 0, 0] != 0.0) & (out[:, 0, 1] != 0.0) \
+        & (out[:, 1, 0] != 0.0) & (out[:, 1, 1] != 0.0)
+    cold = ~(inside & conv & nonzero)
     if np.any(cold):
         word[cold], conv[cold] = _gauss_words(mats[cold])
         out[cold] = word[cold] @ mats[cold]
@@ -703,18 +705,25 @@ def injectivity_radius(p: QuotientPoint, max_entry: float = ENUM_MAX_ENTRY,
     return float(min(0.5 * disp.min(), validity_radius))
 
 
-def cusp_height(p: QuotientPoint) -> float:
-    """Height of the class in the cusp direction.
+def cusp_heights(lattice: Lattice, stack: np.ndarray) -> np.ndarray:
+    """Cusp heights of a (N,k,2,2) stack of representatives, reduced once.
 
     k=1: the imaginary part of the Gauss-reduced z.  k=2: the product
     height y1*y2 maximised over a bounded family of O-rows (c, d),
-    the standard height at the cusp at infinity.
+    the standard height at the cusp at infinity, taken row by row so the
+    (c, d) family is never broadcast against the whole stack.
     """
-    if isinstance(p.lattice, ModularLattice):
-        red = reduce_point(p)
-        _, y = _mobius_coords(red.rep.mats)
-        return float(y[0])
-    return _hilbert_cusp_height(p.lattice, p.rep.mats)
+    x, y = _mobius_coords(reduce_stack(lattice, stack)[0])  # (N, k)
+    if isinstance(lattice, ModularLattice):
+        return y[:, 0]
+    c, d = np.moveaxis(_cd_rows(lattice), 1, 0)  # (M, 2 places) each
+    mins = [((c * xi + d) ** 2 + (c * yi) ** 2).prod(axis=1).min() for xi, yi in zip(x, y)]
+    return y[:, 0] * y[:, 1] / np.array(mins)
+
+
+def cusp_height(p: QuotientPoint) -> float:
+    """Height of the class in the cusp direction (see cusp_heights)."""
+    return float(cusp_heights(p.lattice, p.rep.mats[None])[0])
 
 
 def _cd_rows(lat: HilbertLattice, bound: int = CUSP_CD_COEFF_BOUND) -> np.ndarray:
@@ -732,15 +741,6 @@ def _cd_rows(lat: HilbertLattice, bound: int = CUSP_CD_COEFF_BOUND) -> np.ndarra
     rows = np.stack([ce[keep], de[keep]], axis=1)  # (M, 2=c/d, 2=place)
     _ENUM_CACHE[key] = rows
     return rows
-
-
-def _hilbert_cusp_height(lat: HilbertLattice, mats: np.ndarray) -> float:
-    red, _ = _reduce_stack_hilbert(lat, mats[None])
-    x, y = _mobius_coords(red[0])  # (x, y) of both factors
-    rows = _cd_rows(lat)
-    c, d = rows[:, 0], rows[:, 1]
-    terms = (c * x + d) ** 2 + (c * y) ** 2
-    return float(y[0] * y[1] / (terms[:, 0] * terms[:, 1]).min())
 
 
 # ----------------------------------------------------------------------
@@ -777,9 +777,8 @@ def detect_divergence(p: QuotientPoint, mode: str = "geodesic",
         elements = [phi_map(float(x), gamma_exp, alpha, k) for x in times]
     else:
         raise ValueError(f"unknown divergence mode {mode!r}")
-    heights = np.empty(len(times))
-    for i, g in enumerate(elements):
-        heights[i] = cusp_height(act(g, p))
+    moved = np.reshape([act(g, p).rep.mats for g in elements], (-1, k, 2, 2))
+    heights = cusp_heights(p.lattice, moved)
     escape = heights > threshold
     diverges = False
     first_escape = None
@@ -856,14 +855,12 @@ def torus_orbit_check(p: QuotientPoint, max_entry: float = ENUM_MAX_ENTRY,
     bound = None
     if found:
         nil = [g.mats - np.eye(2)[None] for g in gens]
-        heights = []
         ticks = np.linspace(0.0, 1.0, grid)
         mesh = np.meshgrid(*([ticks] * torus_dim), indexing="ij")
         coords = np.stack([m.ravel() for m in mesh], axis=1)
-        for c in coords:
-            shift = sum(ci * ni for ci, ni in zip(c, nil))
-            heights.append(cusp_height(translate(p, GroupElement(np.eye(2) + shift))))
-        bound = float(max(heights))
+        shifts = [np.eye(2) + sum(ci * ni for ci, ni in zip(c, nil)) for c in coords]
+        moved = np.array([translate(p, GroupElement(s)).rep.mats for s in shifts])
+        bound = float(cusp_heights(lat, moved).max())
         found = bound <= height_cap
     return TorusReport(found=found, torus_dim=torus_dim, generators=gens,
                        orbit_height_bound=bound, commutation_defect=defect)

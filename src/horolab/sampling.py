@@ -285,13 +285,14 @@ def horocycle_average(f, p: QuotientPoint, t_span: float,
     if t_span <= 0:
         raise ConfigError("averaging horizon must be positive")
     h = _resolve_step(f, step)
+    # the reference first, so its quadrature grid and the arc are never alive together
+    ref, ref_kind = _reference_value(f, p, reference)
     nodes, weights = _panel_nodes(t_span, h)
     vals = _orbit_chunks(p, nodes, workers, f.evaluate_coords)
     # fixed-order combination: slab sums, then one final sum
     slab_sums = [float(np.dot(weights[s:s + _SLAB_NODES], vals[s:s + _SLAB_NODES]))
                  for s in range(0, len(nodes), _SLAB_NODES)]
     value = sum(slab_sums) / t_span
-    ref, ref_kind = _reference_value(f, p, reference)
     eta_scale = math.log(t_span) if t_span > 1.0 else 0.0
     eta = qt.injectivity_radius(qt.flow_a_contracting(p, eta_scale))
     return AverageResult(

@@ -328,17 +328,6 @@ def linear_sieve_functions(s_max: float = 40.0, grid_step: float = 1e-3) -> Line
     branch = slice(lag, i4 + 1)
     q[branch] = s[branch] - two_eg * np.log(s[branch] - 1.0)
 
-    # integrands at node m: phi_p[m] = -q[m-lag]/s[m-lag], phi_q likewise
-    def phi_p(m):
-        return -q[m - lag] / s[m - lag]
-
-    def phi_q(m):
-        return -p[m - lag] / s[m - lag]
-
-    def q_branch(x: float) -> float:
-        # closed form for q on (0, 4]
-        return x if x <= 2.0 else x - two_eg * math.log(x - 1.0)
-
     # 5-point Gauss-Legendre on [0, 1] for the startup steps whose lagged
     # integrand still has a closed form (so no interpolation across the
     # derivative kink of q at s = 2 is ever needed)
@@ -347,43 +336,49 @@ def linear_sieve_functions(s_max: float = 40.0, grid_step: float = 1e-3) -> Line
     gl_w = np.array([0.11846344252810, 0.23931433524968, 0.28444444444444,
                      0.23931433524968, 0.11846344252810])
 
-    p_dead = False
-    q_dead = False
-    for n in range(i3 + 1, n_nodes):
-        # --- advance p over [s[n-1], s[n]]
-        if p_dead:
-            p[n] = 0.0
-        elif n - i3 < 3:
-            # startup: the lagged argument lies in (2, 2+3h] where q is exact
-            args = s[n - 1] - 1.0 + h * gl_x
-            vals = np.array([-q_branch(x) / x for x in args])
-            p[n] = p[n - 1] + h * float(np.dot(gl_w, vals))
-        else:
-            p[n] = p[n - 1] + h / 24.0 * (
-                9.0 * phi_p(n) + 19.0 * phi_p(n - 1) - 5.0 * phi_p(n - 2) + phi_p(n - 3)
-            )
-        if not p_dead and p[n] < _DEVIATION_CLAMP:
-            p[n] = 0.0
-            p_dead = True
-        # --- advance q over the same step (only active past s = 4)
-        if n > i4:
-            if q_dead:
-                q[n] = 0.0
-            elif n - i4 < 3:
-                # lagged argument in (3, 3+3h]: p is marched there but smooth
-                # (only a second-derivative break at 3), interpolation is safe
-                mphi = _midpoint_phi(p, s, n, lag)
-                q[n] = q[n - 1] + h / 6.0 * (phi_q(n - 1) + 4.0 * mphi + phi_q(n))
-            else:
-                q[n] = q[n - 1] + h / 24.0 * (
-                    9.0 * phi_q(n) + 19.0 * phi_q(n - 1) - 5.0 * phi_q(n - 2) + phi_q(n - 3)
-                )
-            if not q_dead and q[n] < _DEVIATION_CLAMP:
-                q[n] = 0.0
-                q_dead = True
+    def p_startup(n: int) -> float:
+        # the lagged argument lies in (2, 2+3h] where q has its closed form
+        vals = np.array([-(x - two_eg * math.log(x - 1.0)) / x for x in s[n - 1] - 1.0 + h * gl_x])
+        return h * float(np.dot(gl_w, vals))
+
+    def q_startup(n: int) -> float:
+        # lagged argument in (3, 3+3h]: p is marched there but smooth
+        # (only a second-derivative break at 3), interpolation is safe
+        phi = -p[n - 1 - lag: n + 1 - lag] / s[n - 1 - lag: n + 1 - lag]
+        return h / 6.0 * (phi[0] + 4.0 * _midpoint_phi(p, s, n, lag) + phi[1])
+
+    def am_steps(src: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        # 4-step Adams-Moulton increments of nodes lo..hi-1 for the integrand -src/s lagged by 1
+        phi = -src[lo - 3 - lag: hi - lag] / s[lo - 3 - lag: hi - lag]
+        return h / 24.0 * (9.0 * phi[3:] + 19.0 * phi[2:-1] - 5.0 * phi[1:-2] + phi[:-3])
+
+    # p and q advance together, one block of lag nodes at a time: every
+    # Adams-Moulton integrand in a block lags by one unit, so it is known
+    p_live = _advance(p, i3 + 1, [p_startup(n) for n in range(i3 + 1, min(i3 + 3, n_nodes))])
+    q_live = True
+    for lo in range(i3 + 3, n_nodes, lag):
+        hi = min(lo + lag, n_nodes)
+        if p_live:
+            p_live = _advance(p, lo, am_steps(q, lo, hi))
+        if lo < i4:  # q starts past s = 4, at the end of the first block
+            q_live = _advance(q, i4 + 1, [q_startup(n) for n in range(i4 + 1, hi)])
+        elif q_live:
+            q_live = _advance(q, lo, am_steps(p, lo, hi))
     out = LinearSieveFunctions(s_max=s_max, grid_step=h, s_grid=s, p_dev=p, q_dev=q)
     _SIEVE_FN_CACHE[key] = out
     return out
+
+
+def _advance(dev: np.ndarray, lo: int, steps) -> bool:
+    """dev[lo + j] = dev[lo + j - 1] + steps[j], summed in order; from the
+    first node below _DEVIATION_CLAMP on, dev is zero.  Returns whether the
+    deviation is still above the clamp."""
+    vals = np.cumsum(np.concatenate((dev[lo - 1:lo], steps)))[1:]
+    low = np.flatnonzero(vals < _DEVIATION_CLAMP)
+    if len(low):
+        vals[low[0]:] = 0.0
+    dev[lo:lo + len(vals)] = vals
+    return len(low) == 0
 
 
 def _midpoint_phi(dev: np.ndarray, s: np.ndarray, n: int, lag: int) -> float:
@@ -548,7 +543,7 @@ def sieve_bounds(problem: SieveProblem, table: FactorTable,
     """Evaluate the linear-sieve bracket and compare with the exact sum."""
     fns = functions if functions is not None else linear_sieve_functions()
     pz = primes_below(problem.z, table)
-    v_z = float(np.prod(1.0 - 1.0 / pz)) if len(pz) else 1.0
+    v_z = v_of_z(problem.z, table)
     total = problem.total()
     big_x = v_z * total
     s = math.log(problem.level_d) / math.log(problem.z)

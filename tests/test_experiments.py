@@ -399,6 +399,9 @@ class TestCli:
         (["orbit", "--lattice", "hilbert", "D=2",
           "--point", "coords:0.1,1.3,0.4,-0.2,1.1,1.7",
           "--timeset", "progression", "K=0.05", "T=1e3"], "965c621d62917407"),
+        # the README example and the only k = 1 run through the dichotomy torus branch
+        (["dichotomy", "mode=almost", "--point", "preset:cusp", "N=1e5"], "2bf8c7607f39ff83"),
+        (["torus", "--lattice", "hilbert", "D=19", "--point", "identity"], "be641b91ee1f818a"),
     ])
     def test_pinned_content_id(self, capsys, argv, content_id):
         assert main(argv) == 0

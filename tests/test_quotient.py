@@ -452,6 +452,133 @@ class TestCuspHeight:
         assert abs(qt.cusp_height(qt.identity_coset(hilbert)) - 1.0) <= 1e-9
 
 
+def single_point_heights(lattice, stack: np.ndarray) -> np.ndarray:
+    """Cusp heights one class at a time, the way they were computed before
+    the stack kernel: y of reduce_point for k = 1, and the bounded (c, d)
+    minimum after a one-row Hilbert reduction for k = 2."""
+    out = []
+    for mats in stack:
+        if lattice.k == 1:
+            red = qt.reduce_point(qt.QuotientPoint(lattice, sl2.GroupElement(mats)))
+            out.append(float(qt._mobius_coords(red.rep.mats)[1][0]))
+            continue
+        red, _ = qt._reduce_stack_hilbert(lattice, mats[None])
+        x, y = qt._mobius_coords(red[0])
+        rows = qt._cd_rows(lattice)
+        c, d = rows[:, 0], rows[:, 1]
+        terms = (c * x + d) ** 2 + (c * y) ** 2
+        out.append(float(y[0] * y[1] / (terms[:, 0] * terms[:, 1]).min()))
+    return np.array(out)
+
+
+def elliptic_rows(k: int) -> np.ndarray:
+    """Classes at i and at rho = exp(i pi / 3) in every factor, several frames."""
+    rho = (0.5, math.sqrt(3.0) / 2.0)
+    rows = [[[x, y, theta]] * k for x, y in ((0.0, 1.0), rho, (-rho[0], rho[1]))
+            for theta in (0.0, 0.7, 2.9)]
+    return qt.mats_from_coords(np.array(rows))
+
+
+class TestCuspHeightsKernel:
+    """cusp_heights on a stack gives the bytes of the single-point path."""
+
+    @staticmethod
+    def captured_stacks(monkeypatch, run) -> list:
+        stacks = []
+        kernel = qt.cusp_heights
+
+        def capture(lattice, stack):
+            stacks.append((lattice, stack.copy()))
+            return kernel(lattice, stack)
+
+        monkeypatch.setattr(qt, "cusp_heights", capture)
+        result = run()
+        monkeypatch.undo()
+        return stacks, result
+
+    @pytest.mark.parametrize("name", ["generic1", "quadratic", "cusp"])
+    @pytest.mark.parametrize("mode, t_max", [("geodesic", 30.0), ("phi", 1.0e5)])
+    def test_divergence_probe_rows(self, monkeypatch, name, mode, t_max):
+        p = point_preset(name)
+        stacks, rep = self.captured_stacks(
+            monkeypatch, lambda: qt.detect_divergence(p, mode=mode, t_max=t_max))
+        [(lattice, stack)] = stacks
+        assert len(stack) == len(rep.times)
+        expected = single_point_heights(lattice, stack)
+        assert qt.cusp_heights(lattice, stack).tobytes() == expected.tobytes()
+        assert rep.heights.tobytes() == expected.tobytes()
+
+    def test_hilbert_torus_grid(self, monkeypatch, hilbert):
+        stacks, rep = self.captured_stacks(
+            monkeypatch, lambda: qt.torus_orbit_check(qt.identity_coset(hilbert)))
+        [(lattice, stack)] = stacks
+        assert len(stack) == 36
+        heights = qt.cusp_heights(lattice, stack)
+        assert heights.tobytes() == single_point_heights(lattice, stack).tobytes()
+        assert rep.orbit_height_bound == float(heights.max())
+
+    @pytest.mark.parametrize("disc", [2, 3, 5])
+    def test_random_hilbert_rows(self, disc):
+        lattice = qt.HilbertLattice(disc)
+        rng = np.random.default_rng(7100 + disc)
+        stack = np.array([sl2.random_element(rng, k=2, scale=1.0).mats for _ in range(40)])
+        stack = np.concatenate([stack, elliptic_rows(2)])
+        heights = qt.cusp_heights(lattice, stack)
+        assert heights.tobytes() == single_point_heights(lattice, stack).tobytes()
+
+    def test_random_and_elliptic_modular_rows(self, modular):
+        rng = np.random.default_rng(7101)
+        stack = np.array([sl2.random_element(rng, scale=1.5).mats for _ in range(200)])
+        stack = np.concatenate([stack, elliptic_rows(1)])
+        heights = qt.cusp_heights(modular, stack)
+        assert heights.tobytes() == single_point_heights(modular, stack).tobytes()
+
+    def test_one_row_view(self, hilbert):
+        for p in (point_at(0.3 + 2.0j), qt.identity_coset(hilbert)):
+            assert qt.cusp_height(p) == qt.cusp_heights(p.lattice, p.rep.mats[None])[0]
+
+
+class TestProbeReductions:
+    """The height probes reduce whole stacks: their number of reduce_stack
+    calls does not grow with their number of samples."""
+
+    @staticmethod
+    def count_calls(monkeypatch, run) -> tuple[int, object]:
+        calls = []
+        reduce_stack = qt.reduce_stack
+
+        def counted(lattice, stack):
+            calls.append(len(stack))
+            return reduce_stack(lattice, stack)
+
+        monkeypatch.setattr(qt, "reduce_stack", counted)
+        result = run()
+        monkeypatch.undo()
+        return len(calls), result
+
+    @pytest.mark.parametrize("mode, t_max", [("geodesic", 30.0), ("phi", 1.0e5)])
+    def test_detect_divergence(self, monkeypatch, generic_point, mode, t_max):
+        counts = [self.count_calls(monkeypatch, lambda: qt.detect_divergence(
+            generic_point, mode=mode, t_max=t_max, samples=n))[0] for n in (10, 80)]
+        assert counts == [1, 1]
+
+    def test_torus_orbit_check(self, monkeypatch, hilbert):
+        counts = [self.count_calls(monkeypatch, lambda: qt.torus_orbit_check(
+            qt.identity_coset(hilbert), grid=n))[0] for n in (2, 7)]
+        assert counts == [1, 1]
+
+    def test_dichotomy_torus_branch(self, monkeypatch):
+        from horolab.experiments import ExperimentConfig, run
+
+        results = [self.count_calls(monkeypatch, lambda: run(ExperimentConfig(
+            kind="dichotomy", mode="almost", point="preset:cusp", n_max=n)))
+            for n in (300, 5000)]
+        samples = [r.payload["sparse_orbit"]["samples"] for _, r in results]
+        assert samples[0] < samples[1]
+        # probe, torus grid, base point, the sampled orbit, its heights
+        assert [calls for calls, _ in results] == [5, 5]
+
+
 class TestDivergence:
     def test_identity_geodesic_diverges(self, modular):
         rep = qt.detect_divergence(qt.identity_coset(modular), mode="geodesic")

@@ -5,6 +5,7 @@ Eratosthenes bitmap, prime-power slicing for Omega, direct products) so
 the module under test is never compared against itself.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -158,6 +159,18 @@ class TestLinearSieveFunctions:
     def test_self_check_report(self, fns):
         rep = fns.check_invariants()
         assert abs(rep["F_at_2"] - math.exp(EULER_GAMMA)) <= 1e-9
+
+    @pytest.mark.parametrize("s_max, grid_step, digest", [
+        (40.0, 1e-3, "4a99c9ff9a926927"),
+        (20.0, 5e-4, "9b59c630f083f678"),
+        (60.0, 2.5e-4, "4eda701485ce0c78"),
+    ])
+    def test_pinned_bytes(self, s_max, grid_step, digest):
+        fns = sieve.linear_sieve_functions(s_max, grid_step)
+        # the clamp fires inside each grid, so the pin covers the zeroed tail
+        assert fns.p_dev[-1] == 0.0 and fns.q_dev[-1] == 0.0
+        data = fns.p_dev.tobytes() + fns.q_dev.tobytes()
+        assert hashlib.sha256(data).hexdigest()[:16] == digest
 
 
 class TestSieveBounds:
