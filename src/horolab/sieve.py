@@ -70,18 +70,19 @@ class FactorTable:
 
     def omega_all(self) -> np.ndarray:
         """Omega(n), prime factors with multiplicity, for n = 0..n_max
-        (index 0 unused, set to 0).  Computed once and cached on the table."""
+        (index 0 unused, set to 0).  Computed once and cached on the table.
+
+        Filled by Omega(n) = Omega(n / spf(n)) + 1 over the doubling blocks
+        [lo, 2 lo), lo = 2, 4, 8, ...: every quotient n / spf(n) <= n / 2
+        lies in an earlier block, so each block is one gather."""
         if self._omega is not None:
             return self._omega
         counts = np.zeros(self.n_max + 1, dtype=np.int32)
-        m = np.arange(self.n_max + 1, dtype=np.int64)
-        m[0] = 1
-        while True:
-            active = m > 1
-            if not active.any():
-                break
-            counts[active] += 1
-            m[active] //= self.spf[m[active]]
+        lo = 2
+        while lo <= self.n_max:
+            hi = min(2 * lo, self.n_max + 1)
+            counts[lo:hi] = counts[np.arange(lo, hi) // self.spf[lo:hi]] + 1
+            lo = hi
         counts.flags.writeable = False  # shared by every caller of this table
         self._omega = counts
         return counts
@@ -132,30 +133,65 @@ def primes_below(z: float, table: FactorTable | None = None) -> np.ndarray:
 
 _PRIME_LOG_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
+# odd slots struck per segment of the prime-table sieve: 512 KiB of bool,
+# so the strided strikes stay inside one core's L2 cache
+_SIEVE_SEGMENT = 1 << 19
+
 
 def _prime_log_prefix(z_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """(primes < z_max, prefix sums of -log(1 - 1/p)); cached."""
+    """(primes < z_max, prefix sums of -log(1 - 1/p)); cached.
+
+    Odd-only segmented Eratosthenes: slot i stands for the odd number
+    2i + 1, and the z_max // 2 slots are struck _SIEVE_SEGMENT at a time.
+    The odd base primes p <= sqrt(z_max) come from a small factor table;
+    each keeps the slot of its next odd multiple across segments (its
+    first is p^2 // 2), and a segment stops at the first base prime whose
+    p^2 // 2 lies past it.  Each segment's primes join the table as
+    float64 at once, so no full-range bool array is ever alive.
+
+    The prefix is built in place in one array whose slot 0 is 0.0 and
+    whose slot j holds -log1p(-1/p_j) before the running sum: cumsum is
+    sequential, 0.0 + t_1 == t_1 exactly, so its bytes equal those of
+    concatenate(([0.0], cumsum(terms))).
+    """
+    if z_max < 3:
+        raise ValueError("z_max too small")
     for cached_max in _PRIME_LOG_CACHE:
         if cached_max >= z_max:
             primes, prefix = _PRIME_LOG_CACHE[cached_max]
             cut = np.searchsorted(primes, z_max)
             return primes[:cut], prefix[: cut + 1]
-    # odd-only Eratosthenes
-    if z_max < 3:
-        raise ValueError("z_max too small")
-    size = z_max // 2
-    sieve = np.ones(size, dtype=bool)  # index i <-> odd number 2i+1
-    sieve[0] = False
-    for i in range(1, (int(math.isqrt(z_max)) + 1) // 2 + 1):
-        if sieve[i]:
-            p = 2 * i + 1
-            sieve[(p * p) // 2:: p] = False
-    odd_primes = 2 * np.flatnonzero(sieve) + 1
+    size = z_max // 2  # odd numbers 1, 3, ..., below z_max
+    base_primes = primes_below(math.isqrt(z_max) + 1)[1:].tolist()  # odd, <= sqrt(z_max)
+    next_slot = [(p * p) // 2 for p in base_primes]
     # float64 is exact below 2^53 and matches the float search keys, so
     # np.searchsorted never casts the whole table
-    primes = np.concatenate(([2], odd_primes)).astype(float)
-    terms = -np.log1p(-1.0 / primes)
-    prefix = np.concatenate(([0.0], np.cumsum(terms)))
+    chunks = [np.array([2.0])]
+    segment = np.empty(_SIEVE_SEGMENT, dtype=bool)
+    for lo in range(0, size, _SIEVE_SEGMENT):
+        hi = min(lo + _SIEVE_SEGMENT, size)
+        seg = segment[: hi - lo]
+        seg[:] = True
+        if lo == 0:
+            seg[0] = False  # 1 is not prime
+        for j, p in enumerate(base_primes):
+            if (p * p) // 2 >= hi:
+                break
+            start = next_slot[j]  # past hi only in a short last segment
+            seg[start - lo:: p] = False
+            next_slot[j] = start + p * ((hi - start + p - 1) // p)
+        odd = np.flatnonzero(seg)
+        odd += lo
+        chunks.append((2 * odd + 1).astype(float))
+    primes = np.concatenate(chunks)
+    del chunks  # before the prefix exists, so the peak stays near the result
+    prefix = np.empty(len(primes) + 1)
+    prefix[0] = 0.0
+    terms = prefix[1:]
+    np.divide(-1.0, primes, out=terms)
+    np.log1p(terms, out=terms)
+    np.negative(terms, out=terms)
+    np.cumsum(prefix, out=prefix)
     _PRIME_LOG_CACHE.clear()
     _PRIME_LOG_CACHE[z_max] = (primes, prefix)
     return primes, prefix
@@ -165,7 +201,7 @@ def mertens_product(u: float, z: float, z_max: int = 10**8) -> float:
     """prod over u <= p < z of (1 - 1/p)^{-1}, by cached prefix sums."""
     if not (1.0 < u < z):
         raise ValueError("need 1 < u < z")
-    primes, prefix = _prime_log_prefix(max(int(z) + 1, z_max))
+    primes, prefix = _prime_log_prefix(max(int(z) + 1, z_max, 3))
     lo = np.searchsorted(primes, u, side="left")
     hi = np.searchsorted(primes, z, side="left")
     return float(np.exp(prefix[hi] - prefix[lo]))

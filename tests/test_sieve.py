@@ -7,6 +7,7 @@ the module under test is never compared against itself.
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +40,50 @@ def omega_oracle(n):
             counts[q::q] += 1
             q *= int(p)
     return counts
+
+
+def whole_array_prime_log_prefix(z_max):
+    """The prime table as one whole-array odd-only sieve and one prefix
+    cumsum: the reference for the segmented build's bytes."""
+    size = z_max // 2
+    mask = np.ones(size, dtype=bool)  # index i <-> odd number 2i+1
+    mask[0] = False
+    for i in range(1, (int(math.isqrt(z_max)) + 1) // 2 + 1):
+        if mask[i]:
+            p = 2 * i + 1
+            mask[(p * p) // 2:: p] = False
+    primes = np.concatenate(([2], 2 * np.flatnonzero(mask) + 1)).astype(float)
+    terms = -np.log1p(-1.0 / primes)
+    return primes, np.concatenate(([0.0], np.cumsum(terms)))
+
+
+def repeated_division_omega(table):
+    """Omega by dividing out the smallest prime factor, one masked pass
+    per prime factor over the whole range."""
+    counts = np.zeros(table.n_max + 1, dtype=np.int32)
+    m = np.arange(table.n_max + 1, dtype=np.int64)
+    m[0] = 1
+    while True:
+        active = m > 1
+        if not active.any():
+            break
+        counts[active] += 1
+        m[active] //= table.spf[m[active]]
+    return counts
+
+
+def table_digest(primes, prefix):
+    return hashlib.sha256(primes.tobytes() + prefix.tobytes()).hexdigest()[:16]
+
+
+@pytest.fixture
+def cold_prime_cache():
+    """Empty the prime-table cache for one test, then put it back."""
+    saved = dict(sieve._PRIME_LOG_CACHE)
+    sieve._PRIME_LOG_CACHE.clear()
+    yield
+    sieve._PRIME_LOG_CACHE.clear()
+    sieve._PRIME_LOG_CACHE.update(saved)
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +123,16 @@ class TestFactorTable:
         ours = table_1e6.omega_all()[1:1_000_001]
         assert np.array_equal(ours, omega_1e6[1:])
 
+    @pytest.mark.parametrize("n_max", [2, 3, 4, 5, 1023, 1024, 1025, 100_001])
+    def test_omega_equals_repeated_division(self, n_max):
+        # block ends at and beside powers of two
+        table = sieve.build_factor_table(n_max)
+        ours = table.omega_all()
+        ref = repeated_division_omega(table)
+        assert ours.dtype == ref.dtype == np.int32
+        assert np.array_equal(ours, ref)
+        assert not ours.flags.writeable
+
     def test_omega_computed_once_per_table(self):
         table = sieve.build_factor_table(1000)
         first = table.omega_all()
@@ -96,6 +151,60 @@ class TestFactorTable:
         ours = sieve.almost_primes(table_1e6, 3)
         expect = np.flatnonzero(omega_1e6 <= 3)[1:]  # drop n=0
         assert np.array_equal(ours, expect)
+
+
+_BOUNDARY_1 = 2 * sieve._SIEVE_SEGMENT  # z_max // 2 slots fill exactly one segment
+_BOUNDARY_2 = 4 * sieve._SIEVE_SEGMENT
+
+
+@pytest.mark.usefixtures("cold_prime_cache")
+class TestPrimeTable:
+    @pytest.mark.parametrize("z_max", [
+        4, 5, 100_003,
+        _BOUNDARY_1 - 1, _BOUNDARY_1, _BOUNDARY_1 + 1, _BOUNDARY_1 + 2,
+        _BOUNDARY_2 - 1, _BOUNDARY_2, _BOUNDARY_2 + 1, _BOUNDARY_2 + 2,
+    ])
+    def test_segmented_equals_whole_array(self, z_max):
+        primes, prefix = sieve._prime_log_prefix(z_max)
+        ref_primes, ref_prefix = whole_array_prime_log_prefix(z_max)
+        assert primes.tobytes() == ref_primes.tobytes()
+        assert prefix.tobytes() == ref_prefix.tobytes()
+
+    @pytest.mark.parametrize("z_max, digest", [
+        (10**6, "505becf71d39a648"),
+        (10**7, "e193613aaece1c17"),
+        (10**8, "2723bf0e38f8e75f"),
+    ])
+    def test_pinned_bytes(self, z_max, digest):
+        assert table_digest(*sieve._prime_log_prefix(z_max)) == digest
+
+    def test_slice_of_cached_table(self):
+        sieve._prime_log_prefix(10**7)
+        assert table_digest(*sieve._prime_log_prefix(10**6)) == "505becf71d39a648"
+        assert list(sieve._PRIME_LOG_CACHE) == [10**7]
+
+    def test_smallest_table(self):
+        primes, prefix = sieve._prime_log_prefix(3)
+        assert primes.tolist() == [2.0]
+        assert prefix.tolist() == [0.0, math.log(2.0)]
+
+    @pytest.mark.parametrize("z_max", [0, 1, 2])
+    def test_too_small_rejected(self, z_max):
+        with pytest.raises(ValueError):
+            sieve._prime_log_prefix(z_max)
+
+    def test_empty_product_on_tiny_table(self):
+        assert sieve.mertens_product(1.5, 2.0, z_max=2) == 1.0
+        assert sieve.mertens_product(1.2, 1.5, z_max=2) == 1.0
+
+    def test_cold_build_peak_memory(self):
+        tracemalloc.start()
+        try:
+            primes, prefix = sieve._prime_log_prefix(10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * (primes.nbytes + prefix.nbytes)
 
 
 class TestMertens:
@@ -121,6 +230,10 @@ class TestMertens:
             for z in (1e5, 1e6, 1e7):
                 if z > u * 1.01:
                     assert sieve.mertens_check(u, z, 0.012, z_max=10**7).holds
+
+    def test_threshold_pinned_at_default_range(self):
+        # the threshold that dichotomy and criterion 09 use
+        assert sieve.empirical_u_tilde(0.012) == 211.43613217930053
 
     def test_threshold_decreasing_in_epsilon(self):
         loose = sieve.empirical_u_tilde(0.012, z_max=10**6)
