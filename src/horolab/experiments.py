@@ -497,7 +497,7 @@ def _run_dichotomy(cfg: ExperimentConfig):
         base_red, _ = qt.reduce_stack(lattice, p.rep.mats[None])
         flowed = np.array([qt.flow_u(p, float(t)).rep.mats for t in sampled])
         moved, _ = qt.reduce_stack(lattice, flowed)
-        height_max = float(qt.cusp_heights(lattice, moved).max())
+        height_max = float(qt._reduced_heights(lattice, moved).max())
         payload["sparse_orbit"] = {
             "samples": len(sampled),
             "height_max": height_max,

@@ -437,7 +437,13 @@ def reduce_point(p: QuotientPoint) -> QuotientPoint:
 
 
 def coords_of_stack(lattice: Lattice, stack: np.ndarray) -> np.ndarray:
-    """Reduced coordinates, shape (N, k, 3): per factor (x, y, theta)."""
+    """Reduced coordinates, shape (N, k, 3): per factor (x, y, theta).
+
+    Row by row, so _BLOCK_ROWS-row blocks bound a large stack's temporaries.
+    """
+    if len(stack) > _BLOCK_ROWS:
+        return np.concatenate([coords_of_stack(lattice, stack[s:s + _BLOCK_ROWS])
+                               for s in range(0, len(stack), _BLOCK_ROWS)], axis=0)
     red, _ = reduce_stack(lattice, stack)
     return np.stack(iwasawa_coords(red), axis=-1)
 
@@ -713,7 +719,12 @@ def cusp_heights(lattice: Lattice, stack: np.ndarray) -> np.ndarray:
     the standard height at the cusp at infinity, taken row by row so the
     (c, d) family is never broadcast against the whole stack.
     """
-    x, y = _mobius_coords(reduce_stack(lattice, stack)[0])  # (N, k)
+    return _reduced_heights(lattice, reduce_stack(lattice, stack)[0])
+
+
+def _reduced_heights(lattice: Lattice, red: np.ndarray) -> np.ndarray:
+    """Cusp heights of an already-reduced (N,k,2,2) stack (see cusp_heights)."""
+    x, y = _mobius_coords(red)  # (N, k)
     if isinstance(lattice, ModularLattice):
         return y[:, 0]
     c, d = np.moveaxis(_cd_rows(lattice), 1, 0)  # (M, 2 places) each

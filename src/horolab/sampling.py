@@ -31,7 +31,8 @@ from .sl2 import GroupDomainError
 # quadrature panels use this many Gauss-Legendre nodes each
 _GL_ORDER = 5
 _GL_X, _GL_W = roots_legendre(_GL_ORDER)
-# orbit chunking: nodes per slab (memory ceiling) and the hard time range
+# orbit chunking: nodes per chunk (memory ceiling) and the hard time range;
+# a chunk must hold whole quadrature panels, so _SLAB_NODES % _GL_ORDER == 0
 _SLAB_NODES = 200_000
 TIME_RANGE_MAX = 1e12
 # quadrature must resolve the narrowest bump feature by this factor
@@ -110,9 +111,7 @@ def generate(ts: TimeSet, table: sieve.FactorTable | None = None) -> np.ndarray:
     if isinstance(ts, Interval):
         if ts.t_span <= 0:
             return np.empty(0)
-        step = ts.quadrature_step or ts.t_span / 64.0
-        nodes, _ = _panel_nodes(ts.t_span, step)
-        return nodes
+        return _panel_nodes(ts.t_span, ts.quadrature_step or ts.t_span / 64.0)[0]
     raise ConfigError(f"unknown time set {ts!r}")
 
 
@@ -177,30 +176,27 @@ def _checkpoint(p: QuotientPoint, t0: float) -> np.ndarray:
     return red[0]
 
 
-def _orbit_chunks(p: QuotientPoint, times: np.ndarray, workers: int, fn) -> np.ndarray:
-    """fn(reduced coordinates of u(t) . p), chunk by chunk, concatenated.
+def _orbit_chunks(p: QuotientPoint, n: int, nodes, workers: int, fn, fold) -> list:
+    """[fold(start, fn(reduced coordinates of u(t) . p) for t in nodes(start, stop))].
 
-    Each chunk re-anchors at a reduced checkpoint that its row blocks
-    share.  Chunk boundaries depend only on the time array and chunks
-    are evaluated independently, so any worker count gives one output.
+    The one orbit walk: node indices [0, n) in chunks of _SLAB_NODES, each
+    making its own times and re-anchoring at a reduced checkpoint that its
+    row blocks share.  Boundaries depend only on n, so any worker count
+    gives one list, and only the chunks in flight are alive.
     """
-    if len(times) and abs(float(times[-1])) > TIME_RANGE_MAX:
-        raise GroupDomainError(
-            f"orbit time {times[-1]} beyond safe range {TIME_RANGE_MAX}")
-    lattice = p.lattice
-    spans = range(0, len(times), _SLAB_NODES)
+    if n and abs(last := float(nodes(n - 1, n)[-1])) > TIME_RANGE_MAX:
+        raise GroupDomainError(f"orbit time {last} beyond safe range {TIME_RANGE_MAX}")
 
-    def one_chunk(start: int) -> np.ndarray:
-        stop = min(start + _SLAB_NODES, len(times))
-        t0 = float(times[start])
-        return qt.orbit_values(lattice, _checkpoint(p, t0), times[start:stop] - t0, fn)
+    def one_chunk(start: int):
+        times = nodes(start, min(start + _SLAB_NODES, n))
+        t0 = float(times[0])
+        return fold(start, qt.orbit_values(p.lattice, _checkpoint(p, t0), times - t0, fn))
 
+    spans = range(0, n, _SLAB_NODES)
     if workers <= 1:
-        parts = [one_chunk(s) for s in spans]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one_chunk, spans))
-    return np.concatenate(parts, axis=0) if parts else fn(np.empty((0, lattice.k, 3)))
+        return [one_chunk(s) for s in spans]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(one_chunk, spans))
 
 
 def orbit_coordinates(p: QuotientPoint, times: np.ndarray,
@@ -209,19 +205,44 @@ def orbit_coordinates(p: QuotientPoint, times: np.ndarray,
 
     Chunks set the numbers (re-anchoring); row blocks only tile memory.
     Materialises the whole stack (24 bytes per sample per factor); the
-    averages evaluate their observable block by block instead.
+    averages fold their observable chunk by chunk instead.
     """
-    return _orbit_chunks(p, times, workers, lambda coords: coords)
+    parts = _orbit_chunks(p, len(times), lambda a, b: times[a:b], workers,
+                          lambda coords: coords, lambda start, coords: coords)
+    return np.concatenate(parts, axis=0) if parts else np.empty((0, p.lattice.k, 3))
 
 
-def _panel_nodes(t_span: float, step: float):
-    """Composite Gauss-Legendre nodes and weights on [0, t_span]."""
+def _panel_nodes(t_span: float, step: float, lo: int = 0, hi: int | None = None):
+    """Composite Gauss-Legendre nodes and weights of panels [lo, hi) on [0, t_span]."""
     panels = max(1, int(math.ceil(t_span / step)))
     h = t_span / panels
-    starts = np.arange(panels) * h
+    hi = panels if hi is None else hi
+    starts = np.arange(lo, hi) * h
     nodes = (starts[:, None] + 0.5 * h * (_GL_X[None, :] + 1.0)).ravel()
-    weights = np.broadcast_to(0.5 * h * _GL_W, (panels, _GL_ORDER)).ravel().copy()
+    weights = np.broadcast_to(0.5 * h * _GL_W, (hi - lo, _GL_ORDER)).ravel().copy()
     return nodes, weights
+
+
+def _arc_sums(f, p: QuotientPoint, t_span: float, step: float, workers: int):
+    """(sum w f, sum w, both over the first panels // 2 panels, node count)
+    along the arc u([0, t_span]) . p, summed over its chunks in order.
+    """
+    panels = max(1, int(math.ceil(t_span / step)))
+    # every panel has the same weights, so one chunk's serve them all
+    _, w_chunk = _panel_nodes(t_span, step, 0, min(panels, _SLAB_NODES // _GL_ORDER))
+
+    def nodes(start: int, stop: int) -> np.ndarray:
+        return _panel_nodes(t_span, step, start // _GL_ORDER, stop // _GL_ORDER)[0]
+
+    def fold(start: int, vals: np.ndarray):
+        w, ones = w_chunk[:len(vals)], np.ones_like(vals)
+        cut = min(len(vals), max(0, panels // 2 * _GL_ORDER - start))
+        return (float(np.dot(w, vals)), float(np.dot(w, ones)),
+                float(np.dot(w[:cut], vals[:cut])), float(np.dot(w[:cut], ones[:cut])),
+                len(vals))
+
+    chunks = _orbit_chunks(p, panels * _GL_ORDER, nodes, workers, f.evaluate_coords, fold)
+    return [sum(column) for column in zip(*chunks)]
 
 
 def _resolve_step(f, step: float | None) -> float:
@@ -287,16 +308,12 @@ def horocycle_average(f, p: QuotientPoint, t_span: float,
     h = _resolve_step(f, step)
     # the reference first, so its quadrature grid and the arc are never alive together
     ref, ref_kind = _reference_value(f, p, reference)
-    nodes, weights = _panel_nodes(t_span, h)
-    vals = _orbit_chunks(p, nodes, workers, f.evaluate_coords)
-    # fixed-order combination: slab sums, then one final sum
-    slab_sums = [float(np.dot(weights[s:s + _SLAB_NODES], vals[s:s + _SLAB_NODES]))
-                 for s in range(0, len(nodes), _SLAB_NODES)]
-    value = sum(slab_sums) / t_span
+    num, _, _, _, count = _arc_sums(f, p, t_span, h, workers)
+    value = num / t_span
     eta_scale = math.log(t_span) if t_span > 1.0 else 0.0
     eta = qt.injectivity_radius(qt.flow_a_contracting(p, eta_scale))
     return AverageResult(
-        value=value, sample_count=len(nodes), reference=ref,
+        value=value, sample_count=count, reference=ref,
         deviation=abs(value - ref), timeset=Interval(t_span, h),
         point_id=point_id, metadata={
             "reference_kind": ref_kind,
@@ -311,10 +328,9 @@ def sparse_average(f, p: QuotientPoint, ts: TimeSet, workers: int = 1,
     times = generate(ts, table=table)
     if len(times) == 0:
         raise ConfigError(f"empty time set: {ts!r}")
-    vals = _orbit_chunks(p, times, workers, f.evaluate_coords)
-    slab_sums = [float(np.sum(vals[s:s + _SLAB_NODES]))
-                 for s in range(0, len(vals), _SLAB_NODES)]
-    value = sum(slab_sums) / len(times)
+    chunk_sums = _orbit_chunks(p, len(times), lambda a, b: times[a:b], workers,
+                               f.evaluate_coords, lambda start, vals: float(np.sum(vals)))
+    value = sum(chunk_sums) / len(times)
     ref, ref_kind = _reference_value(f, p, reference)
     return AverageResult(
         value=value, sample_count=len(times), reference=ref,
@@ -341,36 +357,14 @@ def haar_reference(f, p: QuotientPoint, t_ref: float,
     estimate is the halving difference |A(T) - A(T/2)|; basepoints whose
     renormalising geodesic push escapes to the cusp are flagged, since
     their orbit average measures a closed orbit, not the whole space.
-    Panels are generated slab by slab, so the horizon is limited by
-    time, not memory.
+    The arc is made and summed chunk by chunk (_arc_sums), so the
+    horizon is limited by time, not memory, and the chunks run on
+    `workers` threads.
     """
     if t_ref <= 1.0:
         raise ConfigError("reference horizon must exceed 1")
     probe = qt.detect_divergence(p, mode="geodesic", t_max=max(2.0, math.log(t_ref)))
-    h = _resolve_step(f, step)
-    panels = max(1, int(math.ceil(t_ref / h)))
-    ph = t_ref / panels
-    half_panels = panels // 2
-    per_slab = max(1, _SLAB_NODES // _GL_ORDER)
-    num = mass = num_h = mass_h = 0.0
-    count = 0
-    for start in range(0, panels, per_slab):
-        stop = min(start + per_slab, panels)
-        starts = np.arange(start, stop) * ph
-        nodes = (starts[:, None] + 0.5 * ph * (_GL_X[None, :] + 1.0)).ravel()
-        weights = np.broadcast_to(0.5 * ph * _GL_W, (stop - start, _GL_ORDER)).ravel()
-        vals = _orbit_chunks(p, nodes, workers, f.evaluate_coords)
-        ones = np.ones_like(vals)
-        num += float(np.dot(weights, vals))
-        mass += float(np.dot(weights, ones))
-        if stop <= half_panels:
-            num_h += float(np.dot(weights, vals))
-            mass_h += float(np.dot(weights, ones))
-        elif start < half_panels:
-            cut = (half_panels - start) * _GL_ORDER
-            num_h += float(np.dot(weights[:cut], vals[:cut]))
-            mass_h += float(np.dot(weights[:cut], ones[:cut]))
-        count += len(nodes)
+    num, mass, num_h, mass_h, count = _arc_sums(f, p, t_ref, _resolve_step(f, step), workers)
     value = num / mass
     half_value = num_h / mass_h if mass_h > 0.0 else value
     return ReferenceResult(
@@ -392,9 +386,7 @@ def renormalization_identity_check(f, p: QuotientPoint, t_span: float,
     if t_span <= 0:
         raise ConfigError("averaging horizon must be positive")
     h = _resolve_step(f, step)
-    lhs_nodes, lhs_w = _panel_nodes(t_span, h)
-    lhs_vals = _orbit_chunks(p, lhs_nodes, workers, f.evaluate_coords)
-    lhs = float(np.dot(lhs_w, lhs_vals)) / t_span
+    lhs = _arc_sums(f, p, t_span, h, workers)[0] / t_span
 
     tau = math.log(t_span)
     panels = max(1, int(math.ceil(t_span / h)))
@@ -405,13 +397,9 @@ def renormalization_identity_check(f, p: QuotientPoint, t_span: float,
     vals = np.empty(len(sig_nodes))
     for start in range(0, len(sig_nodes), _SLAB_NODES):
         stop = min(start + _SLAB_NODES, len(sig_nodes))
-        sg = sig_nodes[start:stop]
-        n = len(sg)
-        u_stack = np.broadcast_to(np.eye(2), (n, 2, 2)).copy()
-        u_stack[:, 0, 1] = sg
-        w_first = a_fwd.mats[0] @ u_stack @ a_bwd.mats[0]
-        w_stack = np.broadcast_to(np.eye(2), (n, k, 2, 2)).copy()
-        w_stack[:, 0] = w_first
+        w_stack = np.broadcast_to(np.eye(2), (stop - start, k, 2, 2)).copy()
+        w_stack[:, 0, 0, 1] = sig_nodes[start:stop]
+        w_stack[:, 0] = a_fwd.mats[0] @ w_stack[:, 0] @ a_bwd.mats[0]
         mats = np.einsum("kab,nkbc->nkac", p.rep.mats, sl2.inverse(w_stack))
         vals[start:stop] = f.evaluate_coords(qt.coords_of_stack(p.lattice, mats))
     rhs = float(np.dot(sig_w, vals))
@@ -426,10 +414,9 @@ def block_average_compare(f, p: QuotientPoint, m_base: int, gamma_exp: float,
     first-order regularity of f times the block time error.
     """
     pair = block_decompose(m_base, gamma_exp)
-    exact_vals = _orbit_chunks(p, pair.exact_times, workers, f.evaluate_coords)
-    linear_vals = _orbit_chunks(p, pair.linear_times, workers, f.evaluate_coords)
-    exact_avg = float(exact_vals.mean())
-    linear_avg = float(linear_vals.mean())
+    exact_avg, linear_avg = (
+        float(f.evaluate_coords(orbit_coordinates(p, times, workers)).mean())
+        for times in (pair.exact_times, pair.linear_times))
     return exact_avg, linear_avg, abs(exact_avg - linear_avg)
 
 

@@ -479,11 +479,11 @@ def v_of_z(z: float, table: FactorTable | None = None) -> float:
     return float(np.prod(1.0 - 1.0 / pr)) if len(pr) else 1.0
 
 
-def remainder_r(problem: SieveProblem, d: int) -> float:
-    """r(d) = |A_d| - g(d) |A| with |A_d| = sum of a(n) over d | n."""
+def remainder_r(problem: SieveProblem, d: int, total: float | None = None) -> float:
+    """r(d) = |A_d| - g(d) |A| with |A_d| = sum of a(n) over d | n; |A| = total if given."""
     w = problem.weights
     a_d = float(w[d:: d].sum())
-    return a_d - density_g(d) * problem.total()
+    return a_d - density_g(d) * (problem.total() if total is None else total)
 
 
 def _squarefree_divisors(primes: np.ndarray, cutoff: float, budget: int) -> list[int]:
@@ -589,7 +589,7 @@ def sieve_bounds(problem: SieveProblem, table: FactorTable,
     divisors = _squarefree_divisors(pz, cutoff, problem.remainder_budget)
     remainder = 0.0
     for d in divisors:
-        remainder += abs(remainder_r(problem, d))
+        remainder += abs(remainder_r(problem, d, total))
     slack = problem.epsilon * math.exp(14.0 - s)
     upper = (float(fns.upper(s)) + slack) * big_x + remainder
     lower = (float(fns.lower(s)) - slack) * big_x - remainder

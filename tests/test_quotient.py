@@ -336,6 +336,33 @@ class TestOrbitValues:
             assert blocked.tobytes() == whole.tobytes()
 
 
+class TestCoordsOfStack:
+    @pytest.mark.parametrize("lattice_name", ["modular", "hilbert"])
+    def test_large_stack_reduced_in_blocks(self, monkeypatch, request, lattice_name):
+        lat = request.getfixturevalue(lattice_name)
+        rng = np.random.default_rng(17)
+        n = 3 * qt._BLOCK_ROWS + 17
+        base = sl2.random_element(rng, k=lat.k, scale=1.5).mats
+        stack = qt.orbit_mats(base, rng.uniform(-50.0, 50.0, n))
+        per_block = np.concatenate([
+            np.stack(qt.iwasawa_coords(qt.reduce_stack(lat, stack[s:s + qt._BLOCK_ROWS])[0]),
+                     axis=-1)
+            for s in range(0, n, qt._BLOCK_ROWS)])
+        one_call = np.stack(qt.iwasawa_coords(qt.reduce_stack(lat, stack)[0]), axis=-1)
+        sizes = []
+        reduce_stack = qt.reduce_stack
+
+        def counted(lattice, rows):
+            sizes.append(len(rows))
+            return reduce_stack(lattice, rows)
+
+        monkeypatch.setattr(qt, "reduce_stack", counted)
+        got = qt.coords_of_stack(lat, stack)
+        assert got.shape == (n, lat.k, 3)
+        assert got.tobytes() == per_block.tobytes() == one_call.tobytes()
+        assert sum(sizes) == n and max(sizes) <= qt._BLOCK_ROWS
+
+
 class TestActionAndFlows:
     def test_translation_action_law(self, rng, modular):
         p = qt.QuotientPoint(modular, sl2.random_element(rng))
@@ -575,8 +602,8 @@ class TestProbeReductions:
             for n in (300, 5000)]
         samples = [r.payload["sparse_orbit"]["samples"] for _, r in results]
         assert samples[0] < samples[1]
-        # probe, torus grid, base point, the sampled orbit, its heights
-        assert [calls for calls, _ in results] == [5, 5]
+        # probe, torus grid, base point, the sampled orbit (its heights reuse it)
+        assert [calls for calls, _ in results] == [4, 4]
 
 
 class TestDivergence:

@@ -1,6 +1,8 @@
 """Time sets, Taylor blocks, Birkhoff averages, correlations, decay fits."""
 
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from horolab import quotient as qt
 from horolab import sampling as sp
 from horolab import sl2
 from horolab.errors import ConfigError
-from horolab.presets import point_preset
+from horolab.presets import bump_preset, point_preset
 from horolab.sl2 import GroupDomainError
 
 
@@ -347,6 +349,110 @@ class TestLayerBoundary:
         r = sp.horocycle_average(test_bump, generic_point, 1500.0)
         assert r.sample_count > sp._SLAB_NODES
         assert counts == self.expected(r.sample_count)
+
+
+# Gauss-Legendre step of the chunk tests: 1/64 is exact in binary, and finer
+# than test_bump's natural step 0.2 / 8
+CHUNK_STEP = 1.0 / 64.0
+CHUNK_PANELS = sp._SLAB_NODES // sp._GL_ORDER
+
+
+@functools.lru_cache(maxsize=None)
+def materialised_arc(t_span: float) -> tuple:
+    """The averages as computed before the chunk driver folded them.
+
+    Every node and weight of the arc is materialised; the orbit is walked
+    in _SLAB_NODES chunks, each anchored at the reduced class of its first
+    node; then (horocycle average, haar_reference value and error, sparse
+    mean over the same nodes) are summed slab by slab.
+    """
+    p, f = point_preset("generic1"), bump_preset(qt.ModularLattice())
+    panels = max(1, int(math.ceil(t_span / CHUNK_STEP)))
+    h = t_span / panels
+    starts = np.arange(panels) * h
+    nodes = (starts[:, None] + 0.5 * h * (sp._GL_X[None, :] + 1.0)).ravel()
+    weights = np.broadcast_to(0.5 * h * sp._GL_W, (panels, sp._GL_ORDER)).ravel().copy()
+    parts = []
+    for s in range(0, len(nodes), sp._SLAB_NODES):
+        t0 = float(nodes[s])
+        anchor = qt.reduce_stack(p.lattice, qt.orbit_mats(p.rep.mats, np.array([t0])))[0][0]
+        parts.append(qt.orbit_values(p.lattice, anchor, nodes[s:s + sp._SLAB_NODES] - t0,
+                                     f.evaluate_coords))
+    vals = np.concatenate(parts)
+    slabs = range(0, len(nodes), sp._SLAB_NODES)
+    horocycle = sum(float(np.dot(weights[s:s + sp._SLAB_NODES], vals[s:s + sp._SLAB_NODES]))
+                    for s in slabs) / t_span
+    sparse = sum(float(np.sum(vals[s:s + sp._SLAB_NODES])) for s in slabs) / len(vals)
+    # haar_reference's slab loop: mass-normalised, with the halving estimate
+    half = panels // 2
+    num = mass = num_h = mass_h = 0.0
+    for start in range(0, panels, CHUNK_PANELS):
+        stop = min(start + CHUNK_PANELS, panels)
+        w = weights[start * sp._GL_ORDER:stop * sp._GL_ORDER]
+        v = vals[start * sp._GL_ORDER:stop * sp._GL_ORDER]
+        ones = np.ones_like(v)
+        num += float(np.dot(w, v))
+        mass += float(np.dot(w, ones))
+        if stop <= half:
+            num_h += float(np.dot(w, v))
+            mass_h += float(np.dot(w, ones))
+        elif start < half:
+            cut = (half - start) * sp._GL_ORDER
+            num_h += float(np.dot(w[:cut], v[:cut]))
+            mass_h += float(np.dot(w[:cut], ones[:cut]))
+    value = num / mass
+    half_value = num_h / mass_h if mass_h > 0.0 else value
+    return panels, len(nodes), horocycle, value, abs(value - half_value), sparse
+
+
+class TestChunkDriver:
+    """The averages fold their values chunk by chunk and make each chunk's
+    nodes inside it, with the bytes of the materialised arc."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("panels", [
+        1000,                  # inside the first chunk
+        CHUNK_PANELS,          # exactly one chunk
+        3 * CHUNK_PANELS // 2,  # 1.5 chunks: the half-cut falls inside the first
+        3 * CHUNK_PANELS,      # 3 chunks: the half-cut falls inside the second
+    ])
+    def test_bytes_equal_materialised_arc(self, generic_point, test_bump, panels, workers):
+        t_span = panels * CHUNK_STEP
+        got_panels, count, horocycle, value, error, sparse = materialised_arc(t_span)
+        assert got_panels == panels
+        r = sp.horocycle_average(test_bump, generic_point, t_span, step=CHUNK_STEP,
+                                 workers=workers, reference=0.0)
+        assert (r.value, r.sample_count) == (horocycle, count)
+        ref = sp.haar_reference(test_bump, generic_point, t_span, step=CHUNK_STEP,
+                                workers=workers)
+        assert (ref.value, ref.error_estimate, ref.sample_count) == (value, error, count)
+        avg = sp.sparse_average(test_bump, generic_point, sp.Interval(t_span, CHUNK_STEP),
+                                workers=workers, reference=0.0)
+        assert (avg.value, avg.sample_count) == (sparse, count)
+
+    def test_arc_memory_is_bounded_by_a_chunk(self, generic_point, test_bump):
+        # 4 M nodes: the materialised arc held 24 bytes per node (about 122 MiB)
+        tracemalloc.start()
+        try:
+            sp.horocycle_average(test_bump, generic_point, 2.0e4, reference=0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+    def test_one_pool_serves_every_chunk(self, monkeypatch, generic_point, test_bump):
+        pools = []
+
+        class CountedPool(sp.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(sp, "ThreadPoolExecutor", CountedPool)
+        r = sp.haar_reference(test_bump, generic_point, 3 * CHUNK_PANELS * CHUNK_STEP,
+                              step=CHUNK_STEP, workers=2)
+        assert r.sample_count == 3 * sp._SLAB_NODES
+        assert pools == [2]
 
 
 class TestOrbitCoordinates:

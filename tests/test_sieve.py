@@ -292,6 +292,21 @@ class TestSieveBounds:
                                   epsilon=0.004)
         assert abs(sieve.remainder_r(prob, 7) - (4.0 - 30.0 / 7.0)) <= 1e-12
 
+    def test_total_summed_once(self, monkeypatch, table_small):
+        rng = np.random.default_rng(7)
+        prob = sieve.SieveProblem(weights=rng.uniform(0.0, 1.0, 1001), z=5.0,
+                                  level_d=1000.0, epsilon=0.004)
+        expected = sum(abs(sieve.remainder_r(prob, d)) for d in
+                       sieve._squarefree_divisors(sieve.primes_below(5.0, table_small),
+                                                  1000.0, prob.remainder_budget))
+        calls = []
+        total = sieve.SieveProblem.total
+        monkeypatch.setattr(sieve.SieveProblem, "total",
+                            lambda self: calls.append(1) or total(self))
+        rep = sieve.sieve_bounds(prob, table_small)
+        assert rep.divisor_count > 1 and len(calls) == 1
+        assert rep.remainder == expected
+
     def test_exact_count_pinned(self, table_small):
         prob = sieve.SieveProblem(weights=np.ones(31), z=6.0, level_d=36.0,
                                   epsilon=0.004)
