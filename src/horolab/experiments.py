@@ -180,11 +180,9 @@ def apply_env_overrides(cfg: ExperimentConfig, environ: dict) -> ExperimentConfi
 
 
 def environment_fingerprint() -> dict:
-    import scipy
     return {
         "python": sys.version.split()[0],
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "platform": platform.platform(),
     }
 

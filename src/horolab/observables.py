@@ -18,10 +18,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from . import quotient as qt
 from . import sl2
+from .quadrature import gl_nodes
 from .quotient import Lattice, QuotientPoint
 
 _PROFILE_GRID = 16385
@@ -219,11 +219,6 @@ class TranslatedObservable:
 # reference measure, k = 1
 # ----------------------------------------------------------------------
 
-def _gl_nodes(n: int, a: float, b: float):
-    x, w = roots_legendre(n)
-    return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
-
-
 def haar_integral_k1(f, nx: int = 64, nv: int = 64, ntheta: int = 32) -> float:
     """Normalised invariant integral of f over the modular quotient.
 
@@ -232,9 +227,9 @@ def haar_integral_k1(f, nx: int = 64, nv: int = 64, ntheta: int = 32) -> float:
     in [0, pi).  The total mass is computed by the same quadrature (and
     equals pi/3 * pi analytically), so the result is exactly 1 for f == 1.
     """
-    xs, wx = _gl_nodes(nx, -0.5, 0.5)
-    ss, ws = _gl_nodes(nv, 0.0, 1.0)
-    ths, wth = _gl_nodes(ntheta, 0.0, math.pi)
+    xs, wx = gl_nodes(nx, -0.5, 0.5)
+    ss, ws = gl_nodes(nv, 0.0, 1.0)
+    ths, wth = gl_nodes(ntheta, 0.0, math.pi)
     vmax = 1.0 / np.sqrt(1.0 - xs * xs)
     # tensor points (x, y, theta) with y = 1/v, v = s * vmax(x), filled in place
     grid = np.empty((nx, nv, ntheta, 3))
@@ -250,7 +245,7 @@ def haar_integral_k1(f, nx: int = 64, nv: int = 64, ntheta: int = 32) -> float:
 
 def haar_mass_k1(nx: int = 64, nv: int = 64) -> float:
     """Quadrature value of the unnormalised base mass (analytic: pi/3)."""
-    xs, wx = _gl_nodes(nx, -0.5, 0.5)
+    xs, wx = gl_nodes(nx, -0.5, 0.5)
     vmax = 1.0 / np.sqrt(1.0 - xs * xs)
     return float(np.sum(wx * vmax))
 
@@ -336,11 +331,11 @@ class SmoothingKernel:
         """
         if self.n > 3:
             raise ValueError("tensor quadrature check limited to n <= 3")
-        x, w = roots_legendre(order)
         nodes1, weights1, inside1 = [], [], []
         for (a, b) in self._panels_1d():
-            nodes1.append(0.5 * (b - a) * x + 0.5 * (a + b))
-            weights1.append(0.5 * (b - a) * w)
+            x, w = gl_nodes(order, a, b)
+            nodes1.append(x)
+            weights1.append(w)
             inside1.append(np.full(order, a >= -1e-15 and b <= self.gamma_len + 1e-15))
         nodes1 = np.concatenate(nodes1)
         weights1 = np.concatenate(weights1)

@@ -1,0 +1,72 @@
+"""Gauss-Legendre quadrature from numpy alone.
+
+gauss_legendre(n) follows SciPy's roots_legendre step for step: the
+Golub-Welsch eigenvalues (LAPACK dsterf, where eigvals_banded ends too),
+one Newton step with eval_legendre's recurrence and small-|x| series,
+log-normalised weights, symmetrisation and a rescale to mass 2.  Nodes
+and weights are SciPy's bytes for n = 5 and every even n <= 400, the
+only orders horolab uses.  The series' lead coefficient is binom(2a, a)
+/ 4^a rounded once, not a beta quotient: it stays finite at any order,
+and moves other odd orders' weights by up to about 2e-15 relative.
+"""
+
+import math
+
+import numpy as np
+
+
+def _legendre_series(n: int, x: float) -> float:
+    """P_n(x) for n >= 2 and |x| < 1e-5, summed upward in powers of x^2."""
+    a = n // 2
+    lead = (-1) ** a * math.comb(2 * a, a) / 4 ** a
+    d = lead if n == 2 * a else x * ((2 * a + 1) * lead)
+    p = 0.0
+    for kk in range(a + 1):
+        p += d
+        d *= -2 * (x * x) * (a - kk) * (2 * n + 1 - 2 * a + 2 * kk) / (
+            (n + 1 - 2 * a + 2 * kk) * (n + 2 - 2 * a + 2 * kk))
+    return p
+
+
+def _legendre_pair(n: int, x: np.ndarray):
+    """(P_{n-1}(x), P_n(x)) for n >= 1, each as eval_legendre rounds it."""
+    prev, p, d = np.ones_like(x), x.copy(), x - 1.0
+    for k in range(1, n):
+        # d holds P_k - P_{k-1} as in SciPy's loop; other forms round differently
+        d = ((2 * k + 1) / (k + 1)) * (x - 1) * p + (k / (k + 1)) * d
+        prev, p = p, p + d
+    for i in np.flatnonzero(np.abs(x) < 1e-5):
+        if n >= 3:
+            prev[i] = _legendre_series(n - 1, x[i])
+        if n >= 2:
+            p[i] = _legendre_series(n, x[i])
+    return prev, p
+
+
+def gauss_legendre(n: int):
+    """Nodes (ascending) and weights of the n-point rule on [-1, 1]."""
+    if n < 1 or n != int(n):
+        raise ValueError("n must be a positive integer.")
+    n = int(n)
+    k = np.arange(1, n, dtype=float)
+    # eigvalsh reads the lower triangle only
+    x = np.linalg.eigvalsh(np.diag(k * np.sqrt(1.0 / (4 * k * k - 1)), -1))
+    pm1, p = _legendre_pair(n, x)
+    dy = (-n * x * p + n * pm1) / (1 - x ** 2)
+    x = x - p / dy
+    fm = _legendre_pair(n, x)[0]
+    # fm and dy span many decades at large n: scale each to mid-range first
+    log_fm, log_dy = np.log(np.abs(fm)), np.log(np.abs(dy))
+    fm = fm / np.exp((log_fm.max() + log_fm.min()) / 2.0)
+    dy = dy / np.exp((log_dy.max() + log_dy.min()) / 2.0)
+    w = 1.0 / (fm * dy)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    return x, w
+
+
+def gl_nodes(n: int, a: float, b: float):
+    """The n-point rule mapped affinely onto [a, b]."""
+    x, w = gauss_legendre(n)
+    return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w

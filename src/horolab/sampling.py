@@ -18,19 +18,19 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from . import observables as ob
 from . import quotient as qt
 from . import sieve
 from . import sl2
 from .errors import ConfigError
+from .quadrature import gauss_legendre
 from .quotient import QuotientPoint
 from .sl2 import GroupDomainError
 
 # quadrature panels use this many Gauss-Legendre nodes each
 _GL_ORDER = 5
-_GL_X, _GL_W = roots_legendre(_GL_ORDER)
+_GL_X, _GL_W = gauss_legendre(_GL_ORDER)
 # orbit chunking: nodes per chunk (memory ceiling) and the hard time range;
 # a chunk must hold whole quadrature panels, so _SLAB_NODES % _GL_ORDER == 0
 _SLAB_NODES = 200_000
@@ -80,7 +80,7 @@ class Block:
 TimeSet = Interval | Progression | AlmostPrimes | PolynomialTimes | Block
 
 
-def generate(ts: TimeSet, table: sieve.FactorTable | None = None) -> np.ndarray:
+def generate(ts: TimeSet) -> np.ndarray:
     """Strictly increasing times of a TimeSet as a float array.
 
     Empty parameter ranges give an empty array, never an error.
@@ -96,8 +96,7 @@ def generate(ts: TimeSet, table: sieve.FactorTable | None = None) -> np.ndarray:
             raise ConfigError("almost-prime level must be >= 1")
         if ts.n_max < 1:
             return np.empty(0)
-        if table is None or table.n_max < ts.n_max:
-            table = sieve.build_factor_table(ts.n_max)
+        table = sieve.build_factor_table(ts.n_max)
         return sieve.almost_primes(table, ts.level, ts.n_max).astype(float)
     if isinstance(ts, PolynomialTimes):
         if not (0.0 <= ts.gamma_exp < 0.5):
@@ -322,10 +321,9 @@ def horocycle_average(f, p: QuotientPoint, t_span: float,
 
 
 def sparse_average(f, p: QuotientPoint, ts: TimeSet, workers: int = 1,
-                   reference: float | None = None, point_id: str = "",
-                   table: sieve.FactorTable | None = None) -> AverageResult:
+                   reference: float | None = None, point_id: str = "") -> AverageResult:
     """Plain mean of f over {u(t) . p : t in the time set}."""
-    times = generate(ts, table=table)
+    times = generate(ts)
     if len(times) == 0:
         raise ConfigError(f"empty time set: {ts!r}")
     chunk_sums = _orbit_chunks(p, len(times), lambda a, b: times[a:b], workers,

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetExhausted
+from .quadrature import gl_nodes
 
 EULER_GAMMA = float(np.euler_gamma)
 
@@ -367,10 +368,7 @@ def linear_sieve_functions(s_max: float = 40.0, grid_step: float = 1e-3) -> Line
     # 5-point Gauss-Legendre on [0, 1] for the startup steps whose lagged
     # integrand still has a closed form (so no interpolation across the
     # derivative kink of q at s = 2 is ever needed)
-    gl_x = np.array([0.04691007703067, 0.23076534494716, 0.5,
-                     0.76923465505284, 0.95308992296933])
-    gl_w = np.array([0.11846344252810, 0.23931433524968, 0.28444444444444,
-                     0.23931433524968, 0.11846344252810])
+    gl_x, gl_w = gl_nodes(5, 0.0, 1.0)
 
     def p_startup(n: int) -> float:
         # the lagged argument lies in (2, 2+3h] where q has its closed form

@@ -70,9 +70,6 @@ class GroupElement:
     def det_drift(self) -> float:
         return float(np.max(np.abs(self.det() - 1.0)))
 
-    def __matmul__(self, other: "GroupElement") -> "GroupElement":
-        return compose(self, other)
-
     def __repr__(self):
         return f"GroupElement(k={self.k}, mats={self.mats.tolist()})"
 

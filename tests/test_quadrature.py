@@ -1,0 +1,83 @@
+"""The numpy Gauss-Legendre rule, and the runtime's dependency on numpy alone.
+
+scipy appears here only as a reference: the rule must reproduce
+scipy.special.roots_legendre byte for byte at every order horolab uses.
+"""
+
+import ast
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy.special import roots_legendre
+
+import horolab
+from horolab import quadrature as qd
+
+SRC = Path(horolab.__file__).resolve().parent
+PYPROJECT = SRC.parents[1] / "pyproject.toml"
+
+
+class TestGaussLegendre:
+    def test_bytes_match_scipy(self):
+        for n in [5] + list(range(2, 401, 2)):
+            x, w = qd.gauss_legendre(n)
+            xs, ws = roots_legendre(n)
+            assert x.tobytes() == xs.tobytes(), n
+            assert w.tobytes() == ws.tobytes(), n
+
+    @pytest.mark.parametrize("n", [341, 401, 1001])
+    def test_high_odd_orders_stay_finite(self, n):
+        x, w = qd.gauss_legendre(n)
+        assert np.all(np.isfinite(w)) and np.all(w > 0)
+        assert np.array_equal(x, -x[::-1]) and np.all(np.diff(x) > 0)
+        assert abs(w.sum() - 2.0) < 1e-14
+        # one Newton step leaves the weights good to about n ulps; the
+        # reference rule misses these moments by 2.7e-13 at n = 1000
+        assert abs(w @ x ** 2 - 2.0 / 3.0) < 2e-13
+        assert abs(w @ x ** 4 - 2.0 / 5.0) < 2e-13
+
+    def test_interval_map(self):
+        x, w = qd.gl_nodes(5, 0.0, 1.0)
+        assert np.all((x > 0.0) & (x < 1.0))
+        assert w.sum() == pytest.approx(1.0, abs=1e-15)
+        assert w @ x ** 9 == pytest.approx(0.1, abs=1e-15)
+
+    def test_rejects_bad_order(self):
+        for n in (0, -3, 2.5):
+            with pytest.raises(ValueError):
+                qd.gauss_legendre(n)
+
+
+class TestRuntimeDependencies:
+    def test_imports_are_stdlib_numpy_or_horolab(self):
+        allowed = set(sys.stdlib_module_names) | {"numpy", "horolab"}
+        for path in sorted(SRC.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                for name in names:
+                    assert name.split(".")[0] in allowed, f"{path.name} imports {name}"
+
+    def test_pyproject_runtime_dependencies(self):
+        block = re.search(r"^dependencies = \[(.*?)\]", PYPROJECT.read_text(), re.S | re.M)
+        assert re.findall(r'"([^"]+)"', block.group(1)) == ["numpy>=1.24"]
+
+    def test_average_run_loads_no_scipy(self):
+        code = ("import sys\n"
+                "from horolab import cli\n"
+                "assert cli.main(['average', 'N=1', 'T=1e2', 'K=1']) == 0\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[-1] == "[]"
