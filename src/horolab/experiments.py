@@ -29,8 +29,7 @@ from . import presets
 from . import quotient as qt
 from . import sampling as sp
 from . import sieve
-from . import sl2
-from .errors import BudgetExhausted, ConfigError, ToleranceFailure
+from .errors import ConfigError, ToleranceFailure
 
 SCHEMA_VERSION = 1
 READABLE_SCHEMA_VERSIONS = {0, 1}
@@ -276,10 +275,6 @@ def _resolve_point(cfg: ExperimentConfig) -> qt.QuotientPoint:
     return presets.point_from_spec(cfg.point, lattice)
 
 
-def _resolve_observable(cfg: ExperimentConfig, lattice) :
-    return presets.observable_from_spec(cfg.observable, lattice)
-
-
 def _resolve_timeset(cfg: ExperimentConfig) -> sp.TimeSet:
     kind = cfg.timeset
     if kind == "progression":
@@ -335,7 +330,7 @@ def _run_orbit(cfg: ExperimentConfig):
 
 def _run_average(cfg: ExperimentConfig):
     p = _resolve_point(cfg)
-    f = _resolve_observable(cfg, p.lattice)
+    f = presets.observable_from_spec(cfg.observable, p.lattice)
     ts = _resolve_timeset(cfg)
     if isinstance(ts, sp.Interval):
         result = sp.horocycle_average(f, p, ts.t_span, step=ts.quadrature_step,
@@ -358,8 +353,8 @@ def _run_mixing(cfg: ExperimentConfig):
     lattice = p.lattice
     if lattice.k != 1:
         raise ConfigError("mixing quadrature runs on the k=1 quotient")
-    f = _resolve_observable(cfg, lattice)
-    g = _resolve_observable(cfg, lattice)
+    f = presets.observable_from_spec(cfg.observable, lattice)
+    g = presets.observable_from_spec(cfg.observable, lattice)
     mean_f = ob.haar_integral_k1(f)
     mean_g = ob.haar_integral_k1(g)
     series = []
@@ -378,7 +373,7 @@ def _run_mixing(cfg: ExperimentConfig):
 
 def _run_blocks(cfg: ExperimentConfig):
     p = _resolve_point(cfg)
-    f = _resolve_observable(cfg, p.lattice)
+    f = presets.observable_from_spec(cfg.observable, p.lattice)
     pair = sp.block_decompose(cfg.m_base, cfg.gamma_exp)
     err = sp.block_error(cfg.m_base, cfg.gamma_exp)
     taylor = sp.block_taylor_remainder(cfg.m_base, cfg.gamma_exp)
@@ -448,7 +443,7 @@ def _orbit_weights(f, coords: np.ndarray) -> np.ndarray:
 
 def _run_pipeline(cfg: ExperimentConfig):
     p = _resolve_point(cfg)
-    f = _resolve_observable(cfg, p.lattice)
+    f = presets.observable_from_spec(cfg.observable, p.lattice)
     times = np.arange(1, cfg.n_max + 1, dtype=float)
     coords = sp.orbit_coordinates(p, times, workers=cfg.workers)
     w = _orbit_weights(f, coords)
@@ -491,10 +486,11 @@ def _run_dichotomy(cfg: ExperimentConfig):
             times = sp.generate(sp.AlmostPrimes(cfg.level, min(cfg.n_max, 100_000)))
         else:
             times = sp.generate(sp.PolynomialTimes(cfg.gamma_exp, 200))
+        if len(times) == 0:
+            raise ConfigError("the sparse orbit needs a nonempty time set")
         sampled = times[:: max(1, len(times) // 400)]
         base_red, _ = qt.reduce_stack(lattice, p.rep.mats[None])
-        flowed = np.array([qt.flow_u(p, float(t)).rep.mats for t in sampled])
-        moved, _ = qt.reduce_stack(lattice, flowed)
+        moved, _ = qt.reduce_stack(lattice, qt.orbit_mats(p.rep.mats, sampled))
         height_max = float(qt._reduced_heights(lattice, moved).max())
         payload["sparse_orbit"] = {
             "samples": len(sampled),
@@ -529,7 +525,7 @@ def _run_dichotomy(cfg: ExperimentConfig):
         rows = [(r["bump"], r["omega_sum"], r["lower"]) for r in bump_rows]
         return payload, {}, ("dichotomy", ["bump", "omega_sum", "lower"], rows)
     # poly mode: block-approximation sweep
-    f = _resolve_observable(cfg, lattice)
+    f = presets.observable_from_spec(cfg.observable, lattice)
     gaps = []
     for i in range(4):
         m = cfg.m_base * (4 ** i)

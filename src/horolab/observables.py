@@ -30,6 +30,14 @@ _FD_STEP = 0.01
 # safety factor on grid suprema of derivatives
 _SOBOLEV_SAFETY = 1.1
 SOBOLEV_ORDER_CAP = 4
+# random points added to the support grid of sobolev_norm, and their seed
+_SOBOLEV_EXTRA_POINTS = 120
+_SOBOLEV_SEED = 2024
+# Gauss-Legendre nodes per panel of SmoothingKernel.quadrature_check
+_KERNEL_GL_ORDER = 24
+# base point of the k = 2 reference arc: a generic frame in each factor
+_K2_REFERENCE_BASE = np.array([[[1.3, 0.21], [0.17, (1.0 + 0.21 * 0.17) / 1.3]],
+                               [[0.8, -0.33], [0.29, (1.0 - 0.33 * 0.29) / 0.8]]])
 
 
 def bump_profile(r):
@@ -243,31 +251,24 @@ def haar_integral_k1(f, nx: int = 64, nv: int = 64, ntheta: int = 32) -> float:
     return total / mass
 
 
-def haar_mass_k1(nx: int = 64, nv: int = 64) -> float:
-    """Quadrature value of the unnormalised base mass (analytic: pi/3)."""
-    xs, wx = gl_nodes(nx, -0.5, 0.5)
+def haar_mass_k1() -> float:
+    """64-node quadrature value of the unnormalised base mass (analytic: pi/3)."""
+    xs, wx = gl_nodes(64, -0.5, 0.5)
     vmax = 1.0 / np.sqrt(1.0 - xs * xs)
     return float(np.sum(wx * vmax))
 
 
-def haar_reference_k2(f, lattice, t_span: float = 20000.0, samples: int = 400000,
-                      base: QuotientPoint | None = None):
+def haar_reference_k2(f, lattice, t_span: float = 20000.0, samples: int = 400000):
     """Surrogate invariant integral on a Hilbert quotient.
 
-    Long-horocycle time average from a generic basepoint, reported with
-    a doubling self-consistency error |A(T) - A(T/2)|.  Used only where
-    no closed-form fundamental domain is available; the error estimate
-    is part of the return value on purpose.
+    Long-horocycle time average from the basepoint _K2_REFERENCE_BASE,
+    reported with a doubling self-consistency error |A(T) - A(T/2)|.
+    Used only where no closed-form fundamental domain is available; the
+    error estimate is part of the return value on purpose.
     """
-    if base is None:
-        seed_mats = np.array([
-            [[1.3, 0.21], [0.17, (1.0 + 0.21 * 0.17) / 1.3]],
-            [[0.8, -0.33], [0.29, (1.0 - 0.33 * 0.29) / 0.8]],
-        ])
-        base = QuotientPoint(lattice, sl2.GroupElement(seed_mats))
     # the arc base * u(t) at t = (j + 1/2) t_span / samples, as offsets -t
     offsets = -(np.arange(samples) + 0.5) * (t_span / samples)
-    vals = qt.orbit_values(lattice, base.rep.mats, offsets, f.evaluate_coords)
+    vals = qt.orbit_values(lattice, _K2_REFERENCE_BASE, offsets, f.evaluate_coords)
     half = samples // 2
     full_avg = float(vals.mean())
     half_avg = float(vals[:half].mean())
@@ -323,7 +324,7 @@ class SmoothingKernel:
         d, g = self.delta, self.gamma_len
         return [(-d, 0.0), (0.0, d), (d, g - d), (g - d, g), (g, g + d)]
 
-    def quadrature_check(self, order: int = 24) -> dict:
+    def quadrature_check(self) -> dict:
         """Panel-aligned tensor quadrature of mass and box-L1 deviation.
 
         Panels are aligned with the kink lines of the sharp indicator so
@@ -333,10 +334,10 @@ class SmoothingKernel:
             raise ValueError("tensor quadrature check limited to n <= 3")
         nodes1, weights1, inside1 = [], [], []
         for (a, b) in self._panels_1d():
-            x, w = gl_nodes(order, a, b)
+            x, w = gl_nodes(_KERNEL_GL_ORDER, a, b)
             nodes1.append(x)
             weights1.append(w)
-            inside1.append(np.full(order, a >= -1e-15 and b <= self.gamma_len + 1e-15))
+            inside1.append(np.full(_KERNEL_GL_ORDER, a >= -1e-15 and b <= self.gamma_len + 1e-15))
         nodes1 = np.concatenate(nodes1)
         weights1 = np.concatenate(weights1)
         inside1 = np.concatenate(inside1)
@@ -408,8 +409,8 @@ def _support_boxes(f) -> list[tuple[np.ndarray, np.ndarray]]:
     return []
 
 
-def _sample_coords(f, extra_points: int, seed: int) -> np.ndarray:
-    """Support grid plus random points, all placed relative to the widths.
+def _sample_coords(f) -> np.ndarray:
+    """Support grid plus seeded random points, all placed relative to the widths.
 
     Width-relative placement keeps the sample set covariant under
     dilations of the observable, so grid suprema of rescaled bumps obey
@@ -418,10 +419,10 @@ def _sample_coords(f, extra_points: int, seed: int) -> np.ndarray:
     k = f.k
     per_dim = 13 if k == 1 else 5
     grid = f.support_grid(per_dim) if hasattr(f, "support_grid") else np.empty((0, k, 3))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_SOBOLEV_SEED)
     boxes = _support_boxes(f)
     if boxes:
-        per = max(1, extra_points // len(boxes))
+        per = max(1, _SOBOLEV_EXTRA_POINTS // len(boxes))
         parts = []
         for center, widths in boxes:
             offs = rng.uniform(-1.05, 1.05, size=(per, k, 3))
@@ -429,17 +430,16 @@ def _sample_coords(f, extra_points: int, seed: int) -> np.ndarray:
         rand = np.concatenate(parts, axis=0)
     else:
         rand = np.stack([
-            rng.uniform(-0.45, 0.45, size=(extra_points, k)),
-            rng.uniform(1.05, 2.2, size=(extra_points, k)),
-            rng.uniform(0.1, math.pi - 0.1, size=(extra_points, k)),
+            rng.uniform(-0.45, 0.45, size=(_SOBOLEV_EXTRA_POINTS, k)),
+            rng.uniform(1.05, 2.2, size=(_SOBOLEV_EXTRA_POINTS, k)),
+            rng.uniform(0.1, math.pi - 0.1, size=(_SOBOLEV_EXTRA_POINTS, k)),
         ], axis=2)
     pts = np.concatenate([grid, rand], axis=0)
     pts[:, :, 1] = np.maximum(pts[:, :, 1], 1e-3)
     return pts
 
 
-def sobolev_norm(f, order: int, extra_points: int = 120,
-                 seed: int = 2024) -> SobolevRecord:
+def sobolev_norm(f, order: int) -> SobolevRecord:
     """Grid supremum of all right-derivative words up to the given order.
 
     Nested central differences of p -> f(p exp(t W)) over every word of
@@ -456,7 +456,7 @@ def sobolev_norm(f, order: int, extra_points: int = 120,
     lattice = f.lattice
     dirs = _direction_basis(k)
     eps = _FD_STEP * f.min_width()
-    pts = _sample_coords(f, extra_points, seed)
+    pts = _sample_coords(f)
     base_mats = qt.mats_from_coords(pts)
     best = float(np.max(np.abs(f.evaluate_coords(pts))))  # order-0 term
     if order == 0:

@@ -10,6 +10,7 @@ only orders horolab uses.  The series' lead coefficient is binom(2a, a)
 and moves other odd orders' weights by up to about 2e-15 relative.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -43,8 +44,10 @@ def _legendre_pair(n: int, x: np.ndarray):
     return prev, p
 
 
+@functools.cache
 def gauss_legendre(n: int):
-    """Nodes (ascending) and weights of the n-point rule on [-1, 1]."""
+    """Nodes (ascending) and weights of the n-point rule on [-1, 1], built
+    once per order and shared by every caller, so both arrays are read-only."""
     if n < 1 or n != int(n):
         raise ValueError("n must be a positive integer.")
     n = int(n)
@@ -63,6 +66,7 @@ def gauss_legendre(n: int):
     w = (w + w[::-1]) / 2
     x = (x - x[::-1]) / 2
     w *= 2.0 / w.sum()
+    x.flags.writeable = w.flags.writeable = False
     return x, w
 
 

@@ -250,8 +250,8 @@ def flow_a_contracting(p: QuotientPoint, t: float) -> QuotientPoint:
     return act(sl2.diagonal_a(-t, p.lattice.k), p)
 
 
-def phi_map(x: float, gamma_exp: float, alpha: float = 1.0, k: int = 1) -> GroupElement:
-    """The composed element a(-log x / (2 alpha)) * u(x^{1+gamma}).
+def phi_map(x: float, gamma_exp: float, k: int = 1) -> GroupElement:
+    """The composed element a(-log x / 2) * u(x^{1+gamma}) (the paper's alpha = 1).
 
     Translating the identity class by this element at x = n drives the
     reduced cusp height to infinity like sqrt(n): the divergence
@@ -260,7 +260,7 @@ def phi_map(x: float, gamma_exp: float, alpha: float = 1.0, k: int = 1) -> Group
     if x <= 0.0:
         raise ValueError("phi map wants x > 0")
     return sl2.compose(
-        sl2.diagonal_a(-math.log(x) / (2.0 * alpha), k),
+        sl2.diagonal_a(-math.log(x) / 2.0, k),
         sl2.unipotent_u(x ** (1.0 + gamma_exp), k),
     )
 
@@ -673,9 +673,7 @@ def _with_negations(stack: np.ndarray) -> np.ndarray:
     return np.concatenate([stack, -stack], axis=0)
 
 
-def quotient_distance(p: QuotientPoint, q: QuotientPoint,
-                      max_entry: float = ENUM_MAX_ENTRY,
-                      budget: int | None = None) -> float:
+def quotient_distance(p: QuotientPoint, q: QuotientPoint) -> float:
     """min over enumerated gamma of distance(p.rep, gamma * q.rep).
 
     Scans both orderings of the pair, which amounts to minimising over
@@ -684,7 +682,7 @@ def quotient_distance(p: QuotientPoint, q: QuotientPoint,
     """
     if p.lattice != q.lattice:
         raise ValueError("points live on different quotients")
-    gammas = _with_negations(enumerate_gamma(p.lattice, max_entry, budget))
+    gammas = _with_negations(enumerate_gamma(p.lattice))
     best = np.inf
     for left, right in ((p, q), (q, p)):
         moved = np.einsum("nkab,kbc->nkac", gammas, right.rep.mats)
@@ -694,21 +692,19 @@ def quotient_distance(p: QuotientPoint, q: QuotientPoint,
     return best
 
 
-def injectivity_radius(p: QuotientPoint, max_entry: float = ENUM_MAX_ENTRY,
-                       budget: int | None = None,
-                       validity_radius: float = ETA_VALIDITY_RADIUS) -> float:
+def injectivity_radius(p: QuotientPoint) -> float:
     """(1/2) min over enumerated nontrivial gamma of d(rep, gamma rep).
 
-    Estimated from the bounded enumeration only, hence clamped to the
-    validity radius beyond which the ball gives no certificate.
+    Estimated from the bounded enumeration only, hence clamped to
+    ETA_VALIDITY_RADIUS, beyond which the ball gives no certificate.
     """
-    gammas = enumerate_gamma(p.lattice, max_entry, budget)
+    gammas = enumerate_gamma(p.lattice)
     gammas = _with_negations(gammas[1:])  # drop identity; keep -identity out too
     rep = p.rep.mats
     inv_rep = sl2.inverse(p.rep).mats
     w = np.einsum("kab,nkbc,kcd->nkad", inv_rep, gammas, rep)
     disp = sl2.displacement_from_identity_batch(w)
-    return float(min(0.5 * disp.min(), validity_radius))
+    return float(min(0.5 * disp.min(), ETA_VALIDITY_RADIUS))
 
 
 def cusp_heights(lattice: Lattice, stack: np.ndarray) -> np.ndarray:
@@ -737,12 +733,12 @@ def cusp_height(p: QuotientPoint) -> float:
     return float(cusp_heights(p.lattice, p.rep.mats[None])[0])
 
 
-def _cd_rows(lat: HilbertLattice, bound: int = CUSP_CD_COEFF_BOUND) -> np.ndarray:
-    """Embedded nonzero rows (c, d) in O^2 with coefficients up to bound."""
-    key = ("cdrows", lat.label(), bound)
+def _cd_rows(lat: HilbertLattice) -> np.ndarray:
+    """Embedded nonzero rows (c, d) in O^2 with coefficients up to CUSP_CD_COEFF_BOUND."""
+    key = ("cdrows", lat.label())
     if key in _ENUM_CACHE:
         return _ENUM_CACHE[key]
-    rng = np.arange(-bound, bound + 1)
+    rng = np.arange(-CUSP_CD_COEFF_BOUND, CUSP_CD_COEFF_BOUND + 1)
     m, n = np.meshgrid(rng, rng, indexing="ij")
     # both embeddings of one O-element per row
     pairs = m.reshape(-1, 1) + n.reshape(-1, 1) * np.array(lat.omega_embeddings())
@@ -770,12 +766,11 @@ class DivergenceReport:
 
 def detect_divergence(p: QuotientPoint, mode: str = "geodesic",
                       t_max: float = 30.0, samples: int = 60,
-                      threshold: float = HEIGHT_THRESHOLD,
-                      gamma_exp: float = 0.1, alpha: float = 1.0) -> DivergenceReport:
-    """Sample cusp heights along the contracting geodesic or the sparse map.
+                      gamma_exp: float = 0.1) -> DivergenceReport:
+    """Sample cusp heights along the contracting geodesic or phi_map (alpha = 1).
 
-    Divergence = the height passes the threshold at some sample time,
-    never drops below threshold * HYSTERESIS afterwards, and at least
+    Divergence = the height passes HEIGHT_THRESHOLD at some sample time,
+    never drops below HEIGHT_THRESHOLD * HYSTERESIS afterwards, and at least
     MIN_ESCAPE_TAIL samples confirm the escape (finite-horizon verdict
     with hysteresis; evidence, not proof).
     """
@@ -785,22 +780,22 @@ def detect_divergence(p: QuotientPoint, mode: str = "geodesic",
         elements = [sl2.diagonal_a(-float(t), k) for t in times]
     elif mode == "phi":
         times = np.unique(np.floor(np.geomspace(1.0, max(t_max, 2.0), samples)))
-        elements = [phi_map(float(x), gamma_exp, alpha, k) for x in times]
+        elements = [phi_map(float(x), gamma_exp, k) for x in times]
     else:
         raise ValueError(f"unknown divergence mode {mode!r}")
     moved = np.reshape([act(g, p).rep.mats for g in elements], (-1, k, 2, 2))
     heights = cusp_heights(p.lattice, moved)
-    escape = heights > threshold
+    escape = heights > HEIGHT_THRESHOLD
     diverges = False
     first_escape = None
     if escape.any():
         j = int(np.argmax(escape))
-        tail_ok = bool(np.all(heights[j:] >= threshold * HYSTERESIS))
+        tail_ok = bool(np.all(heights[j:] >= HEIGHT_THRESHOLD * HYSTERESIS))
         if tail_ok and len(heights) - j >= MIN_ESCAPE_TAIL:
             diverges = True
             first_escape = float(times[j])
     return DivergenceReport(mode=mode, times=times, heights=heights,
-                            threshold=threshold, diverges=diverges,
+                            threshold=HEIGHT_THRESHOLD, diverges=diverges,
                             first_escape=first_escape)
 
 
@@ -813,10 +808,7 @@ class TorusReport:
     commutation_defect: float
 
 
-def torus_orbit_check(p: QuotientPoint, max_entry: float = ENUM_MAX_ENTRY,
-                      budget: int | None = None,
-                      height_cap: float = HEIGHT_THRESHOLD,
-                      grid: int = 6) -> TorusReport:
+def torus_orbit_check(p: QuotientPoint, grid: int = 6) -> TorusReport:
     """Search the stabiliser of the class for a full-rank unipotent torus.
 
     Every enumerated gamma yields the stabiliser element
@@ -824,12 +816,12 @@ def torus_orbit_check(p: QuotientPoint, max_entry: float = ENUM_MAX_ENTRY,
     upper-triangular unipotent (it must lie on the horocycle direction
     itself) and every other factor is unipotent (trace 2 within 1e-9).
     The kept logarithms must span rank k and commute pairwise; the
-    candidate torus orbit is then sampled on a grid to certify bounded
-    cusp height.
+    candidate torus orbit is then sampled on a grid to certify cusp
+    height at most HEIGHT_THRESHOLD.
     """
     lat = p.lattice
     k = lat.k
-    gammas = enumerate_gamma(lat, max_entry, budget)[1:]
+    gammas = enumerate_gamma(lat)[1:]
     rep = p.rep.mats
     inv_rep = sl2.inverse(p.rep).mats
     h_all = np.einsum("kab,nkbc,kcd->nkad", inv_rep, gammas, rep)
@@ -872,6 +864,6 @@ def torus_orbit_check(p: QuotientPoint, max_entry: float = ENUM_MAX_ENTRY,
         shifts = [np.eye(2) + sum(ci * ni for ci, ni in zip(c, nil)) for c in coords]
         moved = np.array([translate(p, GroupElement(s)).rep.mats for s in shifts])
         bound = float(cusp_heights(lat, moved).max())
-        found = bound <= height_cap
+        found = bound <= HEIGHT_THRESHOLD
     return TorusReport(found=found, torus_dim=torus_dim, generators=gens,
                        orbit_height_bound=bound, commutation_defect=defect)

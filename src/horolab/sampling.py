@@ -37,9 +37,11 @@ _SLAB_NODES = 200_000
 TIME_RANGE_MAX = 1e12
 # quadrature must resolve the narrowest bump feature by this factor
 _STEP_FRACTION = 8.0
+# (nx, nv, ntheta) of the k = 1 Haar quadrature behind references and correlations
+_HAAR_GRID = (160, 160, 80)
 
 
-class DegenerateBlockError(ValueError):
+class DegenerateBlockError(ConfigError):
     """Block decomposition with k_max < 1: M too small for this gamma."""
 
 
@@ -286,7 +288,7 @@ def _reference_value(f, p: QuotientPoint, reference: float | None) -> tuple[floa
     if reference is not None:
         return float(reference), "explicit"
     if isinstance(p.lattice, qt.ModularLattice):
-        return ob.haar_integral_k1(f, nx=160, nv=160, ntheta=80), "haar-quadrature-k1"
+        return ob.haar_integral_k1(f, *_HAAR_GRID), "haar-quadrature-k1"
     val, err = ob.haar_reference_k2(f, p.lattice)
     return val, f"horocycle-surrogate-k2(err={err:.2e})"
 
@@ -370,21 +372,20 @@ def haar_reference(f, p: QuotientPoint, t_ref: float,
         sample_count=count, flagged_divergent=probe.diverges)
 
 
-def renormalization_identity_check(f, p: QuotientPoint, t_span: float,
-                                   step: float | None = None,
-                                   workers: int = 1) -> float:
+def renormalization_identity_check(f, p: QuotientPoint, t_span: float) -> float:
     """|time average over [0, T] - unit-time average at the pushed point|.
 
     The left side integrates f(u(s) . p) directly; the right side
     integrates f(a(log T) u(sigma) a(-log T) . p) over sigma in [0, 1]
     with the conjugation evaluated as an explicit matrix product.  The
     two quadratures sample different node sets of the same underlying
-    identity, so agreement is a genuine two-route check.
+    identity, so agreement is a genuine two-route check.  Both use the
+    natural step of f, on one thread.
     """
     if t_span <= 0:
         raise ConfigError("averaging horizon must be positive")
-    h = _resolve_step(f, step)
-    lhs = _arc_sums(f, p, t_span, h, workers)[0] / t_span
+    h = _resolve_step(f, None)
+    lhs = _arc_sums(f, p, t_span, h, 1)[0] / t_span
 
     tau = math.log(t_span)
     panels = max(1, int(math.ceil(t_span / h)))
@@ -418,8 +419,7 @@ def block_average_compare(f, p: QuotientPoint, m_base: int, gamma_exp: float,
     return exact_avg, linear_avg, abs(exact_avg - linear_avg)
 
 
-def correlation(f, g, t: float, flow: str = "geodesic",
-                nx: int = 160, nv: int = 160, ntheta: int = 80) -> float:
+def correlation(f, g, t: float, flow: str = "geodesic") -> float:
     """<f o flow(t), g> against the normalised invariant measure, k=1.
 
     flow(t) translates the argument of f by a(t) or u(t); the pairing is
@@ -436,7 +436,7 @@ def correlation(f, g, t: float, flow: str = "geodesic",
     shifted = ob.TranslatedObservable(f, sl2.inverse(elem))
     pair = SimpleNamespace(
         evaluate_coords=lambda coords: shifted.evaluate_coords(coords) * g.evaluate_coords(coords))
-    return ob.haar_integral_k1(pair, nx=nx, nv=nv, ntheta=ntheta)
+    return ob.haar_integral_k1(pair, *_HAAR_GRID)
 
 
 # ----------------------------------------------------------------------

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetExhausted
+from .errors import BudgetExhausted, ConfigError
 from .quadrature import gl_nodes
 
 EULER_GAMMA = float(np.euler_gamma)
@@ -90,8 +90,8 @@ class FactorTable:
 
 
 def build_factor_table(n_max: int) -> FactorTable:
-    if n_max < 2:
-        raise ValueError("factor table needs n_max >= 2")
+    if n_max < 1:
+        raise ConfigError("factor table needs n_max >= 1")
     spf = np.zeros(n_max + 1, dtype=np.int64)
     for p in range(2, int(math.isqrt(n_max)) + 1):
         if spf[p] == 0:
@@ -133,6 +133,9 @@ def primes_below(z: float, table: FactorTable | None = None) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 _PRIME_LOG_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+# u and z points of the log-spaced empirical_u_tilde scan grid
+_U_GRID_SIZE, _Z_GRID_SIZE = 140, 60
 
 # odd slots struck per segment of the prime-table sieve: 512 KiB of bool,
 # so the strided strikes stay inside one core's L2 cache
@@ -225,8 +228,7 @@ def mertens_check(u: float, z: float, epsilon: float, z_max: int = 10**8) -> Mer
     return MertensReport(u=u, z=z, epsilon=epsilon, lhs=lhs, rhs=rhs, holds=lhs < rhs)
 
 
-def empirical_u_tilde(epsilon: float, z_max: int = 10**8,
-                      u_grid_size: int = 140, z_grid_size: int = 60) -> float:
+def empirical_u_tilde(epsilon: float, z_max: int = 10**8) -> float:
     """Least grid u such that the Mertens inequality holds for every grid
     u' >= u against every grid z in (u', z_max].
 
@@ -234,8 +236,8 @@ def empirical_u_tilde(epsilon: float, z_max: int = 10**8,
     grid and is recorded alongside any result that depends on it.
     """
     primes, prefix = _prime_log_prefix(z_max)
-    u_grid = np.unique(np.exp(np.linspace(math.log(2.0), math.log(z_max / 10.0), u_grid_size)))
-    z_grid = np.unique(np.exp(np.linspace(math.log(10.0), math.log(float(z_max)), z_grid_size)))
+    u_grid = np.unique(np.exp(np.linspace(math.log(2.0), math.log(z_max / 10.0), _U_GRID_SIZE)))
+    z_grid = np.unique(np.exp(np.linspace(math.log(10.0), math.log(float(z_max)), _Z_GRID_SIZE)))
     factor = 1.0 + epsilon / 3.0
     ok = np.zeros(len(u_grid), dtype=bool)
     for i, u in enumerate(u_grid):
@@ -644,7 +646,7 @@ def dynamical_sieve_pipeline(weights: np.ndarray, alpha_exp: float,
     w = np.asarray(weights, dtype=float)
     n_max = len(w) - 1
     if n_max < 100:
-        raise ValueError("pipeline needs a weight range of at least 100")
+        raise ConfigError("pipeline needs a weight range of at least 100")
     z = float(n_max) ** alpha_exp
     level = int(math.floor(1.0 / alpha_exp)) + 1
     if table is None:

@@ -437,6 +437,23 @@ class TestCli:
         assert main(["average", "T"]) == 1          # dangling token
         assert main(["average", "--nonsense"]) == 1  # unknown flag
 
+    @pytest.mark.parametrize("argv", [
+        ["sieve", "N=50"],
+        ["pipeline", "N=50"],
+        ["dichotomy", "mode=almost", "--point", "preset:generic1", "N=50"],
+        ["blocks", "M=1"],
+        ["average", "--timeset", "block", "M=1"],
+        ["dichotomy", "mode=almost", "--point", "preset:cusp", "N=0"],
+    ], ids=["sieve-N=50", "pipeline-N=50", "dichotomy-generic1-N=50", "blocks-M=1",
+            "average-block-M=1", "dichotomy-cusp-N=0"])
+    def test_small_input_is_config_error(self, argv, capsys):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_almost_prime_average_at_n_1(self, capsys):
+        assert main(["average", "--timeset", "almost", "N=1"]) == 0
+        assert "sample_count = 1" in capsys.readouterr().out
+
     def test_exit_code_tolerance(self, capsys):
         assert main(["average", "K=1", "T=1e3", "--tolerance", "1e-30"]) == 2
         assert "tolerance failure" in capsys.readouterr().err

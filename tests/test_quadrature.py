@@ -30,6 +30,18 @@ class TestGaussLegendre:
             assert x.tobytes() == xs.tobytes(), n
             assert w.tobytes() == ws.tobytes(), n
 
+    @pytest.mark.parametrize("n", [1, 5, 24, 160])
+    def test_built_once_and_read_only(self, n):
+        x, w = qd.gauss_legendre(n)
+        x2, w2 = qd.gauss_legendre(n)
+        assert x2 is x and w2 is w
+        assert x2.tobytes() == x.tobytes() and w2.tobytes() == w.tobytes()
+        assert not x.flags.writeable and not w.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        xm, wm = qd.gl_nodes(n, 0.0, 1.0)
+        assert xm.flags.writeable and wm.flags.writeable
+
     @pytest.mark.parametrize("n", [341, 401, 1001])
     def test_high_odd_orders_stay_finite(self, n):
         x, w = qd.gauss_legendre(n)

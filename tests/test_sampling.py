@@ -52,6 +52,10 @@ class TestTimeSets:
         expect = {1} | {n for n in range(2, 501) if omega_trial_division(n) <= 3}
         assert times == expect
 
+    @pytest.mark.parametrize("level", [1, 3])
+    def test_almost_primes_up_to_one(self, level):
+        assert sp.generate(sp.AlmostPrimes(level, 1)).tolist() == [1.0]
+
     def test_polynomial_gamma_zero(self):
         assert list(sp.generate(sp.PolynomialTimes(0.0, 4))) == [1.0, 2.0, 3.0, 4.0]
 
@@ -95,6 +99,10 @@ class TestBlocks:
             sp.block_decompose(1, 0.1)
         with pytest.raises(sp.DegenerateBlockError):
             sp.block_decompose(10**4, 0.6)
+
+    def test_degenerate_block_is_config_error(self):
+        assert issubclass(sp.DegenerateBlockError, ConfigError)
+        assert issubclass(sp.DegenerateBlockError, ValueError)
 
     def test_error_bounded_by_m_to_minus_gamma(self):
         assert sp.block_error(10**6, 0.1) <= (10**6) ** -0.1
