@@ -16,6 +16,7 @@ import sys
 from dataclasses import fields
 
 from .errors import BudgetExhausted, ConfigError, ToleranceFailure
+from .sl2 import GroupDomainError
 from . import experiments as ex
 
 # short experiment-parameter names accepted as positional "key=value"
@@ -169,7 +170,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         cfg = config_from_args(args)
         record = ex.run(cfg)
-    except ConfigError as err:
+    except (ConfigError, GroupDomainError) as err:  # each domain error comes from a config value
         print(f"config error: {err}", file=sys.stderr)
         return 1
     except ToleranceFailure as err:

@@ -354,13 +354,11 @@ def _run_mixing(cfg: ExperimentConfig):
     if lattice.k != 1:
         raise ConfigError("mixing quadrature runs on the k=1 quotient")
     f = presets.observable_from_spec(cfg.observable, lattice)
-    g = presets.observable_from_spec(cfg.observable, lattice)
-    mean_f = ob.haar_integral_k1(f)
-    mean_g = ob.haar_integral_k1(g)
+    mean = ob.haar_integral_k1(f)
     series = []
     for t in cfg.t_grid:
-        raw = sp.correlation(f, g, float(t), flow=cfg.mixing_flow)
-        series.append((float(t), abs(raw - mean_f * mean_g)))
+        raw = sp.correlation(f, f, float(t), flow=cfg.mixing_flow)
+        series.append((float(t), abs(raw - mean * mean)))
     fit = sp.decay_fit(series) if len(series) >= 4 else None
     payload = {
         "flow": cfg.mixing_flow,
@@ -435,20 +433,22 @@ def _run_torus(cfg: ExperimentConfig):
     return payload, {}, None
 
 
-def _orbit_weights(f, coords: np.ndarray) -> np.ndarray:
-    """Weights a(n) = f(u(n) . p) for n = 1..N, with a(0) = 0, from the
-    orbit coordinates at times 1..N."""
-    return np.concatenate(([0.0], f.evaluate_coords(coords)))
+def _sieve_orbit(cfg: ExperimentConfig, p: qt.QuotientPoint,
+                 observables) -> list[sieve.PipelineReport]:
+    """One sieve pipeline report per observable f, over the orbit weights
+    a(n) = f(u(n) . p) for n = 1..N, with a(0) = 0."""
+    times = np.arange(1, cfg.n_max + 1, dtype=float)
+    coords = sp.orbit_coordinates(p, times, workers=cfg.workers)
+    return [sieve.dynamical_sieve_pipeline(
+                np.concatenate(([0.0], f.evaluate_coords(coords))),
+                cfg.alpha_exp, epsilon=cfg.epsilon, s_target=cfg.s_target)
+            for f in observables]
 
 
 def _run_pipeline(cfg: ExperimentConfig):
     p = _resolve_point(cfg)
     f = presets.observable_from_spec(cfg.observable, p.lattice)
-    times = np.arange(1, cfg.n_max + 1, dtype=float)
-    coords = sp.orbit_coordinates(p, times, workers=cfg.workers)
-    w = _orbit_weights(f, coords)
-    rep = sieve.dynamical_sieve_pipeline(
-        w, cfg.alpha_exp, epsilon=cfg.epsilon, s_target=cfg.s_target)
+    rep, = _sieve_orbit(cfg, p, [f])
     payload = _sieve_report_payload(rep)
     rows = [(rep.n_max, rep.z, payload["lower"], payload["s_exact"], payload["omega_sum"])]
     return payload, {}, ("pipeline", ["N", "z", "lower", "exact", "omega_sum"], rows)
@@ -502,23 +502,11 @@ def _run_dichotomy(cfg: ExperimentConfig):
         return payload, {}, None
     # non-divergent: density surrogate
     if cfg.mode == "almost":
-        cover = presets.cover_bumps(lattice)
-        times = np.arange(1, cfg.n_max + 1, dtype=float)
-        coords = sp.orbit_coordinates(p, times, workers=cfg.workers)
-        table = sieve.build_factor_table(cfg.n_max)
-        u_tilde = sieve.empirical_u_tilde(3.0 * cfg.epsilon)
-        bump_rows = []
-        all_positive = True
-        for i, b in enumerate(cover):
-            w = _orbit_weights(b, coords)
-            rep = sieve.dynamical_sieve_pipeline(
-                w, cfg.alpha_exp, epsilon=cfg.epsilon, s_target=cfg.s_target,
-                table=table, u_tilde=u_tilde)
-            bump_rows.append({
-                "bump": i, "omega_sum": rep.omega_sum,
-                "lower": rep.bounds.lower, "positive_lower": rep.positive,
-            })
-            all_positive = all_positive and rep.omega_sum > 0.0
+        reports = _sieve_orbit(cfg, p, presets.cover_bumps(lattice))
+        bump_rows = [{"bump": i, "omega_sum": rep.omega_sum,
+                      "lower": rep.bounds.lower, "positive_lower": rep.positive}
+                     for i, rep in enumerate(reports)]
+        all_positive = all(rep.omega_sum > 0.0 for rep in reports)
         payload["cover"] = bump_rows
         payload["verdict"] = "dense-evidence" if all_positive else "inconclusive"
         payload["caveat"] = DENSE_EVIDENCE_CAVEAT

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import quotient as qt
 from . import sl2
+from .errors import ConfigError
 from .quadrature import gl_nodes
 from .quotient import Lattice, QuotientPoint
 
@@ -92,11 +93,11 @@ class BumpFunction:
         self.center = np.asarray(self.center, dtype=float).reshape(self.lattice.k, 3)
         self.widths = np.asarray(self.widths, dtype=float).reshape(self.lattice.k, 3)
         if np.any(self.widths <= 0.0):
-            raise ValueError("bump widths must be positive")
+            raise ConfigError("bump widths must be positive")
         if np.any(self.widths[:, 2] > math.pi / 2.0):
-            raise ValueError("theta width must stay below pi/2 (frame circle has length pi)")
+            raise ConfigError("theta width must stay below pi/2 (frame circle has length pi)")
         if self.order_cap < 0:
-            raise ValueError("derivative order cap must be nonnegative")
+            raise ConfigError("derivative order cap must be nonnegative")
 
     @property
     def k(self) -> int:

@@ -39,6 +39,14 @@ def _endpoint_frame(x: float) -> sl2.GroupElement:
     return sl2.GroupElement([[x, x - 1.0], [1.0, 1.0]])
 
 
+def _numbers(text: str, spec: str) -> list[float]:
+    """The comma-separated numbers of one field of spec."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"spec {spec!r} wants comma-separated numbers, got {text!r}") from None
+
+
 def lattice_from_name(name: str, disc: int = 2) -> Lattice:
     if name == "modular":
         return ModularLattice()
@@ -74,7 +82,7 @@ def point_from_spec(spec: str, lattice: Lattice) -> QuotientPoint:
     if spec == "identity":
         return qt.identity_coset(lattice)
     if spec.startswith("coords:"):
-        vals = [float(v) for v in spec.split(":", 1)[1].split(",")]
+        vals = _numbers(spec.split(":", 1)[1], spec)
         if len(vals) != 3 * lattice.k:
             raise ConfigError(f"coords spec wants {3 * lattice.k} numbers, got {len(vals)}")
         coords = np.array(vals).reshape(lattice.k, 3)
@@ -87,7 +95,7 @@ def point_from_spec(spec: str, lattice: Lattice) -> QuotientPoint:
             raise ConfigError(f"matrix spec wants {lattice.k} factor blocks")
         mats = []
         for blk in blocks:
-            vals = [float(v) for v in blk.split(",")]
+            vals = _numbers(blk, spec)
             if len(vals) != 4:
                 raise ConfigError("each matrix block wants 4 entries a,b,c,d")
             mats.append([[vals[0], vals[1]], [vals[2], vals[3]]])
@@ -143,9 +151,12 @@ def observable_from_spec(spec: str, lattice: Lattice):
     if spec in ("preset:bump1", "bump1"):
         return bump_preset(lattice)
     if spec.startswith("constant:"):
-        return ConstantObservable(lattice, float(spec.split(":", 1)[1]))
+        vals = _numbers(spec.split(":", 1)[1], spec)
+        if len(vals) != 1:
+            raise ConfigError(f"constant spec wants one number, got {len(vals)}")
+        return ConstantObservable(lattice, vals[0])
     if spec.startswith("bump:"):
-        vals = [float(v) for v in spec.split(":", 1)[1].split(",")]
+        vals = _numbers(spec.split(":", 1)[1], spec)
         per = 6 * lattice.k
         if len(vals) not in (per, per + 1):
             raise ConfigError(

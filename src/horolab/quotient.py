@@ -38,11 +38,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
 from . import sl2
+from .errors import ConfigError
 from .sl2 import GroupElement
 
 # reduction tolerances (k=1 exact Gauss loop)
@@ -107,10 +108,10 @@ class HilbertLattice:
 
     def __post_init__(self):
         if self.disc < 2:
-            raise ValueError("need a squarefree D >= 2")
+            raise ConfigError("need a squarefree D >= 2")
         for p in range(2, int(math.isqrt(self.disc)) + 1):
             if self.disc % (p * p) == 0:
-                raise ValueError(f"D = {self.disc} is not squarefree")
+                raise ConfigError(f"D = {self.disc} is not squarefree")
 
     @property
     def k(self) -> int:
@@ -199,9 +200,6 @@ class QuotientPoint:
     def __post_init__(self):
         if self.rep.k != self.lattice.k:
             raise ValueError(f"representative has {self.rep.k} factors, lattice wants {self.lattice.k}")
-
-    def copy(self) -> "QuotientPoint":
-        return QuotientPoint(self.lattice, self.rep.copy(), self.reduced)
 
 
 def identity_coset(lattice: Lattice) -> QuotientPoint:
@@ -554,15 +552,13 @@ def _reduce_stack_hilbert(lat: HilbertLattice, stack: np.ndarray):
 # Gamma enumeration (generator balls, exact integer arithmetic)
 # ----------------------------------------------------------------------
 
-_ENUM_CACHE: dict[tuple, np.ndarray] = {}
-
-
 def _canonical_sign(keys: np.ndarray) -> np.ndarray:
     """Integer rows (N, L), each signed so that its first nonzero entry is positive."""
     first = keys[np.arange(len(keys)), np.argmax(keys != 0, axis=1)]
     return np.where((first < 0)[:, None], -keys, keys)
 
 
+@cache
 def enumerate_gamma(lattice: Lattice, max_entry: float = ENUM_MAX_ENTRY,
                     budget: int | None = None) -> np.ndarray:
     """Ball of Gamma elements around the identity, as a (N,k,2,2) stack.
@@ -570,18 +566,16 @@ def enumerate_gamma(lattice: Lattice, max_entry: float = ENUM_MAX_ENTRY,
     Breadth-first over a symmetric generator set with exact integer
     bookkeeping, pruned by embedded entry height and capped by budget;
     elements are kept modulo overall sign and returned with the identity
-    first.  Deterministic for fixed parameters, cached per lattice.
+    first.  Deterministic for fixed parameters, built once per argument
+    list and read-only.
     """
     if budget is None:
         budget = ENUM_BUDGET_K1 if lattice.k == 1 else ENUM_BUDGET_K2
-    key = (lattice.label(), float(max_entry), int(budget))
-    if key in _ENUM_CACHE:
-        return _ENUM_CACHE[key]
     if isinstance(lattice, ModularLattice):
         stack = _enumerate_modular(max_entry, budget)
     else:
         stack = _enumerate_hilbert(lattice, max_entry, budget)
-    _ENUM_CACHE[key] = stack
+    stack.flags.writeable = False
     return stack
 
 
@@ -733,11 +727,10 @@ def cusp_height(p: QuotientPoint) -> float:
     return float(cusp_heights(p.lattice, p.rep.mats[None])[0])
 
 
+@cache
 def _cd_rows(lat: HilbertLattice) -> np.ndarray:
-    """Embedded nonzero rows (c, d) in O^2 with coefficients up to CUSP_CD_COEFF_BOUND."""
-    key = ("cdrows", lat.label())
-    if key in _ENUM_CACHE:
-        return _ENUM_CACHE[key]
+    """Embedded nonzero rows (c, d) in O^2 with coefficients up to
+    CUSP_CD_COEFF_BOUND; built once per lattice and read-only."""
     rng = np.arange(-CUSP_CD_COEFF_BOUND, CUSP_CD_COEFF_BOUND + 1)
     m, n = np.meshgrid(rng, rng, indexing="ij")
     # both embeddings of one O-element per row
@@ -746,7 +739,7 @@ def _cd_rows(lat: HilbertLattice) -> np.ndarray:
     de = np.tile(pairs, (len(pairs), 1))
     keep = ~((np.abs(ce).max(axis=1) < 1e-12) & (np.abs(de).max(axis=1) < 1e-12))
     rows = np.stack([ce[keep], de[keep]], axis=1)  # (M, 2=c/d, 2=place)
-    _ENUM_CACHE[key] = rows
+    rows.flags.writeable = False
     return rows
 
 

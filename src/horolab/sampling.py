@@ -98,8 +98,7 @@ def generate(ts: TimeSet) -> np.ndarray:
             raise ConfigError("almost-prime level must be >= 1")
         if ts.n_max < 1:
             return np.empty(0)
-        table = sieve.build_factor_table(ts.n_max)
-        return sieve.almost_primes(table, ts.level, ts.n_max).astype(float)
+        return sieve.almost_primes(ts.level, ts.n_max).astype(float)
     if isinstance(ts, PolynomialTimes):
         if not (0.0 <= ts.gamma_exp < 0.5):
             raise ConfigError("polynomial exponent gamma must lie in [0, 1/2)")

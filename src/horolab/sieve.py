@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -89,7 +90,9 @@ class FactorTable:
         return counts
 
 
+@cache
 def build_factor_table(n_max: int) -> FactorTable:
+    """The factor table of 1..n_max, built once per n_max; its arrays are read-only."""
     if n_max < 1:
         raise ConfigError("factor table needs n_max >= 1")
     spf = np.zeros(n_max + 1, dtype=np.int64)
@@ -101,31 +104,21 @@ def build_factor_table(n_max: int) -> FactorTable:
     spf[unmarked] = np.arange(n_max + 1)[unmarked]  # primes (and 0,1) map to themselves
     spf[1] = 1
     primes = np.flatnonzero(spf == np.arange(n_max + 1))[2:]  # drop 0 and 1
+    spf.flags.writeable = primes.flags.writeable = False  # shared by every caller
     return FactorTable(n_max=n_max, spf=spf, primes=primes)
 
 
-def almost_primes(table: FactorTable, level: int, n_max: int | None = None) -> np.ndarray:
+def almost_primes(level: int, n_max: int) -> np.ndarray:
     """All n <= n_max with Omega(n) <= level, ascending; contains 1."""
     if level < 0:
         raise ValueError("level must be >= 0")
-    n_max = table.n_max if n_max is None else n_max
-    if n_max > table.n_max:
-        raise ValueError("n_max beyond factor table")
-    om = table.omega_all()[: n_max + 1]
-    hits = np.flatnonzero(om <= level)
+    hits = np.flatnonzero(build_factor_table(n_max).omega_all() <= level)
     return hits[hits >= 1]
 
 
-def primes_below(z: float, table: FactorTable | None = None) -> np.ndarray:
-    """Ascending primes p < z (strict), via the table or a local sieve."""
-    limit = int(math.ceil(z)) - 1
-    if limit < 2:
-        return np.array([], dtype=np.int64)
-    if table is not None and table.n_max >= limit:
-        pr = table.primes
-    else:
-        pr = build_factor_table(max(limit, 2)).primes
-    return pr[pr < z]
+def primes_below(z: float) -> np.ndarray:
+    """Ascending primes p < z (strict): those of the table of 1..ceil(z) - 1."""
+    return build_factor_table(max(math.ceil(z) - 1, 1)).primes
 
 
 # ----------------------------------------------------------------------
@@ -228,12 +221,14 @@ def mertens_check(u: float, z: float, epsilon: float, z_max: int = 10**8) -> Mer
     return MertensReport(u=u, z=z, epsilon=epsilon, lhs=lhs, rhs=rhs, holds=lhs < rhs)
 
 
+@cache
 def empirical_u_tilde(epsilon: float, z_max: int = 10**8) -> float:
     """Least grid u such that the Mertens inequality holds for every grid
     u' >= u against every grid z in (u', z_max].
 
     Purely empirical: the returned threshold is a property of the scan
-    grid and is recorded alongside any result that depends on it.
+    grid and is recorded alongside any result that depends on it.  Scanned
+    once per (epsilon, z_max).
     """
     primes, prefix = _prime_log_prefix(z_max)
     u_grid = np.unique(np.exp(np.linspace(math.log(2.0), math.log(z_max / 10.0), _U_GRID_SIZE)))
@@ -331,9 +326,7 @@ class LinearSieveFunctions:
         }
 
 
-_SIEVE_FN_CACHE: dict[tuple[float, float], LinearSieveFunctions] = {}
-
-
+@cache
 def linear_sieve_functions(s_max: float = 40.0, grid_step: float = 1e-3) -> LinearSieveFunctions:
     """Integrate the delayed system for F0/f0 on a uniform grid.
 
@@ -342,13 +335,11 @@ def linear_sieve_functions(s_max: float = 40.0, grid_step: float = 1e-3) -> Line
     before that.  A 4-step Adams-Moulton-type quadrature on the uniform
     grid (the lagged integrand is already known at the new node, so the
     formula stays explicit) keeps the global error near 1e-12, and the
-    tail is clamped to zero once below _DEVIATION_CLAMP.
+    tail is clamped to zero once below _DEVIATION_CLAMP.  Built once per
+    (s_max, grid_step); the grids are read-only.
     """
     if grid_step > 1e-3 + 1e-15:
         raise ValueError("grid step must be <= 1e-3")
-    key = (s_max, grid_step)
-    if key in _SIEVE_FN_CACHE:
-        return _SIEVE_FN_CACHE[key]
     h = grid_step
     lag = int(round(1.0 / h))
     if abs(lag * h - 1.0) > 1e-12:
@@ -400,9 +391,9 @@ def linear_sieve_functions(s_max: float = 40.0, grid_step: float = 1e-3) -> Line
             q_live = _advance(q, i4 + 1, [q_startup(n) for n in range(i4 + 1, hi)])
         elif q_live:
             q_live = _advance(q, lo, am_steps(p, lo, hi))
-    out = LinearSieveFunctions(s_max=s_max, grid_step=h, s_grid=s, p_dev=p, q_dev=q)
-    _SIEVE_FN_CACHE[key] = out
-    return out
+    for grid in (s, p, q):
+        grid.flags.writeable = False
+    return LinearSieveFunctions(s_max=s_max, grid_step=h, s_grid=s, p_dev=p, q_dev=q)
 
 
 def _advance(dev: np.ndarray, lo: int, steps) -> bool:
@@ -455,10 +446,10 @@ class SieveProblem:
         w[0] = 0.0
         self.weights = w
         if not (0.0 < self.epsilon < 1.0 / 200.0):
-            raise ValueError("epsilon must lie in (0, 1/200)")
+            raise ConfigError("epsilon must lie in (0, 1/200)")
         if self.z < 2.0:
             # z = 2 is the degenerate no-sieving case (no primes below 2)
-            raise ValueError("z must be at least 2")
+            raise ConfigError("z must be at least 2")
 
     @property
     def n_max(self) -> int:
@@ -473,9 +464,9 @@ def density_g(d: int) -> float:
     return 1.0 / d
 
 
-def v_of_z(z: float, table: FactorTable | None = None) -> float:
+def v_of_z(z: float) -> float:
     """V(z) = prod_{p < z} (1 - 1/p)."""
-    pr = primes_below(z, table)
+    pr = primes_below(z)
     return float(np.prod(1.0 - 1.0 / pr)) if len(pr) else 1.0
 
 
@@ -508,17 +499,14 @@ def _squarefree_divisors(primes: np.ndarray, cutoff: float, budget: int) -> list
     return out
 
 
-def brute_force_S(problem: SieveProblem, table: FactorTable) -> float:
+def brute_force_S(problem: SieveProblem) -> float:
     """S(A, P, z) summed directly from the factor table (n=1 counts)."""
-    if table.n_max < problem.n_max:
-        raise ValueError("factor table too small for the weight range")
     n = problem.n_max
-    spf = table.spf[: n + 1]
-    mask = (spf >= problem.z) | (np.arange(n + 1) == 1)
-    return float(problem.weights[mask[: n + 1]].sum())
+    mask = (build_factor_table(n).spf >= problem.z) | (np.arange(n + 1) == 1)
+    return float(problem.weights[mask].sum())
 
 
-def buchstab_defect(problem: SieveProblem, z_prime: float, table: FactorTable) -> float:
+def buchstab_defect(problem: SieveProblem, z_prime: float) -> float:
     """S(A,P,z) - [ S(A,P,z') - sum_{z'<=p<z} S(A_p,P,p) ]; identically 0.
 
     S(A_p, P, p) collects a(n) over n with least prime factor exactly p,
@@ -527,9 +515,10 @@ def buchstab_defect(problem: SieveProblem, z_prime: float, table: FactorTable) -
     if not (2.0 < z_prime <= problem.z):
         raise ValueError("need 2 < z' <= z")
     n = problem.n_max
-    spf = table.spf[: n + 1]
+    table = build_factor_table(n)
+    spf = table.spf
     w = problem.weights
-    lhs = brute_force_S(problem, table)
+    lhs = brute_force_S(problem)
     loose = float(w[(spf >= z_prime) | (np.arange(n + 1) == 1)].sum())
     mid_primes = table.primes[(table.primes >= z_prime) & (table.primes < problem.z)]
     correction = 0.0
@@ -557,13 +546,13 @@ class SieveBoundsReport:
     q_product: float
 
 
-def admissibility_check(problem: SieveProblem, table: FactorTable) -> bool:
+def admissibility_check(problem: SieveProblem) -> bool:
     """The one-dimensional density hypothesis over all 1 < u < z.
 
     The left side only jumps at primes of P \\ Q and the right side
     decreases in u, so checking at each such prime point is exhaustive.
     """
-    pr = primes_below(problem.z, table)
+    pr = primes_below(problem.z)
     pr = pr[pr >= problem.exclude_below]
     if len(pr) == 0:
         return True
@@ -574,12 +563,11 @@ def admissibility_check(problem: SieveProblem, table: FactorTable) -> bool:
     return bool(np.all(lhs < rhs))
 
 
-def sieve_bounds(problem: SieveProblem, table: FactorTable,
-                 functions: LinearSieveFunctions | None = None) -> SieveBoundsReport:
+def sieve_bounds(problem: SieveProblem) -> SieveBoundsReport:
     """Evaluate the linear-sieve bracket and compare with the exact sum."""
-    fns = functions if functions is not None else linear_sieve_functions()
-    pz = primes_below(problem.z, table)
-    v_z = v_of_z(problem.z, table)
+    fns = linear_sieve_functions()
+    pz = primes_below(problem.z)
+    v_z = v_of_z(problem.z)
     total = problem.total()
     big_x = v_z * total
     s = math.log(problem.level_d) / math.log(problem.z)
@@ -593,7 +581,7 @@ def sieve_bounds(problem: SieveProblem, table: FactorTable,
     slack = problem.epsilon * math.exp(14.0 - s)
     upper = (float(fns.upper(s)) + slack) * big_x + remainder
     lower = (float(fns.lower(s)) - slack) * big_x - remainder
-    s_exact = brute_force_S(problem, table)
+    s_exact = brute_force_S(problem)
     upper_valid = problem.level_d >= problem.z
     lower_valid = problem.level_d >= problem.z ** 2
     holds = True
@@ -604,7 +592,7 @@ def sieve_bounds(problem: SieveProblem, table: FactorTable,
     return SieveBoundsReport(
         s=s, big_x=big_x, v_z=v_z, total=total, remainder=remainder,
         divisor_count=len(divisors), upper=upper, lower=lower, s_exact=s_exact,
-        brackets_hold=holds, admissible=admissibility_check(problem, table),
+        brackets_hold=holds, admissible=admissibility_check(problem),
         upper_valid=upper_valid, lower_valid=lower_valid,
         q_threshold=problem.exclude_below, q_product=q_product,
     )
@@ -631,9 +619,7 @@ class PipelineReport:
 
 
 def dynamical_sieve_pipeline(weights: np.ndarray, alpha_exp: float,
-                             epsilon: float = 0.004, s_target: float = 101.0,
-                             table: FactorTable | None = None,
-                             u_tilde: float | None = None) -> PipelineReport:
+                             epsilon: float = 0.004, s_target: float = 101.0) -> PipelineReport:
     """Run the sieve over orbit weights a(n), n = 1..N.
 
     z = N^alpha, D = z^{s_target}; the excluded prime set comes from the
@@ -647,21 +633,27 @@ def dynamical_sieve_pipeline(weights: np.ndarray, alpha_exp: float,
     n_max = len(w) - 1
     if n_max < 100:
         raise ConfigError("pipeline needs a weight range of at least 100")
+    if not alpha_exp > 0.0:
+        raise ConfigError("sieve cut exponent alpha must be positive")
+    if not (0.0 < epsilon < 1.0 / 200.0):
+        raise ConfigError("epsilon must lie in (0, 1/200)")
+    if not s_target > 0.0:
+        raise ConfigError("sieve level exponent s must be positive")
     z = float(n_max) ** alpha_exp
+    try:
+        level_d = z ** s_target
+    except OverflowError:
+        raise ConfigError(f"sieve level D = z^s overflows at z = {z:.6g}, s = {s_target:g}") from None
     level = int(math.floor(1.0 / alpha_exp)) + 1
-    if table is None:
-        table = build_factor_table(n_max)
-    if u_tilde is None:
-        u_tilde = empirical_u_tilde(3.0 * epsilon)
+    table = build_factor_table(n_max)  # before the u~ scan: the lower measured peak RSS
+    u_tilde = empirical_u_tilde(3.0 * epsilon)
     problem = SieveProblem(
-        weights=w, z=z, level_d=z ** s_target, epsilon=epsilon,
+        weights=w, z=z, level_d=level_d, epsilon=epsilon,
         exclude_below=u_tilde,
     )
-    fns = linear_sieve_functions()
-    report = sieve_bounds(problem, table, fns)
-    s = report.s
-    f0 = float(fns.lower(s))
-    omega_vals = table.omega_all()[1:n_max + 1]
+    report = sieve_bounds(problem)
+    f0 = float(linear_sieve_functions().lower(report.s))
+    omega_vals = table.omega_all()[1:]
     omega_sum = float(w[1:][omega_vals <= level].sum())
     chain_ok = (omega_sum >= report.s_exact - 1e-9) and (report.s_exact >= report.lower - 1e-9)
     margin = report.s_exact - (0.01 * report.big_x - report.remainder)

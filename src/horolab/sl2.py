@@ -73,9 +73,6 @@ class GroupElement:
     def __repr__(self):
         return f"GroupElement(k={self.k}, mats={self.mats.tolist()})"
 
-    def copy(self) -> "GroupElement":
-        return GroupElement(self.mats.copy())
-
 
 class LieAlgebraElement:
     """(k, 3) coordinates against (X, Y, Z) per factor."""
@@ -105,10 +102,6 @@ class LieAlgebraElement:
         out[:, 1, 0] = b
         out[:, 1, 1] = -c
         return out
-
-    def norm(self) -> float:
-        """Euclidean norm of the concatenated coordinates."""
-        return float(np.sqrt(np.sum(self.coords * self.coords)))
 
     def __repr__(self):
         return f"LieAlgebraElement({self.coords.tolist()})"

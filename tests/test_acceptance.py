@@ -193,13 +193,12 @@ def test_criterion_06_discrete_average_trend():
 def test_criterion_07_sieve_bracketing():
     started = time.perf_counter()
     n_max = 10**6
-    table = sieve.build_factor_table(n_max)
 
     # pinned run: unit weights, z = N^{1/9}, D = z^9
     z = float(n_max) ** (1.0 / 9.0)
     prob = sieve.SieveProblem(np.ones(n_max + 1), z, z ** 9, EPSILON)
-    rep = sieve.sieve_bounds(prob, table)
-    exact = sieve.brute_force_S(prob, table)
+    rep = sieve.sieve_bounds(prob)
+    exact = sieve.brute_force_S(prob)
     assert rep.s_exact == exact
     assert rep.lower <= exact <= rep.upper
     assert rep.brackets_hold
@@ -210,14 +209,13 @@ def test_criterion_07_sieve_bracketing():
         w = rng.uniform(0.0, 1.0, n_max + 1) * rng.uniform(0.5, 3.0)
         zz = float(n_max) ** rng.uniform(1.0 / 9.0, 0.2)
         pr = sieve.SieveProblem(w, zz, zz ** rng.uniform(2.2, 6.0), EPSILON)
-        rb = sieve.sieve_bounds(pr, table)
+        rb = sieve.sieve_bounds(pr)
         assert rb.brackets_hold, f"random weight vector {i}"
 
     # Buchstab identity, exact for integer-valued weights at N = 1e4
-    small = sieve.build_factor_table(10**4)
     for z_prime, zz in ((3.0, 20.0), (5.0, 50.0), (7.0, 97.0), (4.0, 100.0)):
         pr = sieve.SieveProblem(np.ones(10**4 + 1), zz, zz ** 2, EPSILON)
-        assert sieve.buchstab_defect(pr, z_prime, small) == 0.0
+        assert sieve.buchstab_defect(pr, z_prime) == 0.0
     _finish(7, "sieve bracketing", started, 300.0,
             f"unit run {rep.lower:.4g} <= {exact:.6g} <= {rep.upper:.4g}; "
             "50 random vectors hold; Buchstab exact")
@@ -248,16 +246,13 @@ def test_criterion_09_dynamical_sieve_positivity():
     cover = presets.cover_bumps(p.lattice)
     assert len(cover) == 10
     coords = sp.orbit_coordinates(p, np.arange(1, n_max + 1, dtype=float))
-    table = sieve.build_factor_table(n_max)
-    u_tilde = sieve.empirical_u_tilde(3.0 * EPSILON)
     sums = []
     for bump in cover:
         w = np.empty(n_max + 1)
         w[0] = 0.0
         w[1:] = bump.evaluate_coords(coords)
         rep = sieve.dynamical_sieve_pipeline(w, alpha, epsilon=EPSILON,
-                                             s_target=101.0, table=table,
-                                             u_tilde=u_tilde)
+                                             s_target=101.0)
         assert rep.level == 10
         assert rep.chain_ok
         assert rep.omega_sum > 0.0

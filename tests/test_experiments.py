@@ -450,6 +450,25 @@ class TestCli:
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("config error:")
 
+    @pytest.mark.parametrize("argv", [
+        ["torus", "--lattice", "hilbert", "D=4"],
+        ["reduce", "--lattice", "hilbert", "D=1"],
+        ["sieve", "eps=0.1"],
+        ["sieve", "z-exp=0"],
+        ["sieve", "s=0"],
+        ["sieve", "N=1e4", "eps=0"],
+        ["sieve", "N=1e3", "z-exp=2"],
+        ["average", "N=10", "--observable", "bump:0,1.5,1,0,0.3,0.4"],
+        ["reduce", "--point", "coords:x,1,2"],
+        ["average", "N=10", "--observable", "constant:abc"],
+        ["average", "--timeset", "interval", "T=1e13"],
+    ], ids=["torus-D=4", "reduce-D=1", "sieve-eps=0.1", "sieve-z-exp=0", "sieve-s=0",
+            "sieve-eps=0", "sieve-D-overflows", "bump-zero-width", "coords-not-a-number", "constant-not-a-number",
+            "interval-T=1e13"])
+    def test_rejected_value_is_config_error(self, argv, capsys):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+
     def test_almost_prime_average_at_n_1(self, capsys):
         assert main(["average", "--timeset", "almost", "N=1"]) == 0
         assert "sample_count = 1" in capsys.readouterr().out

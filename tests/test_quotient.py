@@ -752,6 +752,12 @@ class TestEnumeration:
         gam = qt.enumerate_gamma(modular, max_entry=50.0)
         assert np.max(np.abs(gam)) <= 50.0
 
+    def test_built_once_and_read_only(self, modular, hilbert):
+        assert qt.enumerate_gamma(modular) is qt.enumerate_gamma(modular)
+        assert qt._cd_rows(hilbert) is qt._cd_rows(hilbert)
+        for arr in (qt.enumerate_gamma(modular), qt.enumerate_gamma(hilbert), qt._cd_rows(hilbert)):
+            assert not arr.flags.writeable
+
     def test_hilbert_enumeration_unimodular(self, hilbert):
         gam = qt.enumerate_gamma(hilbert)
         dets = gam[:, :, 0, 0] * gam[:, :, 1, 1] - gam[:, :, 0, 1] * gam[:, :, 1, 0]

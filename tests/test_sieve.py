@@ -138,17 +138,17 @@ class TestFactorTable:
         first = table.omega_all()
         assert table.omega_all() is first
 
-    def test_almost_primes_level_one(self, table_small):
-        got = set(sieve.almost_primes(table_small, 1, 20).tolist())
+    def test_almost_primes_level_one(self):
+        got = set(sieve.almost_primes(1, 20).tolist())
         primes = {2, 3, 5, 7, 11, 13, 17, 19}
         assert got == {1} | primes
 
-    def test_almost_primes_level_two(self, table_small):
-        got = sieve.almost_primes(table_small, 2, 10)
+    def test_almost_primes_level_two(self):
+        got = sieve.almost_primes(2, 10)
         assert got.tolist() == [1, 2, 3, 4, 5, 6, 7, 9, 10]
 
-    def test_almost_primes_counts_match_oracle(self, table_1e6, omega_1e6):
-        ours = sieve.almost_primes(table_1e6, 3)
+    def test_almost_primes_counts_match_oracle(self, omega_1e6):
+        ours = sieve.almost_primes(3, 1_000_000)
         expect = np.flatnonzero(omega_1e6 <= 3)[1:]  # drop n=0
         assert np.array_equal(ours, expect)
 
@@ -208,12 +208,12 @@ class TestPrimeTable:
 
 
 class TestMertens:
-    def test_v_of_z_small(self, table_small):
+    def test_v_of_z_small(self):
         # (1/2)(2/3)(4/5)(6/7)
-        assert abs(sieve.v_of_z(10.0, table_small) - 8.0 / 35.0) <= 1e-12
+        assert abs(sieve.v_of_z(10.0) - 8.0 / 35.0) <= 1e-12
 
-    def test_v_of_z_mertens_band(self, table_1e6):
-        prod = sieve.v_of_z(1_000_000.0, table_1e6) * math.log(1_000_000.0)
+    def test_v_of_z_mertens_band(self):
+        prod = sieve.v_of_z(1_000_000.0) * math.log(1_000_000.0)
         base = math.exp(-EULER_GAMMA)
         assert 0.9 * base <= prod <= 1.1 * base
 
@@ -292,52 +292,52 @@ class TestSieveBounds:
                                   epsilon=0.004)
         assert abs(sieve.remainder_r(prob, 7) - (4.0 - 30.0 / 7.0)) <= 1e-12
 
-    def test_total_summed_once(self, monkeypatch, table_small):
+    def test_total_summed_once(self, monkeypatch):
         rng = np.random.default_rng(7)
         prob = sieve.SieveProblem(weights=rng.uniform(0.0, 1.0, 1001), z=5.0,
                                   level_d=1000.0, epsilon=0.004)
         expected = sum(abs(sieve.remainder_r(prob, d)) for d in
-                       sieve._squarefree_divisors(sieve.primes_below(5.0, table_small),
+                       sieve._squarefree_divisors(sieve.primes_below(5.0),
                                                   1000.0, prob.remainder_budget))
         calls = []
         total = sieve.SieveProblem.total
         monkeypatch.setattr(sieve.SieveProblem, "total",
                             lambda self: calls.append(1) or total(self))
-        rep = sieve.sieve_bounds(prob, table_small)
+        rep = sieve.sieve_bounds(prob)
         assert rep.divisor_count > 1 and len(calls) == 1
         assert rep.remainder == expected
 
-    def test_exact_count_pinned(self, table_small):
+    def test_exact_count_pinned(self):
         prob = sieve.SieveProblem(weights=np.ones(31), z=6.0, level_d=36.0,
                                   epsilon=0.004)
         # {1, 7, 11, 13, 17, 19, 23, 29}
-        assert sieve.brute_force_S(prob, table_small) == 8.0
+        assert sieve.brute_force_S(prob) == 8.0
 
-    def test_degenerate_no_sieving(self, table_small):
+    def test_degenerate_no_sieving(self):
         prob = sieve.SieveProblem(weights=np.ones(101), z=2.0, level_d=16.0,
                                   epsilon=0.004)
-        rep = sieve.sieve_bounds(prob, table_small)
+        rep = sieve.sieve_bounds(prob)
         assert rep.s_exact == prob.total() == rep.big_x
         assert rep.remainder == 0.0
         assert rep.brackets_hold
 
-    def test_bracket_on_unit_weights(self, table_small):
+    def test_bracket_on_unit_weights(self):
         n = 10_000
         z = float(n) ** (1.0 / 9.0)
         prob = sieve.SieveProblem(weights=np.ones(n + 1), z=z, level_d=z ** 9,
                                   epsilon=0.004, exclude_below=211.44)
-        rep = sieve.sieve_bounds(prob, table_small)
+        rep = sieve.sieve_bounds(prob)
         assert rep.lower - 1e-9 <= rep.s_exact <= rep.upper + 1e-9
         assert rep.admissible
 
-    def test_bracket_on_random_weights(self, table_small, rng):
+    def test_bracket_on_random_weights(self, rng):
         n = 10_000
         z = float(n) ** (1.0 / 9.0)
         for _ in range(5):
             w = rng.uniform(0.0, 2.0, size=n + 1)
             prob = sieve.SieveProblem(weights=w, z=z, level_d=z ** 9,
                                       epsilon=0.004, exclude_below=211.44)
-            rep = sieve.sieve_bounds(prob, table_small)
+            rep = sieve.sieve_bounds(prob)
             assert rep.brackets_hold
 
     def test_negative_weights_rejected(self):
@@ -345,36 +345,63 @@ class TestSieveBounds:
             sieve.SieveProblem(weights=np.array([0.0, -1.0]), z=3.0,
                                level_d=10.0, epsilon=0.004)
 
-    def test_divisor_budget_exhaustion(self, table_small):
+    def test_divisor_budget_exhaustion(self):
         prob = sieve.SieveProblem(weights=np.ones(10_001), z=50.0,
                                   level_d=50.0 ** 4, epsilon=0.004,
                                   remainder_budget=3)
         with pytest.raises(BudgetExhausted) as info:
-            sieve.sieve_bounds(prob, table_small)
+            sieve.sieve_bounds(prob)
         assert info.value.partial is not None
 
-    def test_buchstab_identity(self, table_small):
+    def test_buchstab_identity(self):
         prob = sieve.SieveProblem(weights=np.ones(1001), z=20.0,
                                   level_d=400.0, epsilon=0.004)
         for z_prime in (3.0, 5.0, 11.0, 20.0):
-            assert abs(sieve.buchstab_defect(prob, z_prime, table_small)) <= 1e-9
+            assert abs(sieve.buchstab_defect(prob, z_prime)) <= 1e-9
+
+
+class TestCaches:
+    """Each table is built once per argument list, shared read-only."""
+
+    def test_factor_table_built_once(self):
+        assert sieve.build_factor_table(1000) is sieve.build_factor_table(1000)
+
+    def test_tables_read_only(self):
+        table = sieve.build_factor_table(1000)
+        fns = sieve.linear_sieve_functions()
+        for arr in (table.spf, table.primes, sieve.primes_below(50.0),
+                    fns.s_grid, fns.p_dev, fns.q_dev):
+            assert not arr.flags.writeable
+
+    def test_dichotomy_builds_each_table_once(self):
+        from horolab import experiments as ex
+
+        sieve._prime_log_prefix(10**8)  # the u~ scan's prime table, so the scan builds none
+        sieve.build_factor_table.cache_clear()
+        sieve.empirical_u_tilde.cache_clear()
+        rec = ex.run(ex.ExperimentConfig(kind="dichotomy", mode="almost", n_max=20_000))
+        assert len(rec.payload["cover"]) == 10
+        scans = sieve.empirical_u_tilde.cache_info()
+        assert (scans.hits, scans.misses) == (9, 1)
+        # two tables, each built once: 1..N and the primes below z = N^(1/9)
+        assert sieve.build_factor_table.cache_info().misses == 2
+        sieve.build_factor_table(20_000)
+        assert sieve.build_factor_table.cache_info().misses == 2
 
 
 class TestPipeline:
-    def test_unit_weight_run(self, table_small):
+    def test_unit_weight_run(self):
         rep = sieve.dynamical_sieve_pipeline(
-            np.ones(10_001), 1.0 / 9.0, s_target=9.0, table=table_small)
+            np.ones(10_001), 1.0 / 9.0, s_target=9.0)
         assert rep.level == 10
         assert rep.bounds.brackets_hold
         assert rep.chain_ok
         assert rep.omega_sum >= rep.bounds.s_exact
 
-    def test_weight_scaling_linearity(self, table_small):
+    def test_weight_scaling_linearity(self):
         w = np.ones(10_001)
-        one = sieve.dynamical_sieve_pipeline(w, 1.0 / 9.0, s_target=9.0,
-                                             table=table_small, u_tilde=211.44)
-        two = sieve.dynamical_sieve_pipeline(2.0 * w, 1.0 / 9.0, s_target=9.0,
-                                             table=table_small, u_tilde=211.44)
+        one = sieve.dynamical_sieve_pipeline(w, 1.0 / 9.0, s_target=9.0)
+        two = sieve.dynamical_sieve_pipeline(2.0 * w, 1.0 / 9.0, s_target=9.0)
         assert abs(two.bounds.s_exact - 2.0 * one.bounds.s_exact) <= 1e-6
         assert abs(two.omega_sum - 2.0 * one.omega_sum) <= 1e-6
 

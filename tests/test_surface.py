@@ -1,6 +1,7 @@
-"""Static guards on horolab's surface: every option has a caller, every import a use.
+"""Static guards on horolab's surface: every option has a caller, every import a use,
+and no module keeps a hand-rolled cache.
 
-Both read the source with `ast` and run nothing.  The census matches calls
+All read the source with `ast` and run nothing.  The census matches calls
 to definitions by name only, so a call to any function of the same name
 counts as setting its parameters: it can miss an unset option, never
 invent one.
@@ -100,9 +101,33 @@ def unused_imports() -> list[str]:
     return unused
 
 
+def empty_module_dicts() -> list[str]:
+    """`module.NAME` for every module-level name bound to an empty dict (`{}` or `dict()`)."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in _parse(path).body:
+            if isinstance(node, ast.Assign):
+                targets, value = node.targets, node.value
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets, value = [node.target], node.value
+            else:
+                continue
+            empty = (isinstance(value, ast.Dict) and not value.keys) or (
+                isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+                and value.func.id == "dict" and not value.args and not value.keywords)
+            if empty:
+                found += [f"{path.stem}.{t.id}" for t in targets if isinstance(t, ast.Name)]
+    return found
+
+
 def test_every_defaulted_parameter_has_a_caller():
     assert unset_parameters() == []
 
 
 def test_every_import_is_used():
     assert unused_imports() == []
+
+
+def test_caches_are_functools_caches():
+    # the one keyed by hand: its single slot serves every smaller z_max as a slice
+    assert empty_module_dicts() == ["sieve._PRIME_LOG_CACHE"]
