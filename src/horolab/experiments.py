@@ -491,7 +491,7 @@ def _run_dichotomy(cfg: ExperimentConfig):
         sampled = times[:: max(1, len(times) // 400)]
         base_red, _ = qt.reduce_stack(lattice, p.rep.mats[None])
         moved, _ = qt.reduce_stack(lattice, qt.orbit_mats(p.rep.mats, sampled))
-        height_max = float(qt._reduced_heights(lattice, moved).max())
+        height_max = float(qt.reduced_heights(lattice, moved).max())
         payload["sparse_orbit"] = {
             "samples": len(sampled),
             "height_max": height_max,

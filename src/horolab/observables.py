@@ -22,7 +22,7 @@ import numpy as np
 from . import quotient as qt
 from . import sl2
 from .errors import ConfigError
-from .quadrature import gl_nodes
+from .quadrature import gl_nodes, tensor_grid
 from .quotient import Lattice, QuotientPoint
 
 _PROFILE_GRID = 16385
@@ -127,17 +127,6 @@ class BumpFunction:
     def value(self, p: QuotientPoint) -> float:
         return float(self.evaluate_coords(qt.coordinates(p)[None])[0])
 
-    def support_grid(self, per_dim: int = 5) -> np.ndarray:
-        """(M, k, 3) grid spanning [-0.9, 0.9] of each width around the centre."""
-        ticks = np.linspace(-0.9, 0.9, per_dim)
-        axes = []
-        for i in range(self.k):
-            for j in range(3):
-                axes.append(self.center[i, j] + ticks * self.widths[i, j])
-        mesh = np.meshgrid(*axes, indexing="ij")
-        flat = np.stack([m.ravel() for m in mesh], axis=1)
-        return flat.reshape(-1, self.k, 3)
-
 
 @dataclass
 class ObservableSum:
@@ -172,9 +161,6 @@ class ObservableSum:
 
     def value(self, p: QuotientPoint) -> float:
         return float(self.evaluate_coords(qt.coordinates(p)[None])[0])
-
-    def support_grid(self, per_dim: int = 4) -> np.ndarray:
-        return np.concatenate([b.support_grid(per_dim) for _, b in self.terms], axis=0)
 
 
 @dataclass
@@ -342,12 +328,9 @@ class SmoothingKernel:
         nodes1 = np.concatenate(nodes1)
         weights1 = np.concatenate(weights1)
         inside1 = np.concatenate(inside1)
-        grids = np.meshgrid(*([nodes1] * self.n), indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1)
-        wgrids = np.meshgrid(*([weights1] * self.n), indexing="ij")
-        wts = np.prod(np.stack([g.ravel() for g in wgrids], axis=1), axis=1)
-        igrids = np.meshgrid(*([inside1] * self.n), indexing="ij")
-        chi = np.prod(np.stack([g.ravel() for g in igrids], axis=1), axis=1)
+        pts = tensor_grid([nodes1] * self.n)
+        wts = np.prod(tensor_grid([weights1] * self.n), axis=1)
+        chi = np.prod(tensor_grid([inside1] * self.n), axis=1)
         vals = self.kernel_value(pts)
         mass_quad = float(np.sum(wts * vals))
         l1_dev = float(np.sum(wts * np.abs(vals - chi)))
@@ -375,30 +358,20 @@ class SobolevRecord:
     words: int
 
 
-def _direction_basis(k: int) -> list[np.ndarray]:
-    """3k right-invariant directions: X, Y, Z in each factor."""
-    return list(np.eye(3 * k).reshape(3 * k, k, 3))
-
-
-def _offset_elements(word: tuple[int, ...], dirs, eps: float, k: int):
+def _offset_elements(word: tuple[int, ...], steps: np.ndarray):
     """All 2^m offset products exp(s_1 eps W_1) ... exp(s_m eps W_m).
 
-    Returns (matrices (2^m, k, 2, 2), sign products (2^m,)).  Nested
-    central differences expand into exactly this signed combination.
+    steps[0, w] and steps[1, w] are exp(+eps W) and exp(-eps W) for the
+    direction W numbered w.  Returns (matrices (2^m, k, 2, 2), sign
+    products (2^m,)), the sign sequences in itertools.product((1, -1),
+    repeat=m) order.  Nested central differences expand into exactly this
+    signed combination.
     """
-    m = len(word)
-    combos = list(itertools.product((1.0, -1.0), repeat=m))
-    mats = np.empty((len(combos), k, 2, 2))
-    signs = np.empty(len(combos))
-    for idx, signs_tuple in enumerate(combos):
-        acc = sl2.identity(k)
-        sign = 1.0
-        for s, wi in zip(signs_tuple, word):
-            step = sl2.exp_map(sl2.LieAlgebraElement(s * eps * dirs[wi]))
-            acc = sl2.compose(acc, step)
-            sign *= s
-        mats[idx] = acc.mats
-        signs[idx] = sign
+    mats = np.broadcast_to(np.eye(2), (1,) + steps.shape[2:])  # the identity
+    signs = np.ones(1)
+    for w in word:
+        mats = np.matmul(mats[:, None], steps[:, w]).reshape((-1,) + steps.shape[2:])
+        signs = (signs[:, None] * np.array([1.0, -1.0])).ravel()
     return mats, signs
 
 
@@ -418,24 +391,23 @@ def _sample_coords(f) -> np.ndarray:
     the chain-rule scaling instead of drifting with the sampling.
     """
     k = f.k
-    per_dim = 13 if k == 1 else 5
-    grid = f.support_grid(per_dim) if hasattr(f, "support_grid") else np.empty((0, k, 3))
-    rng = np.random.default_rng(_SOBOLEV_SEED)
     boxes = _support_boxes(f)
+    # per box, the grid spanning [-0.9, 0.9] of each width around the centre
+    ticks = np.linspace(-0.9, 0.9, 13 if k == 1 else 5)
+    parts = [tensor_grid(center.reshape(-1, 1) + ticks * widths.reshape(-1, 1)).reshape(-1, k, 3)
+             for center, widths in boxes]
+    rng = np.random.default_rng(_SOBOLEV_SEED)
     if boxes:
         per = max(1, _SOBOLEV_EXTRA_POINTS // len(boxes))
-        parts = []
-        for center, widths in boxes:
-            offs = rng.uniform(-1.05, 1.05, size=(per, k, 3))
-            parts.append(center[None] + offs * widths[None])
-        rand = np.concatenate(parts, axis=0)
+        parts += [center[None] + rng.uniform(-1.05, 1.05, size=(per, k, 3)) * widths[None]
+                  for center, widths in boxes]
     else:
-        rand = np.stack([
+        parts.append(np.stack([
             rng.uniform(-0.45, 0.45, size=(_SOBOLEV_EXTRA_POINTS, k)),
             rng.uniform(1.05, 2.2, size=(_SOBOLEV_EXTRA_POINTS, k)),
             rng.uniform(0.1, math.pi - 0.1, size=(_SOBOLEV_EXTRA_POINTS, k)),
-        ], axis=2)
-    pts = np.concatenate([grid, rand], axis=0)
+        ], axis=2))
+    pts = np.concatenate(parts, axis=0)
     pts[:, :, 1] = np.maximum(pts[:, :, 1], 1e-3)
     return pts
 
@@ -455,18 +427,20 @@ def sobolev_norm(f, order: int) -> SobolevRecord:
         raise ValueError(f"order must be in 0..{cap}")
     k = f.k
     lattice = f.lattice
-    dirs = _direction_basis(k)
     eps = _FD_STEP * f.min_width()
     pts = _sample_coords(f)
     base_mats = qt.mats_from_coords(pts)
     best = float(np.max(np.abs(f.evaluate_coords(pts))))  # order-0 term
     if order == 0:
         return SobolevRecord(order=0, value=best, step=eps, points=len(pts), words=0)
+    # exp(s eps W) for s = +1, -1 and the 3k directions W: X, Y, Z in each factor
+    steps = np.array([[sl2.exp_map(sl2.LieAlgebraElement(s * eps * w)).mats
+                       for w in np.eye(3 * k).reshape(3 * k, k, 3)] for s in (1.0, -1.0)])
     nwords = 0
     for m in range(1, order + 1):
         for word in itertools.product(range(3 * k), repeat=m):
             nwords += 1
-            offs, signs = _offset_elements(word, dirs, eps, k)
+            offs, signs = _offset_elements(word, steps)
             # (P, O, k, 2, 2): every point times every offset
             moved = np.einsum("pkab,okbc->pokac", base_mats, offs)
             flat = moved.reshape(-1, k, 2, 2)

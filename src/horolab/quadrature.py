@@ -1,4 +1,4 @@
-"""Gauss-Legendre quadrature from numpy alone.
+"""Gauss-Legendre quadrature from numpy alone, and the tensor grid of quadrature axes.
 
 gauss_legendre(n) follows SciPy's roots_legendre step for step: the
 Golub-Welsch eigenvalues (LAPACK dsterf, where eigvals_banded ends too),
@@ -74,3 +74,8 @@ def gl_nodes(n: int, a: float, b: float):
     """The n-point rule mapped affinely onto [a, b]."""
     x, w = gauss_legendre(n)
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
+
+
+def tensor_grid(axes) -> np.ndarray:
+    """(M, len(axes)) array of every tuple of axis values, the last axis varying fastest."""
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)

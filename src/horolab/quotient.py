@@ -36,6 +36,7 @@ Gamma, and are certified only within the enumeration validity radius.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -44,6 +45,7 @@ import numpy as np
 
 from . import sl2
 from .errors import ConfigError
+from .quadrature import tensor_grid
 from .sl2 import GroupElement
 
 # reduction tolerances (k=1 exact Gauss loop)
@@ -248,19 +250,27 @@ def flow_a_contracting(p: QuotientPoint, t: float) -> QuotientPoint:
     return act(sl2.diagonal_a(-t, p.lattice.k), p)
 
 
-def phi_map(x: float, gamma_exp: float, k: int = 1) -> GroupElement:
-    """The composed element a(-log x / 2) * u(x^{1+gamma}) (the paper's alpha = 1).
+def phi_map(x: float, gamma_exp: float) -> GroupElement:
+    """The composed element a(-log x / 2) * u(x^{1+gamma}) of SL(2,R) (the paper's alpha = 1).
 
     Translating the identity class by this element at x = n drives the
     reduced cusp height to infinity like sqrt(n): the divergence
     signature separating the two branches of the sparse dichotomy.
     """
-    if x <= 0.0:
+    return GroupElement(_phi_stack([x], gamma_exp, 1)[0])
+
+
+def _phi_stack(xs, gamma_exp: float, k: int) -> np.ndarray:
+    """(N,k,2,2) stack of phi_map(x) for x in xs.
+
+    math.log and float ** run one x at a time: numpy's vector log and power
+    round some arguments to other bytes.
+    """
+    xs = [float(x) for x in xs]
+    if min(xs) <= 0.0:
         raise ValueError("phi map wants x > 0")
-    return sl2.compose(
-        sl2.diagonal_a(-math.log(x) / 2.0, k),
-        sl2.unipotent_u(x ** (1.0 + gamma_exp), k),
-    )
+    tau = [-math.log(x) / 2.0 for x in xs]
+    return sl2.au_stack(tau, [x ** (1.0 + gamma_exp) for x in xs], k)
 
 
 # ----------------------------------------------------------------------
@@ -667,6 +677,11 @@ def _with_negations(stack: np.ndarray) -> np.ndarray:
     return np.concatenate([stack, -stack], axis=0)
 
 
+def _ball_words(left: np.ndarray, gammas: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left^{-1} gamma right for every gamma of a (N,k,2,2) stack; left, right are (k,2,2)."""
+    return np.einsum("kab,nkbc,kcd->nkad", sl2.inverse(left), gammas, right)
+
+
 def quotient_distance(p: QuotientPoint, q: QuotientPoint) -> float:
     """min over enumerated gamma of distance(p.rep, gamma * q.rep).
 
@@ -679,9 +694,7 @@ def quotient_distance(p: QuotientPoint, q: QuotientPoint) -> float:
     gammas = _with_negations(enumerate_gamma(p.lattice))
     best = np.inf
     for left, right in ((p, q), (q, p)):
-        moved = np.einsum("nkab,kbc->nkac", gammas, right.rep.mats)
-        inv_left = sl2.inverse(left.rep).mats
-        w = np.einsum("kab,nkbc->nkac", inv_left, moved)
+        w = _ball_words(left.rep.mats, gammas, right.rep.mats)
         best = min(best, float(sl2.displacement_from_identity_batch(w).min()))
     return best
 
@@ -694,10 +707,7 @@ def injectivity_radius(p: QuotientPoint) -> float:
     """
     gammas = enumerate_gamma(p.lattice)
     gammas = _with_negations(gammas[1:])  # drop identity; keep -identity out too
-    rep = p.rep.mats
-    inv_rep = sl2.inverse(p.rep).mats
-    w = np.einsum("kab,nkbc,kcd->nkad", inv_rep, gammas, rep)
-    disp = sl2.displacement_from_identity_batch(w)
+    disp = sl2.displacement_from_identity_batch(_ball_words(p.rep.mats, gammas, p.rep.mats))
     return float(min(0.5 * disp.min(), ETA_VALIDITY_RADIUS))
 
 
@@ -709,10 +719,10 @@ def cusp_heights(lattice: Lattice, stack: np.ndarray) -> np.ndarray:
     the standard height at the cusp at infinity, taken row by row so the
     (c, d) family is never broadcast against the whole stack.
     """
-    return _reduced_heights(lattice, reduce_stack(lattice, stack)[0])
+    return reduced_heights(lattice, reduce_stack(lattice, stack)[0])
 
 
-def _reduced_heights(lattice: Lattice, red: np.ndarray) -> np.ndarray:
+def reduced_heights(lattice: Lattice, red: np.ndarray) -> np.ndarray:
     """Cusp heights of an already-reduced (N,k,2,2) stack (see cusp_heights)."""
     x, y = _mobius_coords(red)  # (N, k)
     if isinstance(lattice, ModularLattice):
@@ -732,9 +742,9 @@ def _cd_rows(lat: HilbertLattice) -> np.ndarray:
     """Embedded nonzero rows (c, d) in O^2 with coefficients up to
     CUSP_CD_COEFF_BOUND; built once per lattice and read-only."""
     rng = np.arange(-CUSP_CD_COEFF_BOUND, CUSP_CD_COEFF_BOUND + 1)
-    m, n = np.meshgrid(rng, rng, indexing="ij")
+    mn = tensor_grid([rng, rng])
     # both embeddings of one O-element per row
-    pairs = m.reshape(-1, 1) + n.reshape(-1, 1) * np.array(lat.omega_embeddings())
+    pairs = mn[:, :1] + mn[:, 1:] * np.array(lat.omega_embeddings())
     ce = np.repeat(pairs, len(pairs), axis=0)
     de = np.tile(pairs, (len(pairs), 1))
     keep = ~((np.abs(ce).max(axis=1) < 1e-12) & (np.abs(de).max(axis=1) < 1e-12))
@@ -770,14 +780,14 @@ def detect_divergence(p: QuotientPoint, mode: str = "geodesic",
     k = p.lattice.k
     if mode == "geodesic":
         times = np.linspace(0.0, t_max, samples)
-        elements = [sl2.diagonal_a(-float(t), k) for t in times]
+        elements = sl2.au_stack(-times, 0.0, k)
     elif mode == "phi":
         times = np.unique(np.floor(np.geomspace(1.0, max(t_max, 2.0), samples)))
-        elements = [phi_map(float(x), gamma_exp, k) for x in times]
+        elements = _phi_stack(times, gamma_exp, k)
     else:
         raise ValueError(f"unknown divergence mode {mode!r}")
-    moved = np.reshape([act(g, p).rep.mats for g in elements], (-1, k, 2, 2))
-    heights = cusp_heights(p.lattice, moved)
+    # act(g, p) for every sample g
+    heights = cusp_heights(p.lattice, np.matmul(p.rep.mats, sl2.inverse(elements)))
     escape = heights > HEIGHT_THRESHOLD
     diverges = False
     first_escape = None
@@ -814,10 +824,7 @@ def torus_orbit_check(p: QuotientPoint, grid: int = 6) -> TorusReport:
     """
     lat = p.lattice
     k = lat.k
-    gammas = enumerate_gamma(lat)[1:]
-    rep = p.rep.mats
-    inv_rep = sl2.inverse(p.rep).mats
-    h_all = np.einsum("kab,nkbc,kcd->nkad", inv_rep, gammas, rep)
+    h_all = _ball_words(p.rep.mats, enumerate_gamma(lat)[1:], p.rep.mats)
     tr = h_all[:, :, 0, 0] + h_all[:, :, 1, 1]
     unipotent = np.all(np.abs(tr - 2.0) <= UNIPOTENT_TOL, axis=1)
     first = h_all[:, 0]
@@ -840,23 +847,18 @@ def torus_orbit_check(p: QuotientPoint, grid: int = 6) -> TorusReport:
         if len(chosen) == k:
             break
     torus_dim = len(chosen)
-    gens = [GroupElement(cand[i]) for i in chosen]
-    defect = 0.0
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            ab = sl2.compose(gens[i], gens[j]).mats
-            ba = sl2.compose(gens[j], gens[i]).mats
-            defect = max(defect, float(np.max(np.abs(ab - ba))))
+    gens = cand[chosen]
+    defect = max([0.0] + [float(np.max(np.abs(a @ b - b @ a)))
+                          for a, b in itertools.combinations(gens, 2)])
     found = torus_dim == k and defect <= UNIPOTENT_TOL
     bound = None
     if found:
-        nil = [g.mats - np.eye(2)[None] for g in gens]
-        ticks = np.linspace(0.0, 1.0, grid)
-        mesh = np.meshgrid(*([ticks] * torus_dim), indexing="ij")
-        coords = np.stack([m.ravel() for m in mesh], axis=1)
-        shifts = [np.eye(2) + sum(ci * ni for ci, ni in zip(c, nil)) for c in coords]
-        moved = np.array([translate(p, GroupElement(s)).rep.mats for s in shifts])
-        bound = float(cusp_heights(lat, moved).max())
+        # translate(p, I + sum_i c_i (gen_i - I)) for every c on the grid [0, 1]^k
+        nil = gens - np.eye(2)
+        coords = tensor_grid([np.linspace(0.0, 1.0, grid)] * torus_dim)
+        shifts = np.eye(2) + sum(coords[:, i, None, None, None] * nil[i] for i in range(torus_dim))
+        bound = float(cusp_heights(lat, np.matmul(p.rep.mats, shifts)).max())
         found = bound <= HEIGHT_THRESHOLD
-    return TorusReport(found=found, torus_dim=torus_dim, generators=gens,
+    return TorusReport(found=found, torus_dim=torus_dim,
+                       generators=[GroupElement(g) for g in gens],
                        orbit_height_bound=bound, commutation_defect=defect)

@@ -267,7 +267,6 @@ class AverageResult:
     deviation: float
     timeset: TimeSet
     point_id: str = ""
-    sobolev_l: int | None = None
     metadata: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
@@ -278,7 +277,7 @@ class AverageResult:
             "deviation": self.deviation,
             "timeset": repr(self.timeset),
             "point_id": self.point_id,
-            "sobolev_l": self.sobolev_l,
+            "sobolev_l": None,  # no average fixes a Sobolev order; kept for the content IDs
             **self.metadata,
         }
 

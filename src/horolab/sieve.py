@@ -622,7 +622,7 @@ def dynamical_sieve_pipeline(weights: np.ndarray, alpha_exp: float,
                              epsilon: float = 0.004, s_target: float = 101.0) -> PipelineReport:
     """Run the sieve over orbit weights a(n), n = 1..N.
 
-    z = N^alpha, D = z^{s_target}; the excluded prime set comes from the
+    z = N^alpha <= N, D = z^{s_target}; the excluded prime set comes from the
     empirical Mertens threshold at 3*epsilon so the density hypothesis
     holds with factor (1 + epsilon); the almost-prime level is
     L = floor(1/alpha) + 1, and the report certifies the chain
@@ -644,6 +644,8 @@ def dynamical_sieve_pipeline(weights: np.ndarray, alpha_exp: float,
         level_d = z ** s_target
     except OverflowError:
         raise ConfigError(f"sieve level D = z^s overflows at z = {z:.6g}, s = {s_target:g}") from None
+    if z > n_max:  # the primes below z would need a factor table past N
+        raise ConfigError(f"sieve cut z = N^alpha = {z:.6g} exceeds N = {n_max}")
     level = int(math.floor(1.0 / alpha_exp)) + 1
     table = build_factor_table(n_max)  # before the u~ scan: the lower measured peak RSS
     u_tilde = empirical_u_tilde(3.0 * epsilon)

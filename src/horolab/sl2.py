@@ -135,21 +135,32 @@ def inverse(g):
     return GroupElement(out) if isinstance(g, GroupElement) else out
 
 
+def au_stack(tau, shear, k: int) -> np.ndarray:
+    """(N,k,2,2) stack of a(tau) u(shear) in the first factor, identity elsewhere.
+
+    The first factor is [[e^{tau/2}, e^{tau/2} shear], [0, e^{-tau/2}]]:
+    every entry has the bytes of the matrix product a(tau) u(shear).
+    """
+    tau = np.asarray(tau, dtype=float)
+    over = np.abs(tau) > A_PARAM_MAX
+    if over.any():
+        raise GroupDomainError(
+            f"diagonal_a parameter {tau[over][0]} exceeds overflow guard {A_PARAM_MAX}")
+    out = np.broadcast_to(np.eye(2), (len(tau), k, 2, 2)).copy()
+    out[:, 0, 0, 0] = np.exp(0.5 * tau)
+    out[:, 0, 1, 1] = np.exp(-0.5 * tau)
+    out[:, 0, 0, 1] = out[:, 0, 0, 0] * shear
+    return out
+
+
 def unipotent_u(t: float, k: int = 1) -> GroupElement:
     """u(t) in the first factor, identity elsewhere."""
-    out = identity(k)
-    out.mats[0, 0, 1] = t
-    return out
+    return GroupElement(au_stack([0.0], [t], k)[0])
 
 
 def diagonal_a(t: float, k: int = 1) -> GroupElement:
     """a(t) = diag(e^{t/2}, e^{-t/2}) in the first factor."""
-    if abs(t) > A_PARAM_MAX:
-        raise GroupDomainError(f"diagonal_a parameter {t} exceeds overflow guard {A_PARAM_MAX}")
-    out = identity(k)
-    out.mats[0, 0, 0] = np.exp(0.5 * t)
-    out.mats[0, 1, 1] = np.exp(-0.5 * t)
-    return out
+    return GroupElement(au_stack([t], [0.0], k)[0])
 
 
 def adjoint(g: GroupElement, x: LieAlgebraElement) -> LieAlgebraElement:

@@ -9,6 +9,7 @@ import pytest
 import horolab.experiments as ex
 from horolab.cli import build_parser, config_from_args, main
 from horolab.errors import ConfigError, ToleranceFailure
+from horolab.sieve import build_factor_table
 
 
 def quick_average_config(**overrides) -> ex.ExperimentConfig:
@@ -402,6 +403,11 @@ class TestCli:
         # the README example and the only k = 1 run through the dichotomy torus branch
         (["dichotomy", "mode=almost", "--point", "preset:cusp", "N=1e5"], "2bf8c7607f39ff83"),
         (["torus", "--lattice", "hilbert", "D=19", "--point", "identity"], "be641b91ee1f818a"),
+        (["torus", "--lattice", "hilbert", "D=2", "--point", "identity"], "9717c529984f90bd"),
+        # through the Sobolev offsets of the block bound
+        (["blocks", "M=1e5"], "819f339eae263654"),
+        # through the geodesic probe's heights and the dense-branch cover
+        (["dichotomy", "mode=almost", "--point", "preset:generic1", "N=1e5"], "0efffde9a94a5979"),
     ])
     def test_pinned_content_id(self, capsys, argv, content_id):
         assert main(argv) == 0
@@ -458,16 +464,20 @@ class TestCli:
         ["sieve", "s=0"],
         ["sieve", "N=1e4", "eps=0"],
         ["sieve", "N=1e3", "z-exp=2"],
+        ["sieve", "N=1e6", "z-exp=1.5", "s=1.2"],
         ["average", "N=10", "--observable", "bump:0,1.5,1,0,0.3,0.4"],
         ["reduce", "--point", "coords:x,1,2"],
         ["average", "N=10", "--observable", "constant:abc"],
         ["average", "--timeset", "interval", "T=1e13"],
     ], ids=["torus-D=4", "reduce-D=1", "sieve-eps=0.1", "sieve-z-exp=0", "sieve-s=0",
-            "sieve-eps=0", "sieve-D-overflows", "bump-zero-width", "coords-not-a-number", "constant-not-a-number",
-            "interval-T=1e13"])
+            "sieve-eps=0", "sieve-D-overflows", "sieve-z-past-N", "bump-zero-width",
+            "coords-not-a-number", "constant-not-a-number", "interval-T=1e13"])
     def test_rejected_value_is_config_error(self, argv, capsys):
+        # rejected before any factor table: z = N^1.5 at N = 1e6 would ask for 10^9 entries
+        tables = build_factor_table.cache_info().currsize
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("config error:")
+        assert build_factor_table.cache_info().currsize == tables
 
     def test_almost_prime_average_at_n_1(self, capsys):
         assert main(["average", "--timeset", "almost", "N=1"]) == 0

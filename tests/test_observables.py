@@ -1,5 +1,6 @@
 """Bumps, smoothing kernels, Sobolev envelopes, Haar references."""
 
+import itertools
 import math
 
 import numpy as np
@@ -216,6 +217,23 @@ class TestSobolev:
         a = ob.sobolev_norm(test_bump, 2)
         b = ob.sobolev_norm(test_bump, 2)
         assert a.value == b.value and a.points == b.points
+
+    @pytest.mark.parametrize("k, word", [(1, (0,)), (1, (2, 0, 1)), (2, (3, 5)), (2, (4, 0, 4))])
+    def test_offsets_are_the_compose_loop(self, k, word):
+        """The (2^m,k,2,2) offset stack has the bytes of composing one exp step at a time."""
+        eps = 0.0035
+        dirs = np.eye(3 * k).reshape(3 * k, k, 3)
+        steps = np.array([[sl2.exp_map(sl2.LieAlgebraElement(s * eps * w)).mats for w in dirs]
+                          for s in (1.0, -1.0)])
+        mats, signs = ob._offset_elements(word, steps)
+        combos = list(itertools.product((1.0, -1.0), repeat=len(word)))
+        assert mats.shape == (len(combos), k, 2, 2)
+        for got, sign, combo in zip(mats, signs, combos):
+            acc = sl2.identity(k)
+            for s, w in zip(combo, word):
+                acc = sl2.compose(acc, sl2.exp_map(sl2.LieAlgebraElement(s * eps * dirs[w])))
+            assert got.tobytes() == acc.mats.tobytes()
+            assert sign == math.prod(combo)
 
 
 class TestHaarIntegralK1:

@@ -1,6 +1,7 @@
 """Quotient layer: reduction, translation flows, heights, stabilizers."""
 
 import hashlib
+import itertools
 import math
 import time
 
@@ -559,6 +560,32 @@ class TestCuspHeightsKernel:
         stack = np.concatenate([stack, elliptic_rows(1)])
         heights = qt.cusp_heights(modular, stack)
         assert heights.tobytes() == single_point_heights(modular, stack).tobytes()
+
+    @pytest.mark.parametrize("name", ["generic1", "hilbert-identity"])
+    @pytest.mark.parametrize("mode, t_max", [("geodesic", 30.0), ("phi", 1.0e5)])
+    def test_divergence_probe_stack_is_act_per_sample(self, monkeypatch, name, mode, t_max):
+        p = point_preset(name)
+        k = p.lattice.k
+        [(_, stack)], rep = self.captured_stacks(
+            monkeypatch, lambda: qt.detect_divergence(p, mode=mode, t_max=t_max))
+        if mode == "geodesic":
+            elements = [sl2.diagonal_a(-t, k) for t in rep.times.tolist()]
+        else:  # phi_map at the default gamma_exp = 0.1, for any k
+            elements = [sl2.compose(sl2.diagonal_a(-math.log(x) / 2.0, k),
+                                    sl2.unipotent_u(x ** (1.0 + 0.1), k))
+                        for x in rep.times.tolist()]
+        expected = np.array([qt.act(g, p).rep.mats for g in elements])
+        assert stack.tobytes() == expected.tobytes()
+
+    def test_torus_grid_stack_is_translate_per_point(self, monkeypatch, hilbert):
+        p = qt.flow_a_contracting(qt.identity_coset(hilbert), 0.3)
+        [(_, stack)], rep = self.captured_stacks(monkeypatch, lambda: qt.torus_orbit_check(p))
+        assert rep.found and rep.torus_dim == 2
+        nil = [g.mats - np.eye(2) for g in rep.generators]
+        shifts = [np.eye(2) + sum(c * n for c, n in zip(coords, nil))
+                  for coords in itertools.product(np.linspace(0.0, 1.0, 6), repeat=2)]
+        expected = np.array([qt.translate(p, sl2.GroupElement(s)).rep.mats for s in shifts])
+        assert stack.tobytes() == expected.tobytes()
 
     def test_one_row_view(self, hilbert):
         for p in (point_at(0.3 + 2.0j), qt.identity_coset(hilbert)):

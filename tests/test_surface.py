@@ -1,5 +1,5 @@
 """Static guards on horolab's surface: every option has a caller, every import a use,
-and no module keeps a hand-rolled cache.
+no module keeps a hand-rolled cache, and no module reads another's private names.
 
 All read the source with `ast` and run nothing.  The census matches calls
 to definitions by name only, so a call to any function of the same name
@@ -21,16 +21,36 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
+               for d in node.decorator_list)
+
+
+def _init_field(item) -> bool:
+    """An annotated class-body name that is a parameter of the dataclass `__init__`."""
+    if not (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)):
+        return False
+    return not (isinstance(item.value, ast.Call) and any(
+        k.arg == "init" and isinstance(k.value, ast.Constant) and k.value.value is False
+        for k in item.value.keywords))
+
+
 def _defaulted_params(tree: ast.Module):
     """(name, parameter, position or None, leading self/cls count) of every
-    defaulted parameter; `__init__` is named after its class."""
+    defaulted parameter; `__init__` is named after its class, and so is a
+    dataclass, whose defaulted fields are the parameters of its `__init__`."""
     owners = {}
+    out = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     owners[item] = node.name
-    out = []
+            if _is_dataclass(node):
+                fields = [item for item in node.body if _init_field(item)]
+                out += [(node.name, item.target.id, i, 0)
+                        for i, item in enumerate(fields) if item.value is not None]
     for node in ast.walk(tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
@@ -101,6 +121,26 @@ def unused_imports() -> list[str]:
     return unused
 
 
+def foreign_private_names() -> list[str]:
+    """`module: name` for every `_private` name a module takes from another horolab module."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = _parse(path)
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                if node.module is None:  # from . import quotient as qt
+                    modules |= {alias.asname or alias.name for alias in node.names}
+                else:
+                    found += [f"{path.stem}: {node.module}.{alias.name}" for alias in node.names
+                              if alias.name.startswith("_")]
+        found += [f"{path.stem}: {node.value.id}.{node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules and node.attr.startswith("_")
+                  and not node.attr.startswith("__")]
+    return found
+
+
 def empty_module_dicts() -> list[str]:
     """`module.NAME` for every module-level name bound to an empty dict (`{}` or `dict()`)."""
     found = []
@@ -126,6 +166,10 @@ def test_every_defaulted_parameter_has_a_caller():
 
 def test_every_import_is_used():
     assert unused_imports() == []
+
+
+def test_no_module_reads_another_modules_private_names():
+    assert foreign_private_names() == []
 
 
 def test_caches_are_functools_caches():
