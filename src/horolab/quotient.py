@@ -23,9 +23,9 @@ Two lattice families are supported:
 * HilbertLattice: k = 2, Gamma = SL2(O) for the ring of integers O of a
   real quadratic field Q(sqrt(D)), embedded by its two real places.
   Reduction is a best-effort bounded local search over O-translations,
-  unit rescalings and inversion, run on whole (N,2,2,2) stacks with
-  masked updates; the reduced flag reports whether the search reached a
-  local optimum inside its budget.  The fundamental unit comes from the
+  unit rescalings and inversion, run on the entry arrays of whole stacks;
+  a row retires at its fixed point, and the reduced flag reports whether
+  the search reached that local optimum inside its budget.  The fundamental unit comes from the
   continued-fraction expansion of a reduced generator of O, in exact
   integers, once per lattice.
 
@@ -228,7 +228,7 @@ def flow_u(p: QuotientPoint, t: float) -> QuotientPoint:
     return act(sl2.unipotent_u(t, p.lattice.k), p)
 
 
-# rows per orbit_values block: a 400 k-row k = 2 arc takes 1.30 s, 3.25 s unblocked (2 vCPU)
+# rows per orbit_values block: a 400 k-row k = 2 arc takes 0.39-0.55 s, 0.48-0.63 s unblocked (2 vCPU)
 _BLOCK_ROWS = 16_384
 
 
@@ -277,13 +277,15 @@ def _phi_stack(xs, gamma_exp: float, k: int) -> np.ndarray:
 # batched Gauss reduction, k = 1
 # ----------------------------------------------------------------------
 
-def _mobius_coords(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(x, y) of g*i for a (...,2,2) stack; y uses the exact determinant."""
+def _mobius_coords(mats: np.ndarray,
+                   want: str = "xy") -> tuple[np.ndarray | None, np.ndarray | None]:
+    """(x, y) of g*i for a (...,2,2) stack; y uses the exact determinant.
+    Only the coordinates named in want are computed, the other is None."""
     a, b = mats[..., 0, 0], mats[..., 0, 1]
     c, d = mats[..., 1, 0], mats[..., 1, 1]
     den = c * c + d * d
-    x = (a * c + b * d) / den
-    y = (a * d - b * c) / den
+    x = (a * c + b * d) / den if "x" in want else None
+    y = (a * d - b * c) / den if "y" in want else None
     return x, y
 
 
@@ -478,84 +480,96 @@ def coordinates(p: QuotientPoint) -> np.ndarray:
 # Hilbert-modular best-effort reduction, k = 2
 # ----------------------------------------------------------------------
 
-def _unit_matrices(lat: HilbertLattice) -> tuple[np.ndarray, np.ndarray]:
-    """Embedded diag(eps, eps^{-1}) and its inverse as (2,2,2) stacks."""
-    eps, inv = lat.unit_pair
-    e1, e2 = lat.embed(*eps)
-    i1, i2 = lat.embed(*inv)
-    fwd = np.array([[[e1, 0.0], [0.0, i1]], [[e2, 0.0], [0.0, i2]]])
-    bwd = np.array([[[i1, 0.0], [0.0, e1]], [[i2, 0.0], [0.0, e2]]])
-    return fwd, bwd
-
-
-def _balance_units(out: np.ndarray, units: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Apply diag-unit^m in place to balance y1 against y2; returns the
-    rows moved.  y1/y2 scales by eps^{4m}; the unit is applied |m| times
-    one step after another (not as a power eps^m, which rounds differently).
-    """
-    log_unit = math.log(abs(units[0][0, 0, 0]))
-    _, y = _mobius_coords(out)
-    ratio = 0.5 * np.log(y[:, 0] / y[:, 1])
-    m_balance = np.rint(-ratio / (2.0 * log_unit)).astype(int)
-    moved = [np.flatnonzero(m_balance * sign > 0) for sign in (1, -1)]
-    for rows, unit in zip(moved, units):
-        left = np.abs(m_balance[rows])
+def _balance_units(ent: np.ndarray, lat: HilbertLattice) -> np.ndarray:
+    """Apply diag-unit^m in place to balance y1 against y2; returns the mask
+    of rows moved.  y1/y2 scales by eps^{4m}; the unit is applied |m| times
+    one step after another (a power eps^m rounds differently)."""
+    (e1, e2), (i1, i2) = (lat.embed(*u) for u in lat.unit_pair)
+    _, y = _mobius_coords(np.moveaxis(ent.reshape(2, 2, 2, -1), -1, 1), "y")
+    ratio = 0.5 * np.log(y[0] / y[1])
+    m = np.rint(-ratio / (2.0 * math.log(abs(e1))))
+    m = np.nan_to_num(m, nan=0.0, posinf=0.0, neginf=0.0).astype(int)
+    for sign, unit in ((1, [e1, e1, i1, i1, e2, e2, i2, i2]),
+                       (-1, [i1, i1, e1, e1, i2, i2, e2, e2])):
+        rows = np.flatnonzero(m * sign > 0)
+        left = np.abs(m[rows])
         while len(rows):
-            for i in range(2):  # factor by factor halves the temporaries
-                out[rows, i] = unit[i] @ out[rows, i]
+            for entry, scale in zip(ent, unit):
+                entry[rows] = entry[rows] * scale + 0.0
             left -= 1
             rows, left = rows[left > 0], left[left > 0]
-    return np.concatenate(moved)
+    return m != 0
 
 
-def _translate(out: np.ndarray, lat: HilbertLattice) -> np.ndarray:
-    """Apply the nearest O-translation of (x1, x2) in place; returns the rows moved."""
+def _translate(ent: np.ndarray, lat: HilbertLattice) -> np.ndarray:
+    """Apply the nearest O-translation of (x1, x2) in place; returns the
+    mask of rows moved.  The basis inverse is LAPACK's, which the closed
+    form misses in last bits; only rint of its products is read."""
     w1, w2 = lat.omega_embeddings()
-    basis_inv = np.linalg.inv(np.array([[1.0, w1], [1.0, w2]]))
-    x, _ = _mobius_coords(out)
-    coeffs = (basis_inv @ np.stack([x[:, 0], x[:, 1]]))
-    mn = np.rint(coeffs).astype(int)
-    nonzero = (mn[0] != 0) | (mn[1] != 0)
-    rows = np.flatnonzero(nonzero)
-    # apply [[1, -t],[0,1]] on the left, factor-wise
-    t1 = mn[0, rows] + mn[1, rows] * w1
-    t2 = mn[0, rows] + mn[1, rows] * w2
-    out[rows, 0, 0, 0] -= t1 * out[rows, 0, 1, 0]
-    out[rows, 0, 0, 1] -= t1 * out[rows, 0, 1, 1]
-    out[rows, 1, 0, 0] -= t2 * out[rows, 1, 1, 0]
-    out[rows, 1, 0, 1] -= t2 * out[rows, 1, 1, 1]
-    return rows
+    (p, q), (r, s) = np.linalg.inv(np.array([[1.0, w1], [1.0, w2]]))
+    x, _ = _mobius_coords(np.moveaxis(ent.reshape(2, 2, 2, -1), -1, 1), "x")
+    m = np.rint(p * x[0] + q * x[1]).astype(int)
+    n = np.rint(r * x[0] + s * x[1]).astype(int)
+    moved = (m != 0) | (n != 0)
+    rows = np.flatnonzero(moved)
+    m, n = m[rows], n[rows]
+    # [[1, -t], [0, 1]] on the left: a, b of each factor less t times c, d
+    for top, t in ((0, m + n * w1), (4, m + n * w2)):
+        for i in (top, top + 1):
+            ent[i][rows] -= t * ent[i + 2][rows]
+    return moved
 
 
-def _invert(out: np.ndarray) -> np.ndarray:
-    """Invert in place where it grows the product height; returns the rows moved."""
-    x, y = _mobius_coords(out)
+def _invert(ent: np.ndarray) -> np.ndarray:
+    """Invert in place where it grows the product height; returns the mask
+    of rows moved."""
+    x, y = _mobius_coords(np.moveaxis(ent.reshape(2, 2, 2, -1), -1, 1))
     r2 = x * x + y * y
-    gain = 1.0 / (r2[:, 0] * r2[:, 1])
-    rows = np.flatnonzero(gain > 1.0 + 1e-12)
-    out[rows, :, 0], out[rows, :, 1] = -out[rows, :, 1], out[rows, :, 0]
-    return rows
+    del x, y
+    moved = 1.0 / (r2[0] * r2[1]) > 1.0 + 1e-12
+    rows = np.flatnonzero(moved)
+    for i in (0, 1, 4, 5):
+        ent[i][rows], ent[i + 2][rows] = -ent[i + 2][rows], ent[i][rows]
+    return moved
 
 
 def _reduce_stack_hilbert(lat: HilbertLattice, stack: np.ndarray):
-    """Bounded local search: translations, unit balancing, inversion.
+    """Bounded local search: unit balancing, translations, inversion.
 
     Maximises the product height y1*y2 and centres (x1, x2) at the
     origin of the embedded integer lattice; the flag reports whether a
-    fixed point was reached within the round budget (best effort).  Each
-    step is a helper, so its temporaries are freed before the next one.
+    fixed point was reached within the round budget (best effort).
+
+    Rows are held as eight contiguous entry arrays (a, b, c, d per factor);
+    each step is a helper, so its temporaries are freed before the next.
+    A step reads only its own row, so a row no step moved in a round is an
+    exact fixed point: it retires, flagged converged.  The unit step gives
+    the bytes of diag(e, 1/e) @ g: e*a + 0*c is e*a for finite c, but an
+    exact zero comes out +0 (hence the + 0.0), and a row with a non-finite
+    entry has a non-finite height ratio, so it is never balanced.
     """
-    out = np.array(stack, dtype=float, copy=True)
-    units = _unit_matrices(lat)
+    stack = np.asarray(stack, dtype=float)
+    n = live = len(stack)
+    # entries of the stack rows in `rows`: live rows first, then retired ones
+    ent = stack.reshape(n, 8).T.copy()
+    rows = np.arange(n)
     for _ in range(HILBERT_MAX_ROUNDS):
-        changed = np.zeros(len(out), dtype=bool)
-        changed[_balance_units(out, units)] = True
-        changed[_translate(out, lat)] = True
-        changed[_invert(out)] = True
-        converged = ~changed
-        if not changed.any():
+        if live == 0:
             break
-    return out, converged
+        work = ent[:, :live]
+        moved = _balance_units(work, lat)
+        moved |= _translate(work, lat)
+        moved |= _invert(work)
+        if not moved.all():
+            order = np.concatenate([np.flatnonzero(moved), np.flatnonzero(~moved)])
+            for entry in (*ent, rows):  # permuted in place
+                entry[:live] = entry[:live][order]
+            live = int(moved.sum())
+    out = np.empty((n, 8))
+    out[rows] = ent.T
+    converged = np.zeros(n, dtype=bool)
+    converged[rows[live:]] = True
+    return out.reshape(n, 2, 2, 2), converged
 
 
 # ----------------------------------------------------------------------

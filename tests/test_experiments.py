@@ -1,7 +1,12 @@
 """Experiment configs, result records, runners, report, and the CLI."""
 
 import json
+import os
+import re
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +15,37 @@ import horolab.experiments as ex
 from horolab.cli import build_parser, config_from_args, main
 from horolab.errors import ConfigError, ToleranceFailure
 from horolab.sieve import build_factor_table
+
+# the directory holding the horolab package under test
+SRC = Path(ex.__file__).resolve().parents[1]
+# every pinned CLI content ID: (argv, content id)
+PINNED_CLI_IDS = [
+    (["average", "N=1", "T=1e3", "K=1"], "dad93dbe8998f80a"),
+    (["reduce"], "65786cf01b0d7b6d"),
+    (["average", "--timeset", "interval", "T=1e3"], "9c5ad06c18d300b7"),
+    (["reduce", "--lattice", "hilbert", "D=2",
+      "--point", "coords:0.1,1.3,0.4,-0.2,1.1,1.7"], "4c5cf3c5c835b6b1"),
+    (["dichotomy", "mode=poly", "--lattice", "hilbert", "D=2", "--point", "identity"],
+     "d13e102178387d0f"),
+    # the first pin through haar_reference_k2's 400 k-row arc
+    (["average", "--lattice", "hilbert", "D=2",
+      "--point", "coords:0.1,1.3,0.4,-0.2,1.1,1.7",
+      "--timeset", "poly", "N=1e3"], "a562b743fce67bc9"),
+    (["orbit", "--timeset", "progression", "K=0.01", "T=1e3"], "5216e9984061f1e5"),
+    (["orbit", "--lattice", "hilbert", "D=2",
+      "--point", "coords:0.1,1.3,0.4,-0.2,1.1,1.7",
+      "--timeset", "progression", "K=0.05", "T=1e3"], "965c621d62917407"),
+    # the README example and the only k = 1 run through the dichotomy torus branch
+    (["dichotomy", "mode=almost", "--point", "preset:cusp", "N=1e5"], "2bf8c7607f39ff83"),
+    (["torus", "--lattice", "hilbert", "D=19", "--point", "identity"], "be641b91ee1f818a"),
+    (["torus", "--lattice", "hilbert", "D=2", "--point", "identity"], "9717c529984f90bd"),
+    # through the Sobolev offsets of the block bound
+    (["blocks", "M=1e5"], "819f339eae263654"),
+    # through the geodesic probe's heights and the dense-branch cover
+    (["dichotomy", "mode=almost", "--point", "preset:generic1", "N=1e5"], "0efffde9a94a5979"),
+]
+# the ones that reduce on a Hilbert lattice (k = 2)
+PINNED_K2_IDS = [(argv, cid) for argv, cid in PINNED_CLI_IDS if "hilbert" in argv]
 
 
 def quick_average_config(**overrides) -> ex.ExperimentConfig:
@@ -384,34 +420,27 @@ class TestCli:
         assert "torus_dim = 2" in out
         assert " content 9717c529984f90bd " in out
 
-    @pytest.mark.parametrize("argv, content_id", [
-        (["average", "N=1", "T=1e3", "K=1"], "dad93dbe8998f80a"),
-        (["reduce"], "65786cf01b0d7b6d"),
-        (["average", "--timeset", "interval", "T=1e3"], "9c5ad06c18d300b7"),
-        (["reduce", "--lattice", "hilbert", "D=2",
-          "--point", "coords:0.1,1.3,0.4,-0.2,1.1,1.7"], "4c5cf3c5c835b6b1"),
-        (["dichotomy", "mode=poly", "--lattice", "hilbert", "D=2", "--point", "identity"],
-         "d13e102178387d0f"),
-        # the first pin through haar_reference_k2's 400 k-row arc
-        (["average", "--lattice", "hilbert", "D=2",
-          "--point", "coords:0.1,1.3,0.4,-0.2,1.1,1.7",
-          "--timeset", "poly", "N=1e3"], "a562b743fce67bc9"),
-        (["orbit", "--timeset", "progression", "K=0.01", "T=1e3"], "5216e9984061f1e5"),
-        (["orbit", "--lattice", "hilbert", "D=2",
-          "--point", "coords:0.1,1.3,0.4,-0.2,1.1,1.7",
-          "--timeset", "progression", "K=0.05", "T=1e3"], "965c621d62917407"),
-        # the README example and the only k = 1 run through the dichotomy torus branch
-        (["dichotomy", "mode=almost", "--point", "preset:cusp", "N=1e5"], "2bf8c7607f39ff83"),
-        (["torus", "--lattice", "hilbert", "D=19", "--point", "identity"], "be641b91ee1f818a"),
-        (["torus", "--lattice", "hilbert", "D=2", "--point", "identity"], "9717c529984f90bd"),
-        # through the Sobolev offsets of the block bound
-        (["blocks", "M=1e5"], "819f339eae263654"),
-        # through the geodesic probe's heights and the dense-branch cover
-        (["dichotomy", "mode=almost", "--point", "preset:generic1", "N=1e5"], "0efffde9a94a5979"),
-    ])
+    @pytest.mark.parametrize("argv, content_id", PINNED_CLI_IDS)
     def test_pinned_content_id(self, capsys, argv, content_id):
         assert main(argv) == 0
         assert f" content {content_id} " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("blas_env", [{"OPENBLAS_NUM_THREADS": "1"},
+                                          {"OPENBLAS_NUM_THREADS": "4"},
+                                          {"OPENBLAS_CORETYPE": "Nehalem"}],
+                             ids=["threads-1", "threads-4", "nehalem"])
+    def test_k2_ids_independent_of_blas(self, blas_env):
+        # the variables act only on the child; one interpreter runs all six
+        env = {k: v for k, v in os.environ.items() if not k.startswith("OPENBLAS_")}
+        env.update(blas_env, PYTHONPATH=str(SRC))
+        code = ("import sys\nfrom horolab.cli import main\n"
+                f"for argv in {[argv for argv, _ in PINNED_K2_IDS]!r}:\n"
+                "    assert main(argv) == 0\n")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        ids = re.findall(r" content ([0-9a-f]{16}) ", out.stdout)
+        assert ids == [content_id for _, content_id in PINNED_K2_IDS]
 
     def test_torus_hilbert_d19(self, capsys):
         # the unit 170 + 39 sqrt(19) lies outside any small coefficient box

@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+from horolab import observables as ob
 from horolab import quotient as qt
 from horolab import sl2
 from horolab.presets import bump_preset, point_preset
@@ -238,6 +239,128 @@ def assert_cold_bytes(mats, result):
     # the word equals the cold word up to sign; its zeros may differ in sign
     same = np.all((word == ref_word) | (np.isnan(word) & np.isnan(ref_word)), axis=(1, 2))
     assert np.all(same | np.all(word == -ref_word, axis=(1, 2)))
+
+
+def reference_mobius(mats):
+    a, b = mats[..., 0, 0], mats[..., 0, 1]
+    c, d = mats[..., 1, 0], mats[..., 1, 1]
+    den = c * c + d * d
+    return (a * c + b * d) / den, (a * d - b * c) / den
+
+
+def reference_balance_units(out, units):
+    log_unit = math.log(abs(units[0][0, 0, 0]))
+    _, y = reference_mobius(out)
+    ratio = 0.5 * np.log(y[:, 0] / y[:, 1])
+    m_balance = np.rint(-ratio / (2.0 * log_unit)).astype(int)
+    moved = [np.flatnonzero(m_balance * sign > 0) for sign in (1, -1)]
+    for rows, unit in zip(moved, units):
+        left = np.abs(m_balance[rows])
+        while len(rows):
+            for i in range(2):
+                out[rows, i] = unit[i] @ out[rows, i]
+            left -= 1
+            rows, left = rows[left > 0], left[left > 0]
+    return np.concatenate(moved)
+
+
+def reference_translate(out, lat):
+    w1, w2 = lat.omega_embeddings()
+    basis_inv = np.linalg.inv(np.array([[1.0, w1], [1.0, w2]]))
+    x, _ = reference_mobius(out)
+    mn = np.rint(basis_inv @ np.stack([x[:, 0], x[:, 1]])).astype(int)
+    rows = np.flatnonzero((mn[0] != 0) | (mn[1] != 0))
+    t1 = mn[0, rows] + mn[1, rows] * w1
+    t2 = mn[0, rows] + mn[1, rows] * w2
+    out[rows, 0, 0, 0] -= t1 * out[rows, 0, 1, 0]
+    out[rows, 0, 0, 1] -= t1 * out[rows, 0, 1, 1]
+    out[rows, 1, 0, 0] -= t2 * out[rows, 1, 1, 0]
+    out[rows, 1, 0, 1] -= t2 * out[rows, 1, 1, 1]
+    return rows
+
+
+def reference_invert(out):
+    x, y = reference_mobius(out)
+    r2 = x * x + y * y
+    rows = np.flatnonzero(1.0 / (r2[:, 0] * r2[:, 1]) > 1.0 + 1e-12)
+    out[rows, :, 0], out[rows, :, 1] = -out[rows, :, 1], out[rows, :, 0]
+    return rows
+
+
+def reference_hilbert_reduction(lat, stack):
+    """The Hilbert loop as it was before rows retired: every step on every
+    row of the (N,2,2,2) stack in every round, with matrix products for
+    the unit steps and the translation coefficients."""
+    out = np.array(stack, dtype=float, copy=True)
+    eps, inv = lat.unit_pair
+    (e1, e2), (i1, i2) = lat.embed(*eps), lat.embed(*inv)
+    units = (np.array([np.diag([e1, i1]), np.diag([e2, i2])]),
+             np.array([np.diag([i1, e1]), np.diag([i2, e2])]))
+    converged = np.ones(len(out), dtype=bool)
+    for _ in range(qt.HILBERT_MAX_ROUNDS):
+        changed = np.zeros(len(out), dtype=bool)
+        changed[reference_balance_units(out, units)] = True
+        changed[reference_translate(out, lat)] = True
+        changed[reference_invert(out)] = True
+        converged = ~changed
+        if not changed.any():
+            break
+    return out, converged
+
+
+def hilbert_cases() -> dict:
+    """(D, stack) pairs on which the Hilbert loop is checked byte for byte."""
+    offsets = -(np.arange(3 * qt._BLOCK_ROWS) + 0.5) * (20000.0 / 400000)
+    arc = qt.orbit_mats(ob._K2_REFERENCE_BASE, offsets)
+    cases = {f"haar-arc-block-{j}": (2, arc[j * qt._BLOCK_ROWS:(j + 1) * qt._BLOCK_ROWS])
+             for j in range(3)}
+    for disc in (2, 3, 5, 13):
+        rng = np.random.default_rng(9100 + disc)
+        n = 1500
+        coords = np.stack([np.stack([rng.uniform(-3.0, 3.0, n), np.exp(rng.uniform(-4.0, 4.0, n)),
+                                     rng.uniform(0.0, math.pi, n)], axis=1) for _ in range(2)],
+                          axis=1)
+        cases[f"random-D{disc}"] = (disc, qt.mats_from_coords(coords))
+    identity = np.broadcast_to(np.eye(2), (2, 2, 2))
+    for disc in (2, 3):  # D = 3 also tells LAPACK's basis inverse from the closed form
+        cases[f"identity-arc-D{disc}"] = (disc, np.concatenate([
+            qt.orbit_mats(identity, -0.37 * np.arange(2000)),
+            qt.orbit_mats(identity, -np.arange(2000.0)), np.broadcast_to(identity, (2, 2, 2, 2))]))
+    rng = np.random.default_rng(9199)
+    special = rng.normal(size=(300, 8))
+    special[np.arange(300), rng.integers(0, 8, 300)] = np.resize(
+        [np.nan, np.inf, -np.inf, 1e200, -1e200, 1e-300, 0.0, -0.0], 300)
+    special = np.concatenate([special, 1e200 * rng.normal(size=(20, 8)),
+                              1e-300 * rng.normal(size=(20, 8))])
+    cases["non-finite-huge-tiny"] = (2, special.reshape(-1, 2, 2, 2))
+    cases["empty"] = (2, np.empty((0, 2, 2, 2)))
+    cases["one-row"] = (2, arc[:1])
+    return cases
+
+
+HILBERT_CASES = hilbert_cases()
+
+
+class TestHilbertReferenceLoop:
+    """Retiring settled rows and working on flat entry arrays gives the
+    bytes and flags of the full-stack loop, also when rows are still
+    moving at the round cap."""
+
+    @pytest.mark.parametrize("rounds", [None, 1, 2, 3])
+    @pytest.mark.parametrize("case", sorted(HILBERT_CASES))
+    def test_bytes_and_flags(self, monkeypatch, case, rounds):
+        disc, stack = HILBERT_CASES[case]
+        if rounds is not None:
+            monkeypatch.setattr(qt, "HILBERT_MAX_ROUNDS", rounds)
+        lat = qt.HilbertLattice(disc)
+        with np.errstate(all="ignore"):
+            red, conv = qt._reduce_stack_hilbert(lat, stack)
+            ref, ref_conv = reference_hilbert_reduction(lat, stack)
+        assert red.shape == ref.shape and red.dtype == ref.dtype
+        assert red.tobytes() == ref.tobytes()
+        assert conv.tobytes() == ref_conv.tobytes()
+        if rounds == 1 and len(stack) > 1:
+            assert not conv.all()  # rows still moving at the cap keep False
 
 
 class TestWarmReduction:
