@@ -221,30 +221,105 @@ def mertens_check(u: float, z: float, epsilon: float, z_max: int = 10**8) -> Mer
     return MertensReport(u=u, z=z, epsilon=epsilon, lhs=lhs, rhs=rhs, holds=lhs < rhs)
 
 
+# Cut of the exact u~ scan.  Past it the scan bounds the Mertens product
+# instead of reading a prime table, by P. Dusart, "Explicit estimates of
+# some functions over primes", Ramanujan J. 45 (2018): for x >= 2 278 383
+#     prod_{p<=x} (1 - 1/p) = e^{-gamma} / log x * (1 + t),  |t| <= 0.2 / log^3 x.
+# The same bracket holds for prod_{p<x} when x > the cut (a limit from the
+# left).  Below the cut the error can be larger (1.58 / log^3 x at x = 2973),
+# so the bound is never used there.
+_MERTENS_CUT = 2_278_383
+
+# Largest table the bracket stands in for, and the room a bracketed pair
+# must clear in log space.  The scan's float prefix at the k-th prime sums
+# k terms -log1p(-1/p), each within 8u of its true value (u = 2^-53: one
+# rounding for 1/p, a few ulps for log1p), by a sequential cumsum whose
+# error is at most (k - 1) u times the running sum.  Below 10^8,
+# k <= pi(10^8) = 5 761 455 and the sum is -log prod_{p<10^8} (1 - 1/p)
+# < 3.5, so each prefix entry is within (5 761 455 + 8) u * 3.5 < 2.3e-9 of
+# the exact sum.  A pair reads two entries, and exp, log and the rhs add a
+# few ulps: 1e-8 covers all of it twice over, so a bracket that clears it
+# fixes the bit the full-table comparison computes.
+_BRACKET_TABLE_MAX = 10**8
+_BRACKET_MARGIN = 1e-8
+
+
+def _mertens_log_bracket(x) -> tuple:
+    """(low, high) around sum_{p<x} -log(1 - 1/p) for x > _MERTENS_CUT."""
+    log_x = np.log(x)
+    delta = 0.2 / log_x ** 3
+    mid = EULER_GAMMA + np.log(log_x)
+    return mid - np.log1p(delta), mid - np.log1p(-delta)
+
+
 @cache
 def empirical_u_tilde(epsilon: float, z_max: int = 10**8) -> float:
     """Least grid u such that the Mertens inequality holds for every grid
     u' >= u against every grid z in (u', z_max].
 
     Purely empirical: the returned threshold is a property of the scan
-    grid and is recorded alongside any result that depends on it.  Scanned
+    grid and is recorded alongside any result that depends on it.  It is
+    not a threshold for every u and z: mertens_check(223, 283.0000003,
+    0.012) fails (lhs 1.05737 against rhs 1.04824) although 223 > u~(0.012)
+    = 211.4, because neither point is on the grid.  No reported flag rests
+    on it: admissibility_check tests the density condition exactly at the
+    pipeline's own z.
+
+    The result equals, bit for bit, that of comparing exp of the float
+    prefix sums of all primes below z_max with the rhs at every grid pair,
+    but only pairs with z <= _MERTENS_CUT read those sums, from the table
+    of primes below the cut.  A pair with z past the cut is decided by
+    Dusart's bracket of the Mertens product (see _MERTENS_CUT), at u too
+    when u is past the cut, once the bracket clears the comparison by
+    _BRACKET_MARGIN.  A row with an undecided pair is read from the full
+    table of primes below z_max, unless a row above it is already proved
+    false, since then it cannot move the threshold.  For z_max past
+    _BRACKET_TABLE_MAX the scan reads the full table throughout.  Scanned
     once per (epsilon, z_max).
     """
-    primes, prefix = _prime_log_prefix(z_max)
     u_grid = np.unique(np.exp(np.linspace(math.log(2.0), math.log(z_max / 10.0), _U_GRID_SIZE)))
     z_grid = np.unique(np.exp(np.linspace(math.log(10.0), math.log(float(z_max)), _Z_GRID_SIZE)))
     factor = 1.0 + epsilon / 3.0
-    ok = np.zeros(len(u_grid), dtype=bool)
-    for i, u in enumerate(u_grid):
+    cut = _MERTENS_CUT if z_max <= _BRACKET_TABLE_MAX else z_max
+    primes, prefix = _prime_log_prefix(min(z_max, cut))
+
+    def row(u):
         zs = z_grid[z_grid > u * 1.0000001]
-        if len(zs) == 0:
-            ok[i] = True
-            continue
+        return zs, factor * np.log(zs) / math.log(u)
+
+    def holds(primes, prefix, u, zs, rhs):
+        # the scan's float comparison: prefix sums over u <= p < z
         lo = np.searchsorted(primes, u, side="left")
         hi = np.searchsorted(primes, zs, side="left")
-        lhs = np.exp(prefix[hi] - prefix[lo])
-        rhs = factor * np.log(zs) / math.log(u)
-        ok[i] = bool(np.all(lhs < rhs))
+        return np.exp(prefix[hi] - prefix[lo]) < rhs
+
+    ok = np.zeros(len(u_grid), dtype=bool)
+    undecided = np.zeros(len(u_grid), dtype=bool)
+    for i, u in enumerate(u_grid):
+        zs, rhs = row(u)
+        near = zs <= cut
+        if not np.all(holds(primes, prefix, u, zs[near], rhs[near])):
+            continue  # proved false
+        if np.all(near):
+            ok[i] = True
+            continue
+        z_low, z_high = _mertens_log_bracket(zs[~near])
+        if u <= cut:
+            u_low = u_high = prefix[np.searchsorted(primes, u, side="left")]
+        else:
+            u_low, u_high = _mertens_log_bracket(u)
+        log_rhs = np.log(rhs[~near])
+        if np.any(z_low - u_high - _BRACKET_MARGIN > log_rhs):
+            continue  # proved false
+        ok[i] = np.all(z_high - u_low + _BRACKET_MARGIN < log_rhs)
+        undecided[i] = not ok[i]
+    refuted = np.flatnonzero(~ok & ~undecided)
+    redo = np.flatnonzero(undecided)
+    redo = redo[redo > refuted[-1]] if len(refuted) else redo
+    if len(redo):
+        primes, prefix = _prime_log_prefix(z_max)
+        for i in redo:
+            ok[i] = np.all(holds(primes, prefix, u_grid[i], *row(u_grid[i])))
     suffix_ok = np.logical_and.accumulate(ok[::-1])[::-1]
     hits = np.flatnonzero(suffix_ok)
     if len(hits) == 0:
@@ -647,7 +722,7 @@ def dynamical_sieve_pipeline(weights: np.ndarray, alpha_exp: float,
     if z > n_max:  # the primes below z would need a factor table past N
         raise ConfigError(f"sieve cut z = N^alpha = {z:.6g} exceeds N = {n_max}")
     level = int(math.floor(1.0 / alpha_exp)) + 1
-    table = build_factor_table(n_max)  # before the u~ scan: the lower measured peak RSS
+    table = build_factor_table(n_max)
     u_tilde = empirical_u_tilde(3.0 * epsilon)
     problem = SieveProblem(
         weights=w, z=z, level_d=level_d, epsilon=epsilon,

@@ -43,6 +43,8 @@ PINNED_CLI_IDS = [
     (["blocks", "M=1e5"], "819f339eae263654"),
     # through the geodesic probe's heights and the dense-branch cover
     (["dichotomy", "mode=almost", "--point", "preset:generic1", "N=1e5"], "0efffde9a94a5979"),
+    # the README sieve example
+    (["sieve", "N=1e6", "z-exp=0.1111", "s=9"], "9ed36d62cf1399fb"),
 ]
 # the ones that reduce on a Hilbert lattice (k = 2)
 PINNED_K2_IDS = [(argv, cid) for argv, cid in PINNED_CLI_IDS if "hilbert" in argv]
@@ -424,6 +426,15 @@ class TestCli:
     def test_pinned_content_id(self, capsys, argv, content_id):
         assert main(argv) == 0
         assert f" content {content_id} " in capsys.readouterr().out
+
+    def test_readme_examples_are_pinned(self):
+        # every "$ horolab ..." line followed by its "content <id>" line
+        readme = (SRC.parent / "README.md").read_text()
+        pairs = re.findall(r"^\$ horolab (.+)\n\[\w+\] config \w+ content (\w+) ",
+                           readme, flags=re.MULTILINE)
+        assert {"dad93dbe8998f80a", "9ed36d62cf1399fb"} <= {cid for _, cid in pairs}
+        for line, cid in pairs:
+            assert (line.split(), cid) in PINNED_CLI_IDS
 
     @pytest.mark.parametrize("blas_env", [{"OPENBLAS_NUM_THREADS": "1"},
                                           {"OPENBLAS_NUM_THREADS": "4"},

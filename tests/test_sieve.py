@@ -57,6 +57,30 @@ def whole_array_prime_log_prefix(z_max):
     return primes, np.concatenate(([0.0], np.cumsum(terms)))
 
 
+def full_table_u_tilde(epsilon, z_max):
+    """The u~ scan as one pass over the full prime table below z_max: the
+    reference for the bracketed scan's bytes."""
+    primes, prefix = sieve._prime_log_prefix(z_max)
+    u_grid = np.unique(np.exp(np.linspace(math.log(2.0), math.log(z_max / 10.0), 140)))
+    z_grid = np.unique(np.exp(np.linspace(math.log(10.0), math.log(float(z_max)), 60)))
+    factor = 1.0 + epsilon / 3.0
+    ok = np.zeros(len(u_grid), dtype=bool)
+    for i, u in enumerate(u_grid):
+        zs = z_grid[z_grid > u * 1.0000001]
+        if len(zs) == 0:
+            ok[i] = True
+            continue
+        lo = np.searchsorted(primes, u, side="left")
+        hi = np.searchsorted(primes, zs, side="left")
+        lhs = np.exp(prefix[hi] - prefix[lo])
+        rhs = factor * np.log(zs) / math.log(u)
+        ok[i] = bool(np.all(lhs < rhs))
+    hits = np.flatnonzero(np.logical_and.accumulate(ok[::-1])[::-1])
+    if len(hits) == 0:
+        raise BudgetExhausted("no admissible u")
+    return float(u_grid[hits[0]])
+
+
 def repeated_division_omega(table):
     """Omega by dividing out the smallest prime factor, one masked pass
     per prime factor over the whole range."""
@@ -241,6 +265,54 @@ class TestMertens:
         assert tight >= loose
 
 
+# (z_max, epsilon) -> the threshold and the prime table the bracketed scan
+# leaves behind; 0.0003 at 10^8 has undecided rows, so it reads the full table
+_CUT = sieve._MERTENS_CUT
+_U_TILDE_SWEEP = [
+    (10**8, 0.012, 211.43613217930053, _CUT),
+    (10**8, 0.03, 32.05388805526004, _CUT),
+    (10**8, 0.004, 1558.3741089156058, _CUT),
+    (10**8, 0.003, 1558.3741089156058, _CUT),
+    (10**8, 0.001, 16023.092104619202, _CUT),
+    (10**8, 0.0003, 60684.06639192601, 10**8),
+    (10**7, 0.012, 105.44377171996248, _CUT),
+    (10**7, 0.003, 2870.8690238602485, _CUT),
+    (10**7, 0.0003, 78163.82909793004, _CUT),
+    (10**6, 0.012, 105.9528187857711, 10**6),
+    (10**6, 0.004, 2785.769494989476, 10**6),
+    (10**6, 0.0003, 85583.27879644078, 10**6),
+]
+
+
+@pytest.mark.usefixtures("cold_prime_cache")
+class TestUTildeReference:
+    """The bracketed scan against the full-table scan, byte for byte."""
+
+    @pytest.mark.parametrize("z_max, epsilon, u_tilde, table", _U_TILDE_SWEEP)
+    def test_equals_full_table_scan(self, z_max, epsilon, u_tilde, table):
+        got = sieve.empirical_u_tilde.__wrapped__(epsilon, z_max)  # bypass the cache
+        assert list(sieve._PRIME_LOG_CACHE) == [table]
+        assert got == full_table_u_tilde(epsilon, z_max) == u_tilde
+
+    def test_no_admissible_u_without_full_table(self):
+        # the top row is proved false without the full table, so no row reads it
+        with pytest.raises(BudgetExhausted):
+            sieve.empirical_u_tilde.__wrapped__(0.0001, 10**7)
+        assert list(sieve._PRIME_LOG_CACHE) == [_CUT]
+        with pytest.raises(BudgetExhausted):
+            full_table_u_tilde(0.0001, 10**7)
+
+    def test_bracket_holds_on_the_table(self):
+        # Dusart's bracket around the float prefix at every prime in
+        # (cut, 10^8), just below it (p < x) and at it (p <= x)
+        primes, prefix = sieve._prime_log_prefix(10**8)
+        first = np.searchsorted(primes, _CUT, side="right")
+        low, high = sieve._mertens_log_bracket(primes[first:])
+        for sums in (prefix[first:-1], prefix[first + 1:]):
+            assert np.all(low + sieve._BRACKET_MARGIN < sums)
+            assert np.all(sums < high - sieve._BRACKET_MARGIN)
+
+
 @pytest.fixture(scope="module")
 def fns():
     return sieve.linear_sieve_functions()
@@ -376,7 +448,6 @@ class TestCaches:
     def test_dichotomy_builds_each_table_once(self):
         from horolab import experiments as ex
 
-        sieve._prime_log_prefix(10**8)  # the u~ scan's prime table, so the scan builds none
         sieve.build_factor_table.cache_clear()
         sieve.empirical_u_tilde.cache_clear()
         rec = ex.run(ex.ExperimentConfig(kind="dichotomy", mode="almost", n_max=20_000))
@@ -387,6 +458,18 @@ class TestCaches:
         assert sieve.build_factor_table.cache_info().misses == 2
         sieve.build_factor_table(20_000)
         assert sieve.build_factor_table.cache_info().misses == 2
+
+    @pytest.mark.usefixtures("cold_prime_cache")
+    @pytest.mark.parametrize("argv", [
+        ["dichotomy", "mode=almost", "N=2e4"],
+        ["sieve", "N=1e6", "z-exp=0.1111", "s=9"],
+    ])
+    def test_no_prime_table_past_the_cut(self, capsys, argv):
+        from horolab.cli import main
+
+        sieve.empirical_u_tilde.cache_clear()
+        assert main(argv) == 0
+        assert max(sieve._PRIME_LOG_CACHE) <= sieve._MERTENS_CUT
 
 
 class TestPipeline:
