@@ -16,7 +16,9 @@ Two lattice families are supported:
   |z| >= 1 (ties: Re z in (-1/2, 1/2], and Re z >= 0 on the unit
   circle), fully vectorised over batches.  It returns the exact integer
   word with the reduced stack.  Every stack is warm-started from the
-  words of every 16th row.  A warm row gives the cold bytes because an
+  words of every 16th row; where those mostly agree, as along a dense
+  arc, a row first tries the two nearest of them with no Gauss pass.
+  A warm row gives the cold bytes because an
   equal word gives an equal product; every row that needs a tie-break,
   or lies nearer the domain's boundary than rounding can move it, stays
   on the cold path.
@@ -52,17 +54,25 @@ from .sl2 import GroupElement
 REDUCE_TOL = 1e-13
 REDUCE_MAX_ITER = 400
 # warm start of the k=1 reduction (see reduce_batch_k1).  Stride: on the
-# 2 M captured nodes of the horocycle-k1 benchmark (2 vCPUs) the kernel took
-# 0.75 / 0.68 / 0.64 / 0.64 / 0.65 s at strides 4 / 8 / 16 / 32 / 64 against
-# 0.85 s cold, and 0.72-0.74 s at strides 8-64 against 0.90 s on the 1 M
-# integer-time nodes of dichotomy-almost.  Margin: WARM_MARGIN clears the
-# REDUCE_TOL band around |z| = 1, and WARM_ULPS counts units of
+# 2 M captured nodes of the horocycle-k1 benchmark (2 vCPUs) the seeded-loop
+# kernel took 0.75 / 0.68 / 0.64 / 0.64 / 0.65 s at strides 4 / 8 / 16 / 32 /
+# 64 against 0.85 s cold, and 0.72-0.74 s at strides 8-64 against 0.90 s on
+# the 1 M integer-time nodes of dichotomy-almost.  Re-measured with the dense
+# path (medians of 7 alternating repeats): 0.36 / 0.33 / 0.34 s at strides
+# 8 / 16 / 32 on the horocycle-k1 nodes and 0.46 / 0.48 / 0.44 s on the
+# dichotomy-almost nodes, flat within this VM's noise.  Margin: WARM_MARGIN
+# clears the REDUCE_TOL band around |z| = 1, and WARM_ULPS counts units of
 # eps |word| |mats| y.  On 6.4 M rows of orbit blocks from seven base points
 # at offsets 3e3-1e6, every seeded word that differed from the cold word
 # lay within 0.75 of those units of the boundary; 16 leaves a factor of 21.
+# Dense share: a block in which at least this share of adjacent anchor pairs
+# share a word tries the anchors' words before any Gauss pass.  On the
+# horocycle-k1 nodes 78% of pairs share a word and 97% of rows pass with an
+# anchor's word; integer-time nodes share none.
 WARM_STRIDE = 16
 WARM_MARGIN = 1e-9
 WARM_ULPS = 16.0
+WARM_DENSE_SHARE = 0.5
 # round budget of the k=2 local search
 HILBERT_MAX_ROUNDS = 40
 # default enumeration bounds (keyword defaults; no config field sets them)
@@ -352,6 +362,40 @@ def _gauss_words(mats: np.ndarray, seed: np.ndarray | None = None):
     return words.reshape(n, 2, 2), converged
 
 
+def _norm2(mats: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of every matrix of a (N,2,2) stack."""
+    return np.einsum("nij,nij->n", mats, mats)
+
+
+def _warm_inside(out: np.ndarray, word2: np.ndarray, mats2: np.ndarray) -> np.ndarray:
+    """The warm margin rule on out = word @ mats, given |word|^2 and |mats|^2.
+
+    True where the point lies inside the fundamental domain (|x| < 1/2,
+    |z|^2 > 1) by WARM_MARGIN + WARM_ULPS * eps * |word| * |mats| * y and
+    out has no zero entry (an exact zero takes its sign from the word's
+    signed zeros).
+    """
+    x, y = _mobius_coords(out)
+    margin = WARM_MARGIN + WARM_ULPS * np.finfo(float).eps * np.sqrt(word2 * mats2) * y
+    inside = (np.abs(x) < 0.5 - margin) & (x * x + y * y > 1.0 + margin)
+    nonzero = (out[:, 0, 0] != 0.0) & (out[:, 0, 1] != 0.0) \
+        & (out[:, 1, 0] != 0.0) & (out[:, 1, 1] != 0.0)
+    return inside & nonzero
+
+
+def _settle(mats, mats2, rows, w, w2, word, out, conv=None):
+    """Give row rows[i] the word w[i] where the warm margin rule accepts
+    w[i] @ mats[rows[i]] (and conv[i], if given); writes word and out and
+    returns the rows left unsettled."""
+    o = w @ np.take(mats, rows, axis=0)
+    ok = _warm_inside(o, w2, np.take(mats2, rows))
+    if conv is not None:
+        ok &= conv
+    done = rows[ok]
+    word[done], out[done] = np.compress(ok, w, axis=0), np.compress(ok, o, axis=0)
+    return rows[~ok]
+
+
 def reduce_batch_k1(mats: np.ndarray):
     """Gauss-reduce a (N,2,2) stack in place of z = g*i.
 
@@ -361,43 +405,69 @@ def reduce_batch_k1(mats: np.ndarray):
     Re z >= 0 on the unit circle.
 
     Warm start: every WARM_STRIDE-th row is an anchor, reduced from the
-    identity, and every row starts the Gauss loop from the word of the
-    anchor at or before it; on a dense orbit most rows finish on the first
-    pass.  A seeded row stands only if its loop finished, word @ mats has
-    no zero entry, and the point lies inside the fundamental domain
-    (|x| < 1/2, |z|^2 > 1) by WARM_MARGIN + WARM_ULPS * eps * |word| *
-    |mats| * y, with Frobenius norms; every other row, NaN rows included,
-    is reduced cold.  Why that gives the cold bytes: rounding moves the
-    cold loop's point by about eps * |word| * |mats| * y (the constants
-    say how this was measured), so the cold loop cannot stop at another
-    translate of a point that far inside.  The seeded word is then the
-    cold word up to sign, and the same word in the same product and sign
-    flip gives the same bytes.  Only the sign of an exact zero can depend
-    on the word's signed zeros, hence the zero rule.  Every row whose
-    reduction needs a tie-break (|x| = 1/2, |z| = 1, the elliptic points i
-    and rho) fails the margin and takes the cold path.  The returned
-    word's zero entries may differ in sign from the cold word's.
+    identity.  A row's word stands only if word @ mats has no zero entry
+    and the point lies inside the fundamental domain (|x| < 1/2,
+    |z|^2 > 1) by WARM_MARGIN + WARM_ULPS * eps * |word| * |mats| * y, with
+    Frobenius norms (_warm_inside); a word found by the Gauss loop must
+    also have finished it.  The block picks the order in which words are
+    tried from its anchor words alone:
+
+    * dense (at least WARM_DENSE_SHARE of adjacent anchor pairs share a
+      word, as on quadrature nodes of one arc): every row tries the word
+      of the anchor at or before it, then, where the next anchor's word
+      differs, that word; no Gauss pass runs on a row either accepts.
+      The rest run the Gauss loop seeded with the earlier anchor's word.
+    * sparse (integer times, random stacks): every row runs the Gauss
+      loop seeded with the word of the anchor at or before it.
+
+    Every row that no word passes, NaN rows included, is reduced cold.
+    Why that gives the cold bytes: rounding moves the cold loop's point by
+    about eps * |word| * |mats| * y (the constants say how this was
+    measured), so the cold loop cannot stop at another translate of a
+    point that far inside.  An accepted word is then the cold word up to
+    sign, however it was found, and the same word in the same product and
+    sign flip gives the same bytes; the choice of path only orders exact
+    candidates.  Only the sign of an exact zero can depend on the word's
+    signed zeros, hence the zero rule.  Every row whose reduction needs a
+    tie-break (|x| = 1/2, |z| = 1, the elliptic points i and rho) fails
+    the margin and takes the cold path.  The returned word's zero entries
+    may differ in sign from the cold word's.
     """
     mats = np.asarray(mats, dtype=float)
     n = mats.shape[0]
     anchors, _ = _gauss_words(mats[::WARM_STRIDE])
-    word, conv = _gauss_words(mats, np.repeat(anchors, WARM_STRIDE, axis=0)[:n])
-    out = word @ mats
-    x, y = _mobius_coords(out)
-    size = np.sqrt(np.einsum("nij,nij->n", word, word) * np.einsum("nij,nij->n", mats, mats))
-    margin = WARM_MARGIN + WARM_ULPS * np.finfo(float).eps * size * y
-    inside = (np.abs(x) < 0.5 - margin) & (x * x + y * y > 1.0 + margin)
-    # an exact zero entry takes its sign from the word's signed zeros
-    nonzero = (out[:, 0, 0] != 0.0) & (out[:, 0, 1] != 0.0) \
-        & (out[:, 1, 0] != 0.0) & (out[:, 1, 1] != 0.0)
-    cold = ~(inside & conv & nonzero)
-    if np.any(cold):
-        word[cold], conv[cold] = _gauss_words(mats[cold])
-        out[cold] = word[cold] @ mats[cold]
+    mats2 = _norm2(mats)
+    seed = np.repeat(anchors, WARM_STRIDE, axis=0)[:n]
+    # turn[i]: anchor i + 1 exists and its word differs from anchor i's
+    turn = np.append(np.any(anchors[1:] != anchors[:-1], axis=(1, 2)), False)
+    pairs = len(turn) - 1
+    if pairs - np.count_nonzero(turn) >= WARM_DENSE_SHARE * pairs:
+        # dense: the anchors' words first, the Gauss loop only where both fail
+        anchors2 = _norm2(anchors)
+        word, conv = seed, np.ones(n, dtype=bool)
+        out = word @ mats
+        rows = np.flatnonzero(~_warm_inside(out, np.repeat(anchors2, WARM_STRIDE)[:n], mats2))
+        ahead = turn[rows // WARM_STRIDE]
+        right = rows[ahead] // WARM_STRIDE + 1
+        missed = _settle(mats, mats2, rows[ahead], np.take(anchors, right, axis=0),
+                         np.take(anchors2, right), word, out)
+        rows = np.concatenate([rows[~ahead], missed])
+        if len(rows):
+            w, c = _gauss_words(np.take(mats, rows, axis=0),
+                                np.take(anchors, rows // WARM_STRIDE, axis=0))
+            rows = _settle(mats, mats2, rows, w, _norm2(w), word, out, c)
+    else:
+        word, conv = _gauss_words(mats, seed)
+        out = word @ mats
+        rows = np.flatnonzero(~(_warm_inside(out, _norm2(word), mats2) & conv))
+    if len(rows):
+        cold = np.take(mats, rows, axis=0)
+        word[rows], conv[rows] = _gauss_words(cold)
+        out[rows] = word[rows] @ cold
     # canonical sign: bottom row angle in [0, pi)
     c, d = out[:, 1, 0], out[:, 1, 1]
     flip = (c < 0) | ((c == 0) & (d < 0))
-    out[flip] *= -1.0
+    np.multiply(out, -1.0, out=out, where=flip[:, None, None])
     return out, conv, word
 
 

@@ -194,11 +194,15 @@ def _prime_log_prefix(z_max: int) -> tuple[np.ndarray, np.ndarray]:
     return primes, prefix
 
 
-def mertens_product(u: float, z: float, z_max: int = 10**8) -> float:
-    """prod over u <= p < z of (1 - 1/p)^{-1}, by cached prefix sums."""
+def mertens_product(u: float, z: float) -> float:
+    """prod over u <= p < z of (1 - 1/p)^{-1}, by cached prefix sums.
+
+    Reads the table of primes below ceil(z), which are the primes below z,
+    or a slice of a larger cached table, with the same bytes.
+    """
     if not (1.0 < u < z):
         raise ValueError("need 1 < u < z")
-    primes, prefix = _prime_log_prefix(max(int(z) + 1, z_max, 3))
+    primes, prefix = _prime_log_prefix(max(math.ceil(z), 3))
     lo = np.searchsorted(primes, u, side="left")
     hi = np.searchsorted(primes, z, side="left")
     return float(np.exp(prefix[hi] - prefix[lo]))
@@ -214,9 +218,9 @@ class MertensReport:
     holds: bool
 
 
-def mertens_check(u: float, z: float, epsilon: float, z_max: int = 10**8) -> MertensReport:
+def mertens_check(u: float, z: float, epsilon: float) -> MertensReport:
     """Check prod_{u<=p<z} (1-1/p)^{-1} < (1 + eps/3) log z / log u."""
-    lhs = mertens_product(u, z, z_max=z_max)
+    lhs = mertens_product(u, z)
     rhs = (1.0 + epsilon / 3.0) * math.log(z) / math.log(u)
     return MertensReport(u=u, z=z, epsilon=epsilon, lhs=lhs, rhs=rhs, holds=lhs < rhs)
 

@@ -202,19 +202,43 @@ class TestReduction:
 
 
 def reduce_paths(monkeypatch, mats):
-    """reduce_batch_k1(mats) with the Gauss-loop calls it made, as
-    (seeded, rows) pairs in call order."""
-    calls = []
-    loop = qt._gauss_words
+    """reduce_batch_k1(mats) and the paths its rows took.
 
-    def spy(m, seed=None):
-        calls.append((seed is not None, len(m)))
+    Returns (result, paths).  paths["gauss"] lists the Gauss-loop calls as
+    (seeded, rows) pairs in call order; the first is the anchors' cold
+    pass.  paths["dense"] says whether the block tried the anchors' words
+    first.  On that path paths[name] holds the sorted rows that took each
+    route: "left" and "right" (that anchor's word, no Gauss pass),
+    "seeded" (the Gauss loop seeded with the left anchor's word) and
+    "cold"; together they partition the rows.
+    """
+    gauss, settles = [], []
+    loop, settle = qt._gauss_words, qt._settle
+
+    def gauss_spy(m, seed=None):
+        gauss.append((seed is not None, len(m)))
         return loop(m, seed)
 
-    monkeypatch.setattr(qt, "_gauss_words", spy)
+    def settle_spy(mats, mats2, rows, *args):
+        left = settle(mats, mats2, rows, *args)
+        settles.append((rows, left))
+        return left
+
+    monkeypatch.setattr(qt, "_gauss_words", gauss_spy)
+    monkeypatch.setattr(qt, "_settle", settle_spy)
     result = qt.reduce_batch_k1(mats)
     monkeypatch.undo()
-    return result, calls
+    paths = {"gauss": gauss, "dense": bool(settles)}
+    if settles:
+        # the right anchor's words are tried first, then the seeded loop's
+        tried, missed = settles[0]
+        seeded, cold = settles[1] if len(settles) > 1 else (np.empty(0, int),) * 2
+        n = len(mats)
+        paths["left"] = np.setdiff1d(np.arange(n), np.union1d(tried, seeded))
+        paths["right"] = np.setdiff1d(tried, missed)
+        paths["seeded"] = np.setdiff1d(seeded, cold)
+        paths["cold"] = np.sort(cold)
+    return result, paths
 
 
 def canonical_sign(out):
@@ -367,23 +391,137 @@ class TestWarmReduction:
     """The warm-started k = 1 kernel gives the cold kernel's bytes and flags."""
 
     N = 3 * qt.WARM_STRIDE * 341
+    ANCHORS = N // qt.WARM_STRIDE
 
     def dense_block(self, generic_point):
         # quadrature-like nodes 0.005 apart, far along the orbit
         return qt.orbit_mats(generic_point.rep.mats, -(700.0 + 0.005 * np.arange(self.N)))[:, 0]
 
+    def integer_block(self, generic_point):
+        # integer times: adjacent anchors share no word
+        return qt.orbit_mats(generic_point.rep.mats, -(1000.0 + np.arange(self.N)))[:, 0]
+
+    def block(self, name, generic_point):
+        if name == "dense":
+            return self.dense_block(generic_point)
+        if name == "integer":
+            return self.integer_block(generic_point)
+        half = self.N // 2
+        return np.concatenate([self.dense_block(generic_point)[:half],
+                               self.integer_block(generic_point)[:half]])
+
+    @staticmethod
+    def assert_known_words(mats, result, paths):
+        """The dense path's routes partition the rows, a left or right row
+        carries that anchor's word, and a right row lies between two
+        anchors with different words."""
+        stride = qt.WARM_STRIDE
+        routes = np.concatenate([paths[k] for k in ("left", "right", "seeded", "cold")])
+        assert np.array_equal(np.sort(routes), np.arange(len(mats)))
+        anchors, _ = qt._gauss_words(mats[::stride])
+        word = result[2]
+        left, right = paths["left"], paths["right"]
+        assert np.array_equal(word[left], anchors[left // stride])
+        assert np.array_equal(word[right], anchors[right // stride + 1])
+        assert not np.all(anchors[right // stride] == anchors[right // stride + 1], axis=(1, 2)).any()
+
     def test_dense_orbit_block(self, monkeypatch, generic_point):
         mats = self.dense_block(generic_point)
-        result, calls = reduce_paths(monkeypatch, mats)
-        assert calls[1] == (True, self.N)
+        result, paths = reduce_paths(monkeypatch, mats)
+        assert paths["dense"]
+        self.assert_known_words(mats, result, paths)
+        # nine rows in ten skip the Gauss loop; it runs seeded on the rest only
+        assert len(paths["left"]) + len(paths["right"]) >= 0.9 * self.N
+        assert len(paths["right"]) > 0 and len(paths["seeded"]) > 0
+        assert paths["gauss"][:2] == [(False, self.ANCHORS),
+                                      (True, len(paths["seeded"]) + len(paths["cold"]))]
         assert_cold_bytes(mats, result)
 
     def test_integer_time_block(self, monkeypatch, generic_point):
-        # adjacent anchors share no word here; the seeded rows continue
-        mats = qt.orbit_mats(generic_point.rep.mats, -(1000.0 + np.arange(self.N)))[:, 0]
-        result, calls = reduce_paths(monkeypatch, mats)
-        assert calls[1] == (True, self.N)
+        # adjacent anchors share no word here; every row runs the seeded loop
+        mats = self.integer_block(generic_point)
+        result, paths = reduce_paths(monkeypatch, mats)
+        assert not paths["dense"]
+        assert paths["gauss"][:2] == [(False, self.ANCHORS), (True, self.N)]
         assert_cold_bytes(mats, result)
+
+    def test_two_word_changes_in_one_interval(self, monkeypatch, generic_point):
+        """Rows 5-10 of one stride interval are moved by one element of
+        SL(2,Z) and every row from 11 on by another, so that interval holds
+        three words.  The middle rows match neither anchor and run the
+        seeded loop; the rows after them take the next anchor's word."""
+        stride, k = qt.WARM_STRIDE, 100
+        first = k * stride
+        mats = self.dense_block(generic_point)
+        _, paths = reduce_paths(monkeypatch, mats)
+        assert np.isin(np.arange(first, first + 2 * stride), paths["left"]).all()
+        mats[first + 5:first + 11] = np.array([[1.0, 3.0], [0.0, 1.0]]) @ mats[first + 5:first + 11]
+        mats[first + 11:] = np.array([[0.0, -1.0], [1.0, 2.0]]) @ mats[first + 11:]
+        result, paths = reduce_paths(monkeypatch, mats)
+        assert paths["dense"]
+        self.assert_known_words(mats, result, paths)
+        assert np.isin(np.arange(first, first + 5), paths["left"]).all()
+        assert np.isin(np.arange(first + 5, first + 11), paths["seeded"]).all()
+        assert np.isin(np.arange(first + 11, first + stride), paths["right"]).all()
+        assert_cold_bytes(mats, result)
+
+    def test_dense_then_integer_block(self, monkeypatch, generic_point):
+        # a third of the anchor pairs share a word: the block runs the seeded loop
+        mats = self.block("mixed", generic_point)
+        result, paths = reduce_paths(monkeypatch, mats)
+        assert not paths["dense"]
+        assert paths["gauss"][:2] == [(False, self.ANCHORS), (True, self.N)]
+        assert_cold_bytes(mats, result)
+
+    @pytest.mark.parametrize("name", ["dense", "integer", "mixed"])
+    def test_either_path_gives_the_bytes(self, monkeypatch, generic_point, name):
+        """The per-block choice only orders exact candidates: forcing either
+        path gives the cold bytes and flags."""
+        mats = self.block(name, generic_point)
+        results = []
+        for share, dense in ((0.0, True), (2.0, False)):
+            monkeypatch.setattr(qt, "WARM_DENSE_SHARE", share)
+            result, paths = reduce_paths(monkeypatch, mats)
+            assert paths["dense"] == dense
+            if dense:
+                self.assert_known_words(mats, result, paths)
+            assert_cold_bytes(mats, result)
+            results.append(result)
+        assert results[0][0].tobytes() == results[1][0].tobytes()
+        assert results[0][1].tobytes() == results[1][1].tobytes()
+
+    @pytest.mark.parametrize("name, digest", [
+        ("dense", "f58bbbf133f1e4f3c51c3880ccbd386203ad3bea8c2c77ed31af224970567991"),
+        ("integer", "97e950ef12304a57c80bf85e94c86d52dbcd8f7458f35132ce7d9376f84991b4"),
+        ("random", "ca2b84b3e51cd566e7f531367242c25974bb66a143b883ab2c28cc3d9ecb40ce"),
+    ], ids=["dense", "integer", "random"])
+    def test_pinned_bytes(self, generic_point, name, digest):
+        """Layer digest of the k = 1 reduction: sha256 of the (out, conv)
+        bytes on fixed stacks, taken from the kernel before the dense path
+        existed.  The product word @ mats runs through BLAS, so the pins
+        hold for the default OpenBLAS runtime (ROADMAP item 6)."""
+        if name == "random":
+            rng = np.random.default_rng(2026)
+            mats = np.stack([sl2.random_element(rng, scale=2.0).mats[0] for _ in range(2000)])
+        else:
+            mats = self.block(name, generic_point)
+        out, conv, _ = qt.reduce_batch_k1(mats)
+        assert conv.all()
+        assert hashlib.sha256(out.tobytes() + conv.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n", [0, 1, 2, qt.WARM_STRIDE - 1, qt.WARM_STRIDE,
+                                   qt.WARM_STRIDE + 1])
+    def test_small_blocks(self, monkeypatch, generic_point, rng, n):
+        random = np.stack([sl2.random_element(rng, scale=2.0).mats[0] for _ in range(n)]) \
+            if n else np.empty((0, 2, 2))
+        for mats in (self.dense_block(generic_point)[:n], self.integer_block(generic_point)[:n],
+                     random):
+            result, paths = reduce_paths(monkeypatch, mats)
+            out, conv, word = result
+            assert out.shape == word.shape == (n, 2, 2) and conv.shape == (n,)
+            # a single anchor has no neighbour to disagree with
+            assert paths["dense"] or n > qt.WARM_STRIDE
+            assert_cold_bytes(mats, result)
 
     @pytest.mark.parametrize("step", [0.05, 1.0])
     def test_far_along_the_orbit(self, monkeypatch, step):
@@ -392,8 +530,8 @@ class TestWarmReduction:
         from the cold ones, and the margin must grow with the product."""
         base = qt.mats_from_coords(np.array([[[0.3, 1e-3, 0.7]]]))[0]
         mats = qt.orbit_mats(base, -(1e5 + step * np.arange(8192)))[:, 0]
-        result, calls = reduce_paths(monkeypatch, mats)
-        assert calls[1] == (True, len(mats))
+        result, paths = reduce_paths(monkeypatch, mats)
+        assert not paths["dense"] and paths["gauss"][1] == (True, len(mats))
         assert_cold_bytes(mats, result)
 
     def test_random_and_gamma_moved_stacks(self, generic_point, rng):
@@ -418,17 +556,23 @@ class TestWarmReduction:
         base = qt.mats_from_coords(np.array([[[z.real, z.imag, theta]]]))[0]
         offsets = sign * (np.arange(16 * 1024) - 8200) / 8192.0
         mats = qt.orbit_mats(base, offsets)[:, 0]
-        result, calls = reduce_paths(monkeypatch, mats)
-        assert calls[1] == (True, len(mats))
-        assert len(calls) == 3 and not calls[2][0] and calls[2][1] >= 1
+        result, paths = reduce_paths(monkeypatch, mats)
+        assert paths["dense"]
+        self.assert_known_words(mats, result, paths)
+        assert 8200 in paths["cold"]
+        assert paths["gauss"][-1] == (False, len(paths["cold"]))
         assert_cold_bytes(mats, result)
 
     def test_nan_rows(self, monkeypatch, generic_point):
         mats = self.dense_block(generic_point)
         mats[5::97] = np.nan
         mats[7::131, 1, 0] = np.nan
-        result, calls = reduce_paths(monkeypatch, mats)
-        assert calls[1][0]
+        result, paths = reduce_paths(monkeypatch, mats)
+        assert paths["dense"]
+        self.assert_known_words(mats, result, paths)
+        # NaN rows fail every word and the seeded loop, and stay unconverged cold
+        assert np.isin(np.arange(5, self.N, 97), paths["cold"]).all()
+        assert np.isin(np.arange(7, self.N, 131), paths["cold"]).all()
         assert not result[1][5::97].any()
         assert_cold_bytes(mats, result)
 

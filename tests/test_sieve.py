@@ -218,8 +218,8 @@ class TestPrimeTable:
             sieve._prime_log_prefix(z_max)
 
     def test_empty_product_on_tiny_table(self):
-        assert sieve.mertens_product(1.5, 2.0, z_max=2) == 1.0
-        assert sieve.mertens_product(1.2, 1.5, z_max=2) == 1.0
+        assert sieve.mertens_product(1.5, 2.0) == 1.0
+        assert sieve.mertens_product(1.2, 1.5) == 1.0
 
     def test_cold_build_peak_memory(self):
         tracemalloc.start()
@@ -247,13 +247,26 @@ class TestMertens:
         assert abs(rep.rhs - 1.001 * math.log(10.0) / math.log(2.0)) <= 1e-9
         assert not rep.holds
 
+    @pytest.mark.usefixtures("cold_prime_cache")
+    def test_small_z_builds_a_small_table(self):
+        # the primes below ceil(z) are the primes below z; no 10^8 table
+        assert not sieve.mertens_check(2.0, 10.0, 0.003).holds
+        assert max(sieve._PRIME_LOG_CACHE) <= sieve._MERTENS_CUT
+
+    @pytest.mark.usefixtures("cold_prime_cache")
+    @pytest.mark.parametrize("z", [10.0, 10.5, 11.0, 1e3 + 0.25, 2e5])
+    def test_product_reads_the_same_bytes_from_any_table(self, z):
+        small = sieve.mertens_product(2.0, z)
+        sieve._prime_log_prefix(10**6)
+        assert sieve.mertens_product(2.0, z) == small
+
     def test_threshold_scan_stabilizes(self):
         u_tilde = sieve.empirical_u_tilde(0.012, z_max=10**7)
         # past the reported threshold the inequality holds on spot checks
         for u in (u_tilde, 2 * u_tilde, 10 * u_tilde):
             for z in (1e5, 1e6, 1e7):
                 if z > u * 1.01:
-                    assert sieve.mertens_check(u, z, 0.012, z_max=10**7).holds
+                    assert sieve.mertens_check(u, z, 0.012).holds
 
     def test_threshold_pinned_at_default_range(self):
         # the threshold that dichotomy and criterion 09 use
