@@ -36,6 +36,8 @@ _SOBOLEV_EXTRA_POINTS = 120
 _SOBOLEV_SEED = 2024
 # Gauss-Legendre nodes per panel of SmoothingKernel.quadrature_check
 _KERNEL_GL_ORDER = 24
+# x-rows of the k = 1 Haar quadrature grid evaluated per slab (memory only, not bytes)
+_HAAR_SLAB_ROWS = 1
 # base point of the k = 2 reference arc: a generic frame in each factor
 _K2_REFERENCE_BASE = np.array([[[1.3, 0.21], [0.17, (1.0 + 0.21 * 0.17) / 1.3]],
                                [[0.8, -0.33], [0.29, (1.0 - 0.33 * 0.29) / 0.8]]])
@@ -221,20 +223,30 @@ def haar_integral_k1(f, nx: int = 64, nv: int = 64, ntheta: int = 32) -> float:
     dtheta becomes dx dv dtheta, over v in (0, 1/sqrt(1-x^2)] and theta
     in [0, pi).  The total mass is computed by the same quadrature (and
     equals pi/3 * pi analytically), so the result is exactly 1 for f == 1.
+
+    The grid is never held: f is evaluated on _HAAR_SLAB_ROWS x-rows at
+    a time and multiplied into one (nx, nv, ntheta) weight accumulator,
+    so memory is one float per grid point plus one slab of coordinates
+    and f's temporaries.  Every product and both sums are those of the
+    whole grid, so the slab size changes no byte.
     """
     xs, wx = gl_nodes(nx, -0.5, 0.5)
     ss, ws = gl_nodes(nv, 0.0, 1.0)
     ths, wth = gl_nodes(ntheta, 0.0, math.pi)
     vmax = 1.0 / np.sqrt(1.0 - xs * xs)
-    # tensor points (x, y, theta) with y = 1/v, v = s * vmax(x), filled in place
-    grid = np.empty((nx, nv, ntheta, 3))
-    grid[..., 0] = xs[:, None, None]
-    grid[..., 1] = (1.0 / (ss[None, :] * vmax[:, None]))[:, :, None]
-    grid[..., 2] = ths
-    vals = f.evaluate_coords(grid.reshape(-1, 1, 3)).reshape(nx, nv, ntheta)
-    W = wx[:, None, None] * ws[None, :, None] * wth[None, None, :] * vmax[:, None, None]
-    total = float(np.sum(vals * W))
-    mass = float(np.sum(W))
+    acc = (wx[:, None] * ws)[:, :, None] * wth
+    acc *= vmax[:, None, None]
+    mass = float(np.sum(acc))
+    # slab points (x, y, theta) with y = 1/v, v = s * vmax(x), filled in place
+    for start in range(0, nx, _HAAR_SLAB_ROWS):
+        stop = min(start + _HAAR_SLAB_ROWS, nx)
+        slab = np.empty((stop - start, nv, ntheta, 3))
+        slab[..., 0] = xs[start:stop, None, None]
+        slab[..., 1] = (1.0 / (ss * vmax[start:stop, None]))[:, :, None]
+        slab[..., 2] = ths
+        vals = f.evaluate_coords(slab.reshape(-1, 1, 3))
+        acc[start:stop] *= vals.reshape(slab.shape[:3])
+    total = float(np.sum(acc))
     return total / mass
 
 

@@ -305,7 +305,7 @@ def horocycle_average(f, p: QuotientPoint, t_span: float,
     if t_span <= 0:
         raise ConfigError("averaging horizon must be positive")
     h = _resolve_step(f, step)
-    # the reference first, so its quadrature grid and the arc are never alive together
+    # the reference first, so its quadrature accumulator and the arc are never alive together
     ref, ref_kind = _reference_value(f, p, reference)
     num, _, _, _, count = _arc_sums(f, p, t_span, h, workers)
     value = num / t_span

@@ -581,7 +581,8 @@ def _squarefree_divisors(primes: np.ndarray, cutoff: float, budget: int) -> list
 def brute_force_S(problem: SieveProblem) -> float:
     """S(A, P, z) summed directly from the factor table (n=1 counts)."""
     n = problem.n_max
-    mask = (build_factor_table(n).spf >= problem.z) | (np.arange(n + 1) == 1)
+    mask = build_factor_table(n).spf >= problem.z
+    mask[1] = True
     return float(problem.weights[mask].sum())
 
 
@@ -598,7 +599,9 @@ def buchstab_defect(problem: SieveProblem, z_prime: float) -> float:
     spf = table.spf
     w = problem.weights
     lhs = brute_force_S(problem)
-    loose = float(w[(spf >= z_prime) | (np.arange(n + 1) == 1)].sum())
+    loose_mask = spf >= z_prime
+    loose_mask[1] = True
+    loose = float(w[loose_mask].sum())
     mid_primes = table.primes[(table.primes >= z_prime) & (table.primes < problem.z)]
     correction = 0.0
     for p in mid_primes:

@@ -45,6 +45,8 @@ PINNED_CLI_IDS = [
     (["dichotomy", "mode=almost", "--point", "preset:generic1", "N=1e5"], "0efffde9a94a5979"),
     # the README sieve example
     (["sieve", "N=1e6", "z-exp=0.1111", "s=9"], "9ed36d62cf1399fb"),
+    # through the translated-pair correlations of the k = 1 Haar quadrature
+    (["mixing", "t_grid=2"], "2cceef46b405273c"),
 ]
 # the ones that reduce on a Hilbert lattice (k = 2)
 PINNED_K2_IDS = [(argv, cid) for argv, cid in PINNED_CLI_IDS if "hilbert" in argv]

@@ -2,6 +2,10 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,9 @@ from horolab import quotient as qt
 from horolab import sampling as sp
 from horolab import sl2
 from horolab.presets import bump_preset, cover_bumps, point_preset
+
+# the directory holding the horolab package under test
+SRC = Path(ob.__file__).resolve().parents[1]
 
 
 def edge_mass_oracle(kern: ob.SmoothingKernel) -> float:
@@ -256,6 +263,34 @@ class TestHaarIntegralK1:
 
     def test_base_mass_near_pi_thirds(self):
         assert abs(ob.haar_mass_k1() - math.pi / 3.0) <= 1e-6
+
+    def test_pinned_bytes(self, test_bump):
+        # the quadrature at three grids and two translated pairs through it
+        assert [ob.haar_integral_k1(test_bump, 160, 160, 80).hex(),
+                ob.haar_integral_k1(test_bump).hex(),
+                ob.haar_integral_k1(test_bump, nx=128, nv=128, ntheta=64).hex(),
+                sp.correlation(test_bump, test_bump, 0.7).hex(),
+                sp.correlation(test_bump, test_bump, 1.3, flow="horocycle").hex()] == [
+            "0x1.2bdbc51e55482p-7", "0x1.2b54916a0e425p-7", "0x1.2b985bc796640p-7",
+            "0x1.7e71dbd303792p-17", "0x1.d5600f5115815p-14"]
+
+    def test_peak_memory_below_the_grid(self):
+        # the 160 x 160 x 80 grid's coordinates alone are 47 MiB, its weights 16 MiB.
+        # VmHWM, not ru_maxrss: a spawned child's ru_maxrss starts at its parent's RSS
+        code = ("import re\n"
+                "from horolab import observables as ob, presets, quotient as qt\n"
+                "def peak_kib():\n"
+                "    status = open('/proc/self/status').read()\n"
+                "    return int(re.search(r'VmHWM:\\s+(\\d+)', status).group(1))\n"
+                "bump1 = presets.observable_from_spec('preset:bump1', qt.ModularLattice())\n"
+                "before = peak_kib()\n"
+                "ob.haar_integral_k1(bump1, 160, 160, 80)\n"
+                "print((peak_kib() - before) / 1024)\n")
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        assert float(out.stdout.splitlines()[-1]) < 40.0
 
 
 class TestHaarReference:
