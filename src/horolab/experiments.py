@@ -173,11 +173,6 @@ def env_fields(environ) -> dict:
     return {name: environ[var] for var, name in names.items() if var in environ}
 
 
-def apply_env_overrides(cfg: ExperimentConfig, environ: dict) -> ExperimentConfig:
-    """Apply HOROLAB_<FIELD> variables on top of a config."""
-    return ExperimentConfig.from_dict({**cfg.to_dict(), **env_fields(environ)})
-
-
 def environment_fingerprint() -> dict:
     return {
         "python": sys.version.split()[0],

@@ -36,8 +36,6 @@ _SOBOLEV_EXTRA_POINTS = 120
 _SOBOLEV_SEED = 2024
 # Gauss-Legendre nodes per panel of SmoothingKernel.quadrature_check
 _KERNEL_GL_ORDER = 24
-# x-rows of the k = 1 Haar quadrature grid evaluated per slab (memory only, not bytes)
-_HAAR_SLAB_ROWS = 1
 # base point of the k = 2 reference arc: a generic frame in each factor
 _K2_REFERENCE_BASE = np.array([[[1.3, 0.21], [0.17, (1.0 + 0.21 * 0.17) / 1.3]],
                                [[0.8, -0.33], [0.29, (1.0 - 0.33 * 0.29) / 0.8]]])
@@ -224,11 +222,10 @@ def haar_integral_k1(f, nx: int = 64, nv: int = 64, ntheta: int = 32) -> float:
     in [0, pi).  The total mass is computed by the same quadrature (and
     equals pi/3 * pi analytically), so the result is exactly 1 for f == 1.
 
-    The grid is never held: f is evaluated on _HAAR_SLAB_ROWS x-rows at
-    a time and multiplied into one (nx, nv, ntheta) weight accumulator,
-    so memory is one float per grid point plus one slab of coordinates
-    and f's temporaries.  Every product and both sums are those of the
-    whole grid, so the slab size changes no byte.
+    The grid is never held: f is evaluated one x row at a time and
+    multiplied into one (nx, nv, ntheta) weight accumulator, so memory is
+    one float per grid point plus one row of coordinates and f's
+    temporaries.  Every product and both sums are those of the whole grid.
     """
     xs, wx = gl_nodes(nx, -0.5, 0.5)
     ss, ws = gl_nodes(nv, 0.0, 1.0)
@@ -237,15 +234,13 @@ def haar_integral_k1(f, nx: int = 64, nv: int = 64, ntheta: int = 32) -> float:
     acc = (wx[:, None] * ws)[:, :, None] * wth
     acc *= vmax[:, None, None]
     mass = float(np.sum(acc))
-    # slab points (x, y, theta) with y = 1/v, v = s * vmax(x), filled in place
-    for start in range(0, nx, _HAAR_SLAB_ROWS):
-        stop = min(start + _HAAR_SLAB_ROWS, nx)
-        slab = np.empty((stop - start, nv, ntheta, 3))
-        slab[..., 0] = xs[start:stop, None, None]
-        slab[..., 1] = (1.0 / (ss * vmax[start:stop, None]))[:, :, None]
-        slab[..., 2] = ths
-        vals = f.evaluate_coords(slab.reshape(-1, 1, 3))
-        acc[start:stop] *= vals.reshape(slab.shape[:3])
+    # row points (x, y, theta) with y = 1/v, v = s * vmax(x), filled in place
+    row = np.empty((nv, ntheta, 3))
+    row[..., 2] = ths
+    for i in range(nx):
+        row[..., 0] = xs[i]
+        row[..., 1] = (1.0 / (ss * vmax[i]))[:, None]
+        acc[i] *= f.evaluate_coords(row.reshape(-1, 1, 3)).reshape(nv, ntheta)
     total = float(np.sum(acc))
     return total / mass
 
@@ -363,9 +358,7 @@ class SmoothingKernel:
 
 @dataclass
 class SobolevRecord:
-    order: int
     value: float
-    step: float
     points: int
     words: int
 
@@ -444,7 +437,7 @@ def sobolev_norm(f, order: int) -> SobolevRecord:
     base_mats = qt.mats_from_coords(pts)
     best = float(np.max(np.abs(f.evaluate_coords(pts))))  # order-0 term
     if order == 0:
-        return SobolevRecord(order=0, value=best, step=eps, points=len(pts), words=0)
+        return SobolevRecord(value=best, points=len(pts), words=0)
     # exp(s eps W) for s = +1, -1 and the 3k directions W: X, Y, Z in each factor
     steps = np.array([[sl2.exp_map(sl2.LieAlgebraElement(s * eps * w)).mats
                        for w in np.eye(3 * k).reshape(3 * k, k, 3)] for s in (1.0, -1.0)])
@@ -460,5 +453,4 @@ def sobolev_norm(f, order: int) -> SobolevRecord:
             vals = vals.reshape(len(pts), len(offs))
             diff = vals @ signs / (2.0 * eps) ** m
             best = max(best, float(np.max(np.abs(diff))))
-    return SobolevRecord(order=order, value=_SOBOLEV_SAFETY * best, step=eps,
-                         points=len(pts), words=nwords)
+    return SobolevRecord(value=_SOBOLEV_SAFETY * best, points=len(pts), words=nwords)

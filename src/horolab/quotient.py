@@ -303,7 +303,9 @@ def _gauss_words(mats: np.ndarray, seed: np.ndarray | None = None):
     """The Gauss loop on a (N,2,2) stack, from the word seed (identity if None).
 
     Returns (word, converged): the exact integer word of every row and
-    whether the row finished within REDUCE_MAX_ITER passes.
+    whether the row finished within REDUCE_MAX_ITER passes.  A row whose
+    x is NaN after the first shift (a non-finite entry, or c = d = 0) has
+    no word: no later pass would change it, so it leaves unconverged then.
     """
     n = mats.shape[0]
     # flip word tracked exactly (integer-valued float entries); the final
@@ -323,7 +325,7 @@ def _gauss_words(mats: np.ndarray, seed: np.ndarray | None = None):
     w00, w01, w10, w11 = (words[:, i].copy() for i in range(4))
     if seed is not None:
         a, b, c, d = w00 * a + w01 * c, w00 * b + w01 * d, w10 * a + w11 * c, w10 * b + w11 * d
-    for _ in range(REDUCE_MAX_ITER):
+    for it in range(REDUCE_MAX_ITER):
         if len(rows) == 0:
             break
         den = c * c + d * d
@@ -348,12 +350,14 @@ def _gauss_words(mats: np.ndarray, seed: np.ndarray | None = None):
             w00, w10 = np.where(invert, -w10, w00), np.where(invert, w00, w10)
             w01, w11 = np.where(invert, -w11, w01), np.where(invert, w01, w11)
         done = ~(invert | need_shift)
-        if done.any():
-            fin = rows[done]
-            words[fin, 0], words[fin, 1] = w00[done], w01[done]
-            words[fin, 2], words[fin, 3] = w10[done], w11[done]
-            converged[fin] = True
-            keep = ~done
+        # a NaN x shifts by NaN and never inverts, so the row is settled, unconverged
+        leave = done | np.isnan(x) if it == 0 else done
+        if leave.any():
+            fin = rows[leave]
+            words[fin, 0], words[fin, 1] = w00[leave], w01[leave]
+            words[fin, 2], words[fin, 3] = w10[leave], w11[leave]
+            converged[fin] = done[leave] if it == 0 else True
+            keep = ~leave
             rows = rows[keep]
             a, b, c, d = a[keep], b[keep], c[keep], d[keep]
             w00, w01, w10, w11 = w00[keep], w01[keep], w10[keep], w11[keep]
@@ -420,7 +424,9 @@ def reduce_batch_k1(mats: np.ndarray):
     * sparse (integer times, random stacks): every row runs the Gauss
       loop seeded with the word of the anchor at or before it.
 
-    Every row that no word passes, NaN rows included, is reduced cold.
+    Every row that no word passes, NaN rows included, is reduced cold.  A
+    row with a non-finite entry, or with c = d = 0, comes back unconverged
+    and has no word: its word entries are NaN or infinite and mean nothing.
     Why that gives the cold bytes: rounding moves the cold loop's point by
     about eps * |word| * |mats| * y (the constants say how this was
     measured), so the cold loop cannot stop at another translate of a
@@ -843,10 +849,8 @@ def _cd_rows(lat: HilbertLattice) -> np.ndarray:
 
 @dataclass
 class DivergenceReport:
-    mode: str
     times: np.ndarray
     heights: np.ndarray
-    threshold: float
     diverges: bool
     first_escape: float | None
 
@@ -881,8 +885,7 @@ def detect_divergence(p: QuotientPoint, mode: str = "geodesic",
         if tail_ok and len(heights) - j >= MIN_ESCAPE_TAIL:
             diverges = True
             first_escape = float(times[j])
-    return DivergenceReport(mode=mode, times=times, heights=heights,
-                            threshold=HEIGHT_THRESHOLD, diverges=diverges,
+    return DivergenceReport(times=times, heights=heights, diverges=diverges,
                             first_escape=first_escape)
 
 

@@ -121,8 +121,6 @@ def generate(ts: TimeSet) -> np.ndarray:
 
 @dataclass
 class BlockPair:
-    m_base: int
-    gamma_exp: float
     k_max: int
     exact_times: np.ndarray   # (M+k)^{1+gamma}
     linear_times: np.ndarray  # M^{1+gamma} + (1+gamma) M^gamma k
@@ -147,8 +145,7 @@ def block_decompose(m_base: int, gamma_exp: float) -> BlockPair:
     exact = (m_base + k) ** (1.0 + gamma_exp)
     gap = (1.0 + gamma_exp) * m_base ** gamma_exp
     linear = m_base ** (1.0 + gamma_exp) + gap * k
-    return BlockPair(m_base=m_base, gamma_exp=gamma_exp, k_max=k_max,
-                     exact_times=exact, linear_times=linear)
+    return BlockPair(k_max=k_max, exact_times=exact, linear_times=linear)
 
 
 def block_error(m_base: int, gamma_exp: float) -> float:
@@ -177,7 +174,7 @@ def _checkpoint(p: QuotientPoint, t0: float) -> np.ndarray:
 
 
 def _orbit_chunks(p: QuotientPoint, n: int, nodes, workers: int, fn, fold) -> list:
-    """[fold(start, fn(reduced coordinates of u(t) . p) for t in nodes(start, stop))].
+    """[fold(fn(reduced coordinates of u(t) . p) for t in nodes(start, stop))].
 
     The one orbit walk: node indices [0, n) in chunks of _SLAB_NODES, each
     making its own times and re-anchoring at a reduced checkpoint that its
@@ -190,7 +187,7 @@ def _orbit_chunks(p: QuotientPoint, n: int, nodes, workers: int, fn, fold) -> li
     def one_chunk(start: int):
         times = nodes(start, min(start + _SLAB_NODES, n))
         t0 = float(times[0])
-        return fold(start, qt.orbit_values(p.lattice, _checkpoint(p, t0), times - t0, fn))
+        return fold(qt.orbit_values(p.lattice, _checkpoint(p, t0), times - t0, fn))
 
     spans = range(0, n, _SLAB_NODES)
     if workers <= 1:
@@ -208,13 +205,17 @@ def orbit_coordinates(p: QuotientPoint, times: np.ndarray,
     averages fold their observable chunk by chunk instead.
     """
     parts = _orbit_chunks(p, len(times), lambda a, b: times[a:b], workers,
-                          lambda coords: coords, lambda start, coords: coords)
+                          lambda coords: coords, lambda coords: coords)
     return np.concatenate(parts, axis=0) if parts else np.empty((0, p.lattice.k, 3))
+
+
+def _panel_count(t_span: float, step: float) -> int:
+    return max(1, int(math.ceil(t_span / step)))
 
 
 def _panel_nodes(t_span: float, step: float, lo: int = 0, hi: int | None = None):
     """Composite Gauss-Legendre nodes and weights of panels [lo, hi) on [0, t_span]."""
-    panels = max(1, int(math.ceil(t_span / step)))
+    panels = _panel_count(t_span, step)
     h = t_span / panels
     hi = panels if hi is None else hi
     starts = np.arange(lo, hi) * h
@@ -223,26 +224,18 @@ def _panel_nodes(t_span: float, step: float, lo: int = 0, hi: int | None = None)
     return nodes, weights
 
 
-def _arc_sums(f, p: QuotientPoint, t_span: float, step: float, workers: int):
-    """(sum w f, sum w, both over the first panels // 2 panels, node count)
-    along the arc u([0, t_span]) . p, summed over its chunks in order.
-    """
-    panels = max(1, int(math.ceil(t_span / step)))
+def _arc_sums(f, p: QuotientPoint, t_span: float, step: float, workers: int) -> float:
+    """sum w f along the arc u([0, t_span]) . p: one weighted sum per chunk,
+    added in chunk order."""
+    panels = _panel_count(t_span, step)
     # every panel has the same weights, so one chunk's serve them all
     _, w_chunk = _panel_nodes(t_span, step, 0, min(panels, _SLAB_NODES // _GL_ORDER))
 
     def nodes(start: int, stop: int) -> np.ndarray:
         return _panel_nodes(t_span, step, start // _GL_ORDER, stop // _GL_ORDER)[0]
 
-    def fold(start: int, vals: np.ndarray):
-        w, ones = w_chunk[:len(vals)], np.ones_like(vals)
-        cut = min(len(vals), max(0, panels // 2 * _GL_ORDER - start))
-        return (float(np.dot(w, vals)), float(np.dot(w, ones)),
-                float(np.dot(w[:cut], vals[:cut])), float(np.dot(w[:cut], ones[:cut])),
-                len(vals))
-
-    chunks = _orbit_chunks(p, panels * _GL_ORDER, nodes, workers, f.evaluate_coords, fold)
-    return [sum(column) for column in zip(*chunks)]
+    return sum(_orbit_chunks(p, panels * _GL_ORDER, nodes, workers, f.evaluate_coords,
+                             lambda vals: float(np.dot(w_chunk[:len(vals)], vals))))
 
 
 def _resolve_step(f, step: float | None) -> float:
@@ -307,12 +300,11 @@ def horocycle_average(f, p: QuotientPoint, t_span: float,
     h = _resolve_step(f, step)
     # the reference first, so its quadrature accumulator and the arc are never alive together
     ref, ref_kind = _reference_value(f, p, reference)
-    num, _, _, _, count = _arc_sums(f, p, t_span, h, workers)
-    value = num / t_span
+    value = _arc_sums(f, p, t_span, h, workers) / t_span
     eta_scale = math.log(t_span) if t_span > 1.0 else 0.0
     eta = qt.injectivity_radius(qt.flow_a_contracting(p, eta_scale))
     return AverageResult(
-        value=value, sample_count=count, reference=ref,
+        value=value, sample_count=_panel_count(t_span, h) * _GL_ORDER, reference=ref,
         deviation=abs(value - ref), timeset=Interval(t_span, h),
         point_id=point_id, metadata={
             "reference_kind": ref_kind,
@@ -327,47 +319,13 @@ def sparse_average(f, p: QuotientPoint, ts: TimeSet, workers: int = 1,
     if len(times) == 0:
         raise ConfigError(f"empty time set: {ts!r}")
     chunk_sums = _orbit_chunks(p, len(times), lambda a, b: times[a:b], workers,
-                               f.evaluate_coords, lambda start, vals: float(np.sum(vals)))
+                               f.evaluate_coords, lambda vals: float(np.sum(vals)))
     value = sum(chunk_sums) / len(times)
     ref, ref_kind = _reference_value(f, p, reference)
     return AverageResult(
         value=value, sample_count=len(times), reference=ref,
         deviation=abs(value - ref), timeset=ts, point_id=point_id,
         metadata={"reference_kind": ref_kind})
-
-
-@dataclass
-class ReferenceResult:
-    value: float
-    error_estimate: float
-    t_ref: float
-    sample_count: int
-    flagged_divergent: bool = False
-
-
-def haar_reference(f, p: QuotientPoint, t_ref: float,
-                   step: float | None = None, workers: int = 1) -> ReferenceResult:
-    """Long-arc orbit average standing in for the invariant integral.
-
-    Averages f over u([0, t_ref]) . p with the same composite quadrature
-    as horocycle_average but normalised by the quadrature mass, so a
-    constant observable reproduces its level bit-exactly.  The error
-    estimate is the halving difference |A(T) - A(T/2)|; basepoints whose
-    renormalising geodesic push escapes to the cusp are flagged, since
-    their orbit average measures a closed orbit, not the whole space.
-    The arc is made and summed chunk by chunk (_arc_sums), so the
-    horizon is limited by time, not memory, and the chunks run on
-    `workers` threads.
-    """
-    if t_ref <= 1.0:
-        raise ConfigError("reference horizon must exceed 1")
-    probe = qt.detect_divergence(p, mode="geodesic", t_max=max(2.0, math.log(t_ref)))
-    num, mass, num_h, mass_h, count = _arc_sums(f, p, t_ref, _resolve_step(f, step), workers)
-    value = num / mass
-    half_value = num_h / mass_h if mass_h > 0.0 else value
-    return ReferenceResult(
-        value=value, error_estimate=abs(value - half_value), t_ref=t_ref,
-        sample_count=count, flagged_divergent=probe.diverges)
 
 
 def renormalization_identity_check(f, p: QuotientPoint, t_span: float) -> float:
@@ -383,11 +341,10 @@ def renormalization_identity_check(f, p: QuotientPoint, t_span: float) -> float:
     if t_span <= 0:
         raise ConfigError("averaging horizon must be positive")
     h = _resolve_step(f, None)
-    lhs = _arc_sums(f, p, t_span, h, 1)[0] / t_span
+    lhs = _arc_sums(f, p, t_span, h, 1) / t_span
 
     tau = math.log(t_span)
-    panels = max(1, int(math.ceil(t_span / h)))
-    sig_nodes, sig_w = _panel_nodes(1.0, 1.0 / panels)
+    sig_nodes, sig_w = _panel_nodes(1.0, 1.0 / _panel_count(t_span, h))
     a_fwd = sl2.diagonal_a(tau, p.lattice.k)
     a_bwd = sl2.diagonal_a(-tau, p.lattice.k)
     k = p.lattice.k
@@ -444,8 +401,6 @@ def correlation(f, g, t: float, flow: str = "geodesic") -> float:
 @dataclass
 class DecayFit:
     slope: float
-    intercept: float
-    residual: float
     floored: bool
 
 
@@ -469,8 +424,4 @@ def decay_fit(series) -> DecayFit:
     devs = np.maximum(devs, _DEVIATION_FLOOR)
     lx = np.log(scales)
     ly = np.log(devs)
-    coeffs, res, *_ = np.polyfit(lx, ly, 1, full=True)
-    slope, intercept = float(coeffs[0]), float(coeffs[1])
-    residual = float(res[0]) if len(res) else 0.0
-    return DecayFit(slope=slope, intercept=intercept, residual=residual,
-                    floored=floored)
+    return DecayFit(slope=float(np.polyfit(lx, ly, 1)[0]), floored=floored)

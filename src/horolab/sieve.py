@@ -210,9 +210,6 @@ def mertens_product(u: float, z: float) -> float:
 
 @dataclass(frozen=True)
 class MertensReport:
-    u: float
-    z: float
-    epsilon: float
     lhs: float
     rhs: float
     holds: bool
@@ -222,7 +219,7 @@ def mertens_check(u: float, z: float, epsilon: float) -> MertensReport:
     """Check prod_{u<=p<z} (1-1/p)^{-1} < (1 + eps/3) log z / log u."""
     lhs = mertens_product(u, z)
     rhs = (1.0 + epsilon / 3.0) * math.log(z) / math.log(u)
-    return MertensReport(u=u, z=z, epsilon=epsilon, lhs=lhs, rhs=rhs, holds=lhs < rhs)
+    return MertensReport(lhs=lhs, rhs=rhs, holds=lhs < rhs)
 
 
 # Cut of the exact u~ scan.  Past it the scan bounds the Mertens product
@@ -339,13 +336,12 @@ def empirical_u_tilde(epsilon: float, z_max: int = 10**8) -> float:
 class LinearSieveFunctions:
     """Grid-backed F0/f0 with elementary branches and a clamped tail.
 
-    grid_step <= 1e-3; on [1,3] (resp. (0,2] and [2,4]) the closed
+    The grid step is <= 1e-3; on [1,3] (resp. (0,2] and [2,4]) the closed
     branches are used exactly; past s_max both functions are exactly 1
     (their true deviations there are below double precision).
     """
 
     s_max: float
-    grid_step: float
     s_grid: np.ndarray
     p_dev: np.ndarray  # s * (F0(s) - 1)
     q_dev: np.ndarray  # s * (1 - f0(s))
@@ -472,7 +468,7 @@ def linear_sieve_functions(s_max: float = 40.0, grid_step: float = 1e-3) -> Line
             q_live = _advance(q, lo, am_steps(p, lo, hi))
     for grid in (s, p, q):
         grid.flags.writeable = False
-    return LinearSieveFunctions(s_max=s_max, grid_step=h, s_grid=s, p_dev=p, q_dev=q)
+    return LinearSieveFunctions(s_max=s_max, s_grid=s, p_dev=p, q_dev=q)
 
 
 def _advance(dev: np.ndarray, lo: int, steps) -> bool:
@@ -624,8 +620,6 @@ class SieveBoundsReport:
     admissible: bool
     upper_valid: bool   # D >= z
     lower_valid: bool   # D >= z^2
-    q_threshold: float
-    q_product: float
 
 
 def admissibility_check(problem: SieveProblem) -> bool:
@@ -676,7 +670,6 @@ def sieve_bounds(problem: SieveProblem) -> SieveBoundsReport:
         divisor_count=len(divisors), upper=upper, lower=lower, s_exact=s_exact,
         brackets_hold=holds, admissible=admissibility_check(problem),
         upper_valid=upper_valid, lower_valid=lower_valid,
-        q_threshold=problem.exclude_below, q_product=q_product,
     )
 
 
@@ -687,10 +680,8 @@ def sieve_bounds(problem: SieveProblem) -> SieveBoundsReport:
 @dataclass
 class PipelineReport:
     n_max: int
-    alpha_exp: float
     z: float
     level: int                  # L = floor(1/alpha) + 1
-    s_target: float
     u_tilde: float
     f0_at_s: float
     bounds: SieveBoundsReport
@@ -742,7 +733,7 @@ def dynamical_sieve_pipeline(weights: np.ndarray, alpha_exp: float,
     chain_ok = (omega_sum >= report.s_exact - 1e-9) and (report.s_exact >= report.lower - 1e-9)
     margin = report.s_exact - (0.01 * report.big_x - report.remainder)
     return PipelineReport(
-        n_max=n_max, alpha_exp=alpha_exp, z=z, level=level, s_target=s_target,
+        n_max=n_max, z=z, level=level,
         u_tilde=u_tilde, f0_at_s=f0, bounds=report, omega_sum=omega_sum,
         chain_ok=chain_ok, positive=report.lower > 0.0, margin=margin,
     )

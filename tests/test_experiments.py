@@ -130,13 +130,13 @@ class TestConfig:
         assert a.config_hash() == quick_average_config().config_hash()
         assert a.config_hash() != b.config_hash()
 
-    def test_env_overrides(self):
-        cfg = ex.apply_env_overrides(quick_average_config(), {
-            "HOROLAB_T_SPAN": "55.5",
-            "HOROLAB_WORKERS": "4",
-            "HOROLAB_POINT": "preset:cusp",
-            "UNRELATED": "ignored",
-        })
+    def test_env_overrides(self, tmp_path, monkeypatch):
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps(quick_average_config().to_dict()))
+        for var, value in {"HOROLAB_T_SPAN": "55.5", "HOROLAB_WORKERS": "4",
+                           "HOROLAB_POINT": "preset:cusp", "UNRELATED": "ignored"}.items():
+            monkeypatch.setenv(var, value)
+        cfg = config_from_args(build_parser().parse_args(["average", "--config", str(cfgfile)]))
         assert cfg.t_span == 55.5
         assert cfg.workers == 4
         assert cfg.point == "preset:cusp"

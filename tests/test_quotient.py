@@ -576,6 +576,30 @@ class TestWarmReduction:
         assert not result[1][5::97].any()
         assert_cold_bytes(mats, result)
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_rows_leave_on_the_first_pass(self, monkeypatch, generic_point):
+        """A row whose x is NaN (a NaN or infinite entry, c = d = 0) never
+        changes again, so it leaves the Gauss loop unconverged on its first
+        pass: with the pass budget raised to 1e5 the block still takes
+        milliseconds, and every other row keeps the clean block's bytes."""
+        clean = self.dense_block(generic_point)
+        mats = clean.copy()
+        bad = [100, 200, 300, 400]
+        mats[100, 0, 0] = np.nan
+        mats[200, 1, 1] = np.inf
+        mats[300, 0, 1] = -np.inf
+        mats[400, 1] = 0.0
+        monkeypatch.setattr(qt, "REDUCE_MAX_ITER", 10**5)
+        start = time.perf_counter()
+        result = qt.reduce_batch_k1(mats)
+        assert time.perf_counter() - start < 1.0
+        out, conv, _ = result
+        ref_out, ref_conv, _ = qt.reduce_batch_k1(clean)
+        assert not conv[bad].any()
+        assert np.delete(conv, bad).tobytes() == np.delete(ref_conv, bad).tobytes()
+        assert np.delete(out, bad, axis=0).tobytes() == np.delete(ref_out, bad, axis=0).tobytes()
+        assert_cold_bytes(mats, result)
+
     def test_word_is_exact(self, generic_point, rng):
         dense = self.dense_block(generic_point)
         random = np.stack([sl2.random_element(rng, scale=2.0).mats[0] for _ in range(1000)])
@@ -908,6 +932,12 @@ class TestDivergence:
         # height e^t crosses 50 at t = ln 50
         assert rep.first_escape >= math.log(50.0) - 1e-9
         assert np.all(np.diff(rep.times) > 0)
+
+    def test_identity_coset_flagged(self, modular):
+        # the probe over the renormalising push of a horizon-500 arc
+        rep = qt.detect_divergence(qt.identity_coset(modular), mode="geodesic",
+                                   t_max=math.log(500.0))
+        assert rep.diverges
 
     def test_generic_geodesic_recurs(self, generic_point):
         rep = qt.detect_divergence(generic_point, mode="geodesic", t_max=30.0)

@@ -187,6 +187,10 @@ class TestRenormalizationIdentity:
         assert sp.renormalization_identity_check(
             test_bump, generic_point, 1.0e3) <= 1e-6
 
+    def test_pinned_bytes(self, test_bump, generic_point):
+        assert sp.renormalization_identity_check(
+            test_bump, generic_point, 500.0).hex() == "0x1.0c00000000000p-52"
+
     def test_random_triples(self, rng, modular, test_bump):
         for _ in range(5):
             p = qt.reduce_point(
@@ -303,6 +307,13 @@ class TestDecayFit:
                             (10000.0, 1e-6)])
         assert fit.floored
 
+    def test_pinned_slopes(self):
+        wobbly = [(10.0 ** (k / 2), 0.3 * 10.0 ** (-0.23 * k) * (1.0 + 0.05 * (-1) ** k))
+                  for k in range(1, 9)]
+        floored = [(10.0, 1e-3), (100.0, 1e-4), (1000.0, 0.0), (10000.0, 1e-6)]
+        assert [sp.decay_fit(wobbly).slope.hex(), sp.decay_fit(floored).slope.hex()] == [
+            "-0x1.d2cd1243f57e4p-2", "-0x1.e666666666665p+0"]
+
     def test_too_few_points_rejected(self):
         with pytest.raises(ConfigError):
             sp.decay_fit([(10.0, 0.1), (100.0, 0.01), (1000.0, 0.001)])
@@ -371,8 +382,8 @@ def materialised_arc(t_span: float) -> tuple:
 
     Every node and weight of the arc is materialised; the orbit is walked
     in _SLAB_NODES chunks, each anchored at the reduced class of its first
-    node; then (horocycle average, haar_reference value and error, sparse
-    mean over the same nodes) are summed slab by slab.
+    node; then (horocycle average, sparse mean over the same nodes) are
+    summed slab by slab.
     """
     p, f = point_preset("generic1"), bump_preset(qt.ModularLattice())
     panels = max(1, int(math.ceil(t_span / CHUNK_STEP)))
@@ -391,26 +402,7 @@ def materialised_arc(t_span: float) -> tuple:
     horocycle = sum(float(np.dot(weights[s:s + sp._SLAB_NODES], vals[s:s + sp._SLAB_NODES]))
                     for s in slabs) / t_span
     sparse = sum(float(np.sum(vals[s:s + sp._SLAB_NODES])) for s in slabs) / len(vals)
-    # haar_reference's slab loop: mass-normalised, with the halving estimate
-    half = panels // 2
-    num = mass = num_h = mass_h = 0.0
-    for start in range(0, panels, CHUNK_PANELS):
-        stop = min(start + CHUNK_PANELS, panels)
-        w = weights[start * sp._GL_ORDER:stop * sp._GL_ORDER]
-        v = vals[start * sp._GL_ORDER:stop * sp._GL_ORDER]
-        ones = np.ones_like(v)
-        num += float(np.dot(w, v))
-        mass += float(np.dot(w, ones))
-        if stop <= half:
-            num_h += float(np.dot(w, v))
-            mass_h += float(np.dot(w, ones))
-        elif start < half:
-            cut = (half - start) * sp._GL_ORDER
-            num_h += float(np.dot(w[:cut], v[:cut]))
-            mass_h += float(np.dot(w[:cut], ones[:cut]))
-    value = num / mass
-    half_value = num_h / mass_h if mass_h > 0.0 else value
-    return panels, len(nodes), horocycle, value, abs(value - half_value), sparse
+    return panels, len(nodes), horocycle, sparse
 
 
 class TestChunkDriver:
@@ -421,19 +413,16 @@ class TestChunkDriver:
     @pytest.mark.parametrize("panels", [
         1000,                  # inside the first chunk
         CHUNK_PANELS,          # exactly one chunk
-        3 * CHUNK_PANELS // 2,  # 1.5 chunks: the half-cut falls inside the first
-        3 * CHUNK_PANELS,      # 3 chunks: the half-cut falls inside the second
+        3 * CHUNK_PANELS // 2,  # 1.5 chunks
+        3 * CHUNK_PANELS,      # 3 chunks
     ])
     def test_bytes_equal_materialised_arc(self, generic_point, test_bump, panels, workers):
         t_span = panels * CHUNK_STEP
-        got_panels, count, horocycle, value, error, sparse = materialised_arc(t_span)
+        got_panels, count, horocycle, sparse = materialised_arc(t_span)
         assert got_panels == panels
         r = sp.horocycle_average(test_bump, generic_point, t_span, step=CHUNK_STEP,
                                  workers=workers, reference=0.0)
         assert (r.value, r.sample_count) == (horocycle, count)
-        ref = sp.haar_reference(test_bump, generic_point, t_span, step=CHUNK_STEP,
-                                workers=workers)
-        assert (ref.value, ref.error_estimate, ref.sample_count) == (value, error, count)
         avg = sp.sparse_average(test_bump, generic_point, sp.Interval(t_span, CHUNK_STEP),
                                 workers=workers, reference=0.0)
         assert (avg.value, avg.sample_count) == (sparse, count)
@@ -457,8 +446,8 @@ class TestChunkDriver:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(sp, "ThreadPoolExecutor", CountedPool)
-        r = sp.haar_reference(test_bump, generic_point, 3 * CHUNK_PANELS * CHUNK_STEP,
-                              step=CHUNK_STEP, workers=2)
+        r = sp.horocycle_average(test_bump, generic_point, 3 * CHUNK_PANELS * CHUNK_STEP,
+                                 step=CHUNK_STEP, workers=2, reference=0.0)
         assert r.sample_count == 3 * sp._SLAB_NODES
         assert pools == [2]
 

@@ -1,10 +1,11 @@
-"""Static guards on horolab's surface: every option has a caller, every import a use,
-no module keeps a hand-rolled cache, and no module reads another's private names.
+"""Static guards on horolab's surface: every option has a caller, every output
+field a reader, every import a use, no module keeps a hand-rolled cache, and no
+module reads another's private names.
 
-All read the source with `ast` and run nothing.  The census matches calls
-to definitions by name only, so a call to any function of the same name
-counts as setting its parameters: it can miss an unset option, never
-invent one.
+All read the source with `ast` and run nothing.  The censuses match by name
+only: a call to any function of the same name counts as setting its
+parameters, and a load of any attribute of the same name counts as reading a
+field, so they can miss an unset option or an unread field, never invent one.
 """
 
 import ast
@@ -101,6 +102,31 @@ def unset_parameters() -> list[str]:
     return unset
 
 
+def _reads_itself_whole(node: ast.ClassDef) -> bool:
+    """A class that hands itself to `asdict`, so every field reaches its output."""
+    return any(isinstance(call, ast.Call)
+               and (getattr(call.func, "id", None) or getattr(call.func, "attr", None)) == "asdict"
+               and any(isinstance(a, ast.Name) and a.id == "self" for a in call.args)
+               for call in ast.walk(node))
+
+
+def write_only_fields() -> list[str]:
+    """`module.Class.field` for every dataclass field whose name no attribute load reads."""
+    loaded = {node.attr for folder in CALLER_DIRS for path in sorted(folder.rglob("*.py"))
+              for node in ast.walk(_parse(path))
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if not (isinstance(node, ast.ClassDef) and _is_dataclass(node)) \
+                    or _reads_itself_whole(node):
+                continue
+            unread += [f"{path.stem}.{node.name}.{item.target.id}" for item in node.body
+                       if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                       and item.target.id not in loaded]
+    return unread
+
+
 def unused_imports() -> list[str]:
     """`module: name` for every imported name a module never uses (no __init__)."""
     unused = []
@@ -162,6 +188,10 @@ def empty_module_dicts() -> list[str]:
 
 def test_every_defaulted_parameter_has_a_caller():
     assert unset_parameters() == []
+
+
+def test_every_dataclass_field_has_a_reader():
+    assert write_only_fields() == []
 
 
 def test_every_import_is_used():
