@@ -14,6 +14,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import platform
 import re
 import sys
@@ -174,10 +175,22 @@ def env_fields(environ) -> dict:
 
 
 def environment_fingerprint() -> dict:
+    """The runtime, kept out of content_id.  Payload bytes can depend on numpy's
+    active SIMD dispatch targets, on glibc's libm and on the BLAS build (README
+    §Determinism), so all three are named; reading them costs about 0.1 ms."""
+    try:
+        config = np.show_config(mode="dicts")  # numpy >= 1.26
+    except TypeError:
+        config = {}
+    blas = config.get("Build Dependencies", {}).get("blas", {})
     return {
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "platform": platform.platform(),
+        "numpy_simd": config.get("SIMD Extensions", {}).get("found", []),
+        "libc": os.confstr("CS_GNU_LIBC_VERSION")
+        if "CS_GNU_LIBC_VERSION" in getattr(os, "confstr_names", {}) else None,
+        "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")},
     }
 
 

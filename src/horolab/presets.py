@@ -48,10 +48,18 @@ def _numbers(text: str, spec: str) -> list[float]:
 
 
 def lattice_from_name(name: str, disc: int = 2) -> Lattice:
+    """The named lattice.  A Hilbert D is refused when its fundamental unit has
+    a coefficient of at least 2^53, past which its float embedding is no longer
+    that unit (D = 379 is the first), checked in exact integers."""
     if name == "modular":
         return ModularLattice()
     if name == "hilbert":
-        return HilbertLattice(disc)
+        lattice = HilbertLattice(disc)
+        bits = max(abs(c).bit_length() for c in lattice.unit_pair[0])
+        if bits > 53:
+            raise ConfigError(f"D = {disc}: the fundamental unit has a {bits}-bit coefficient; "
+                              "the k = 2 reduction needs one below 2^53")
+        return lattice
     raise ConfigError(f"unknown lattice {name!r} (want modular or hilbert)")
 
 

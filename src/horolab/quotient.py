@@ -197,6 +197,17 @@ class HilbertLattice:
         inv = self.conj(eps)
         return eps, inv if self.norm(eps) == 1 else (-inv[0], -inv[1])
 
+    @cached_property
+    def reduction_steps(self):
+        """The reduction's constants, computed once: what one unit step scales
+        each entry (a, b, c, d per place) by, for m > 0 and m < 0; 2 log|eps|;
+        LAPACK's inverse of the basis [[1, w1], [1, w2]] (the closed form
+        differs in last bits); (w1, w2)."""
+        (e1, e2), (i1, i2) = (self.embed(*u) for u in self.unit_pair)
+        w1, w2 = self.omega_embeddings()
+        units = [(e1, i1), (e1, i1), (i1, e1), (i1, e1), (e2, i2), (e2, i2), (i2, e2), (i2, e2)]
+        return units, 2.0 * math.log(abs(e1)), np.linalg.inv(np.array([[1.0, w1], [1.0, w2]])), (w1, w2)
+
 
 Lattice = ModularLattice | HilbertLattice
 
@@ -287,16 +298,12 @@ def _phi_stack(xs, gamma_exp: float, k: int) -> np.ndarray:
 # batched Gauss reduction, k = 1
 # ----------------------------------------------------------------------
 
-def _mobius_coords(mats: np.ndarray,
-                   want: str = "xy") -> tuple[np.ndarray | None, np.ndarray | None]:
-    """(x, y) of g*i for a (...,2,2) stack; y uses the exact determinant.
-    Only the coordinates named in want are computed, the other is None."""
+def _mobius_coords(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) of g*i for a (...,2,2) stack; y uses the exact determinant."""
     a, b = mats[..., 0, 0], mats[..., 0, 1]
     c, d = mats[..., 1, 0], mats[..., 1, 1]
     den = c * c + d * d
-    x = (a * c + b * d) / den if "x" in want else None
-    y = (a * d - b * c) / den if "y" in want else None
-    return x, y
+    return (a * c + b * d) / den, (a * d - b * c) / den
 
 
 def _gauss_words(mats: np.ndarray, seed: np.ndarray | None = None):
@@ -556,93 +563,86 @@ def coordinates(p: QuotientPoint) -> np.ndarray:
 # Hilbert-modular best-effort reduction, k = 2
 # ----------------------------------------------------------------------
 
-def _balance_units(ent: np.ndarray, lat: HilbertLattice) -> np.ndarray:
-    """Apply diag-unit^m in place to balance y1 against y2; returns the mask
-    of rows moved.  y1/y2 scales by eps^{4m}; the unit is applied |m| times
-    one step after another (a power eps^m rounds differently)."""
-    (e1, e2), (i1, i2) = (lat.embed(*u) for u in lat.unit_pair)
-    _, y = _mobius_coords(np.moveaxis(ent.reshape(2, 2, 2, -1), -1, 1), "y")
-    ratio = 0.5 * np.log(y[0] / y[1])
-    m = np.rint(-ratio / (2.0 * math.log(abs(e1))))
-    m = np.nan_to_num(m, nan=0.0, posinf=0.0, neginf=0.0).astype(int)
-    for sign, unit in ((1, [e1, e1, i1, i1, e2, e2, i2, i2]),
-                       (-1, [i1, i1, e1, e1, i2, i2, e2, e2])):
-        rows = np.flatnonzero(m * sign > 0)
-        left = np.abs(m[rows])
-        while len(rows):
-            for entry, scale in zip(ent, unit):
-                entry[rows] = entry[rows] * scale + 0.0
-            left -= 1
-            rows, left = rows[left > 0], left[left > 0]
-    return m != 0
-
-
-def _translate(ent: np.ndarray, lat: HilbertLattice) -> np.ndarray:
-    """Apply the nearest O-translation of (x1, x2) in place; returns the
-    mask of rows moved.  The basis inverse is LAPACK's, which the closed
-    form misses in last bits; only rint of its products is read."""
-    w1, w2 = lat.omega_embeddings()
-    (p, q), (r, s) = np.linalg.inv(np.array([[1.0, w1], [1.0, w2]]))
-    x, _ = _mobius_coords(np.moveaxis(ent.reshape(2, 2, 2, -1), -1, 1), "x")
-    m = np.rint(p * x[0] + q * x[1]).astype(int)
-    n = np.rint(r * x[0] + s * x[1]).astype(int)
-    moved = (m != 0) | (n != 0)
-    rows = np.flatnonzero(moved)
-    m, n = m[rows], n[rows]
-    # [[1, -t], [0, 1]] on the left: a, b of each factor less t times c, d
-    for top, t in ((0, m + n * w1), (4, m + n * w2)):
-        for i in (top, top + 1):
-            ent[i][rows] -= t * ent[i + 2][rows]
-    return moved
-
-
-def _invert(ent: np.ndarray) -> np.ndarray:
-    """Invert in place where it grows the product height; returns the mask
-    of rows moved."""
-    x, y = _mobius_coords(np.moveaxis(ent.reshape(2, 2, 2, -1), -1, 1))
-    r2 = x * x + y * y
-    del x, y
-    moved = 1.0 / (r2[0] * r2[1]) > 1.0 + 1e-12
-    rows = np.flatnonzero(moved)
-    for i in (0, 1, 4, 5):
-        ent[i][rows], ent[i + 2][rows] = -ent[i + 2][rows], ent[i][rows]
-    return moved
-
-
 def _reduce_stack_hilbert(lat: HilbertLattice, stack: np.ndarray):
     """Bounded local search: unit balancing, translations, inversion.
 
-    Maximises the product height y1*y2 and centres (x1, x2) at the
-    origin of the embedded integer lattice; the flag reports whether a
-    fixed point was reached within the round budget (best effort).
+    Maximises the product height y1*y2 and centres (x1, x2) at the origin
+    of the embedded integer lattice; the flag reports whether a fixed point
+    was reached within the round budget (best effort).
 
-    Rows are held as eight contiguous entry arrays (a, b, c, d per factor);
-    each step is a helper, so its temporaries are freed before the next.
-    A step reads only its own row, so a row no step moved in a round is an
-    exact fixed point: it retires, flagged converged.  The unit step gives
-    the bytes of diag(e, 1/e) @ g: e*a + 0*c is e*a for finite c, but an
-    exact zero comes out +0 (hence the + 0.0), and a row with a non-finite
-    entry has a non-finite height ratio, so it is never balanced.
+    A round updates the (8, live) entry block (a, b, c, d per place) in
+    place by masks.  Each step reads only its own row, so a row no step
+    moved is an exact fixed point: it is flagged converged and closes up
+    behind the moving rows.  The bytes are the full-stack loop's because
+    every per-row expression is kept: x, y = (ac + bd, ad - bc)/(c^2 + d^2);
+    m = rint(-0.5 log(y1/y2) / (2 log|eps|)), 0 where not finite; |m| unit
+    steps one after another, each v * unit + 0.0 (diag(e, 1/e) @ g, exact
+    zeros +0), on rows taken once per round so a step costs what its rows
+    cost; t = m + n*w from rint of LAPACK's basis inverse times (x1, x2),
+    a - t*c on the rows it moves; inversion where 1/(r1^2 r2^2) > 1 + 1e-12,
+    reusing c*c + d*d, which the translation leaves alone.
     """
-    stack = np.asarray(stack, dtype=float)
+    units, log_step, ((p, q), (r, s)), (w1, w2) = lat.reduction_steps
     n = live = len(stack)
-    # entries of the stack rows in `rows`: live rows first, then retired ones
-    ent = stack.reshape(n, 8).T.copy()
+    # entries of the stack rows in `rows`: live rows first, then settled ones
+    buf = np.asarray(stack, dtype=float).reshape(n, 8).T.copy()
     rows = np.arange(n)
     for _ in range(HILBERT_MAX_ROUNDS):
         if live == 0:
             break
-        work = ent[:, :live]
-        moved = _balance_units(work, lat)
-        moved |= _translate(work, lat)
-        moved |= _invert(work)
+        a1, b1, c1, d1, a2, b2, c2, d2 = ent = buf[:, :live]
+        den1, den2 = c1 * c1 + d1 * d1, c2 * c2 + d2 * d2
+        m = np.rint(-(0.5 * np.log(((a1 * d1 - b1 * c1) / den1) / ((a2 * d2 - b2 * c2) / den2)))
+                    / log_step)
+        moved = np.isfinite(m)
+        moved &= m != 0.0
+        if moved.any():
+            # stepping rows by m descending (|m| < 800: int16 sorts by radix); step j
+            # scales the m >= j rows, which lead, and the m <= -j rows, which trail
+            step = np.flatnonzero(moved)
+            step = step[np.argsort(-m[step].astype(np.int16), kind="stable")]
+            key = -m[step].astype(np.int16)
+            cuts = [(np.s_[:end], 0) for end in np.searchsorted(key, -np.arange(1, 1 - key[0]), "right")]
+            cuts += [(np.s_[start:], 1) for start in np.searchsorted(key, np.arange(1, 1 + key[-1]))]
+            for entry, scale in zip(ent, units):
+                v = entry[step]
+                for cut, sign in cuts:
+                    v[cut] *= scale[sign]
+                    v[cut] += 0.0
+                entry[step] = v
+            del step, key, v
+            den1, den2 = c1 * c1 + d1 * d1, c2 * c2 + d2 * d2
+        del m
+        x1, x2 = (a1 * c1 + b1 * d1) / den1, (a2 * c2 + b2 * d2) / den2
+        tm = np.rint(p * x1 + q * x2).astype(int)
+        tn = np.rint(r * x1 + s * x2).astype(int)
+        shift = (tm != 0) | (tn != 0)
+        if shift.any():
+            moved |= shift
+            # [[1, -t], [0, 1]] on the left: a, b of each place less t times c, d
+            for a, b, c, d, w in ((a1, b1, c1, d1, w1), (a2, b2, c2, d2, w2)):
+                t = tm + tn * w
+                np.subtract(a, t * c, out=a, where=shift)
+                np.subtract(b, t * d, out=b, where=shift)
+            del t, tm, tn
+            x1, x2 = (a1 * c1 + b1 * d1) / den1, (a2 * c2 + b2 * d2) / den2
+        y1, y2 = (a1 * d1 - b1 * c1) / den1, (a2 * d2 - b2 * c2) / den2
+        del den1, den2
+        flip = 1.0 / ((x1 * x1 + y1 * y1) * (x2 * x2 + y2 * y2)) > 1.0 + 1e-12
+        del x1, x2, y1, y2
+        if flip.any():
+            moved |= flip
+            for top, low in ((a1, c1), (b1, d1), (a2, c2), (b2, d2)):  # (a, c) -> (-c, a)
+                neg = -low
+                np.copyto(low, top, where=flip)
+                np.copyto(top, neg, where=flip)
         if not moved.all():
-            order = np.concatenate([np.flatnonzero(moved), np.flatnonzero(~moved)])
-            for entry in (*ent, rows):  # permuted in place
-                entry[:live] = entry[:live][order]
-            live = int(moved.sum())
+            # settled rows close up behind the moving ones
+            for entry in (*ent, rows[:live]):
+                entry[:] = np.concatenate([entry[moved], entry[~moved]])
+            live = np.count_nonzero(moved)
     out = np.empty((n, 8))
-    out[rows] = ent.T
+    out[rows] = buf.T
     converged = np.zeros(n, dtype=bool)
     converged[rows[live:]] = True
     return out.reshape(n, 2, 2, 2), converged

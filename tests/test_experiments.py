@@ -215,6 +215,16 @@ class TestRecords:
         loaded = ex.load_records(path)
         assert loaded[0].payload == {"value": 1.0}
 
+    def test_environment_names_the_runtime_outside_the_content_id(self, monkeypatch):
+        env = ex.environment_fingerprint()
+        assert {"numpy_simd", "libc", "blas"} <= set(env)
+        assert all(isinstance(target, str) for target in env["numpy_simd"])
+        assert set(env["blas"]) == {"name", "version", "openblas configuration"}
+        rec = ex.make_record(quick_average_config(), {"value": 1.0})
+        assert rec.environment == env
+        monkeypatch.setattr(ex, "environment_fingerprint", lambda: {"numpy_simd": ["other"]})
+        assert ex.make_record(quick_average_config(), {"value": 1.0}).content_id == rec.content_id
+
     def test_future_schema_version_rejected(self, tmp_path):
         rec = ex.make_record(quick_average_config(), {"value": 1.0})
         new = json.loads(rec.to_json())
@@ -460,6 +470,17 @@ class TestCli:
         code = main(["torus", "--lattice", "hilbert", "D=19", "--point", "identity"])
         assert code == 0
         assert "torus_dim = 2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("disc, code", [(331, 0), (379, 1), (526, 1), (9949, 1), (1_000_003, 1)])
+    def test_large_unit_is_config_error(self, disc, code, capsys):
+        # coefficients of the fundamental unit: 52, 54, 67, 117 and 831 bits
+        for argv in (["reduce"], ["torus"], ["dichotomy", "mode=poly"],
+                     ["average", "--timeset", "poly", "N=1e3"]):
+            assert main(argv + ["--lattice", "hilbert", f"D={disc}", "--point", "identity"]) == code
+            err = capsys.readouterr().err
+            if code:
+                assert err.startswith(f"config error: D = {disc}: the fundamental unit has a ")
+                assert "Traceback" not in err
 
     def test_preset_point_must_match_lattice(self, capsys):
         code = main(["average", "--lattice", "hilbert", "--point", "preset:generic1",

@@ -8,10 +8,12 @@ import time
 import numpy as np
 import pytest
 
+from horolab import experiments as ex
 from horolab import observables as ob
 from horolab import quotient as qt
+from horolab import sampling as sp
 from horolab import sl2
-from horolab.presets import bump_preset, point_preset
+from horolab.presets import bump_preset, point_from_spec, point_preset
 
 HEIGHT_COMPARABILITY_C = 4.0
 
@@ -359,7 +361,26 @@ def hilbert_cases() -> dict:
     cases["non-finite-huge-tiny"] = (2, special.reshape(-1, 2, 2, 2))
     cases["empty"] = (2, np.empty((0, 2, 2, 2)))
     cases["one-row"] = (2, arc[:1])
+    # the last block's worth of the hilbert-k2 benchmark orbit (N = 1e5 polynomial
+    # times, one chunk), from the chunk's reduced checkpoint
+    lat2 = qt.HilbertLattice(2)
+    p = point_from_spec("coords:0.1,1.3,0.4,-0.2,1.1,1.7", lat2)
+    times = sp.generate(sp.PolynomialTimes(ex.ExperimentConfig().gamma_exp, 100_000))
+    cases["poly-orbit-tail"] = (2, qt.orbit_mats(sp._checkpoint(p, times[0]),
+                                                 times[-qt._BLOCK_ROWS:] - times[0]))
+    cases["one-row-170-unit-steps"] = (2, unit_step_block())
+    # omega = (1 + sqrt(5))/2
+    cases["haar-arc-block-D5"] = (5, arc[:qt._BLOCK_ROWS])
     return cases
+
+
+def unit_step_block(n: int = qt._BLOCK_ROWS) -> np.ndarray:
+    """n - 1 settled identity rows and, in the middle, one row with y1/y2 =
+    e^600, which balances in m = -170 unit steps at D = 2."""
+    coords = np.array([[[0.0, math.exp(300.0), 0.4], [0.0, math.exp(-300.0), 1.7]]])
+    stack = np.broadcast_to(np.eye(2), (n, 2, 2, 2)).copy()
+    stack[n // 2] = qt.mats_from_coords(coords)[0]
+    return stack
 
 
 HILBERT_CASES = hilbert_cases()
@@ -385,6 +406,33 @@ class TestHilbertReferenceLoop:
         assert conv.tobytes() == ref_conv.tobytes()
         if rounds == 1 and len(stack) > 1:
             assert not conv.all()  # rows still moving at the cap keep False
+
+    def test_unit_steps_cost_what_their_rows_cost(self):
+        # 170 unit steps of one row among 16 383 settled ones must not be 170
+        # steps over the whole block: what the block costs beyond the settled
+        # rows and the stepping row apart stays well below 170 full-width
+        # steps (one multiply and one add over every entry each), timed here
+        lat = qt.HilbertLattice(2)
+        block = unit_step_block()
+        alone, settled = block[qt._BLOCK_ROWS // 2:][:1], np.delete(block, qt._BLOCK_ROWS // 2, axis=0)
+        assert qt.reduce_stack(lat, alone)[1][0]
+        best = {}
+
+        def full_width():
+            ent = np.ones((8, qt._BLOCK_ROWS))
+            for _ in range(170):
+                ent *= 1.0
+                ent += 0.0
+
+        for _ in range(7):
+            for name, run in (("block", lambda: qt.reduce_stack(lat, block)),
+                              ("alone", lambda: qt.reduce_stack(lat, alone)),
+                              ("settled", lambda: qt.reduce_stack(lat, settled)),
+                              ("full", full_width)):
+                t0 = time.perf_counter()
+                run()
+                best[name] = min(best.get(name, np.inf), time.perf_counter() - t0)
+        assert best["block"] - best["alone"] - best["settled"] < 0.5 * best["full"]
 
 
 class TestWarmReduction:
