@@ -177,7 +177,8 @@ def env_fields(environ) -> dict:
 def environment_fingerprint() -> dict:
     """The runtime, kept out of content_id.  Payload bytes can depend on numpy's
     active SIMD dispatch targets, on glibc's libm and on the BLAS build (README
-    §Determinism), so all three are named; reading them costs about 0.1 ms."""
+    §Determinism), so all three are named; reading them costs about 0.1 ms.
+    platform.platform() is not used: its uname() processor field runs `uname -p`."""
     try:
         config = np.show_config(mode="dicts")  # numpy >= 1.26
     except TypeError:
@@ -186,7 +187,7 @@ def environment_fingerprint() -> dict:
     return {
         "python": sys.version.split()[0],
         "numpy": np.__version__,
-        "platform": platform.platform(),
+        "platform": f"{platform.system()}-{platform.release()}-{platform.machine()}",
         "numpy_simd": config.get("SIMD Extensions", {}).get("found", []),
         "libc": os.confstr("CS_GNU_LIBC_VERSION")
         if "CS_GNU_LIBC_VERSION" in getattr(os, "confstr_names", {}) else None,
@@ -445,12 +446,9 @@ def _sieve_orbit(cfg: ExperimentConfig, p: qt.QuotientPoint,
                  observables) -> list[sieve.PipelineReport]:
     """One sieve pipeline report per observable f, over the orbit weights
     a(n) = f(u(n) . p) for n = 1..N, with a(0) = 0."""
-    times = np.arange(1, cfg.n_max + 1, dtype=float)
-    coords = sp.orbit_coordinates(p, times, workers=cfg.workers)
-    return [sieve.dynamical_sieve_pipeline(
-                np.concatenate(([0.0], f.evaluate_coords(coords))),
-                cfg.alpha_exp, epsilon=cfg.epsilon, s_target=cfg.s_target)
-            for f in observables]
+    return [sieve.dynamical_sieve_pipeline(weights, cfg.alpha_exp, epsilon=cfg.epsilon,
+                                           s_target=cfg.s_target)
+            for weights in sp.integer_orbit_weights(p, cfg.n_max, observables, cfg.workers)]
 
 
 def _run_pipeline(cfg: ExperimentConfig):

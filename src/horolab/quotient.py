@@ -47,7 +47,7 @@ import numpy as np
 
 from . import sl2
 from .errors import ConfigError
-from .quadrature import tensor_grid
+from .quadrature import distinct_sorted, tensor_grid
 from .sl2 import GroupElement
 
 # reduction tolerances (k=1 exact Gauss loop)
@@ -870,7 +870,7 @@ def detect_divergence(p: QuotientPoint, mode: str = "geodesic",
         times = np.linspace(0.0, t_max, samples)
         elements = sl2.au_stack(-times, 0.0, k)
     elif mode == "phi":
-        times = np.unique(np.floor(np.geomspace(1.0, max(t_max, 2.0), samples)))
+        times = distinct_sorted(np.floor(np.geomspace(1.0, max(t_max, 2.0), samples)))
         elements = _phi_stack(times, gamma_exp, k)
     else:
         raise ValueError(f"unknown divergence mode {mode!r}")

@@ -2,12 +2,14 @@
 
 Averages come in two flavours: continuous (composite Gauss-Legendre
 quadrature of t -> f(u(t) . p) over [0, T]) and sparse (plain means over
-progressions, almost primes, polynomial times, or Taylor blocks).  Both
-walk the orbit in fixed-size chunks: each chunk re-anchors at a reduced
+progressions, almost primes, polynomial times, or Taylor blocks).  Both,
+and the sieve weights f(u(n) . p) at integer times, walk the orbit in
+fixed-size chunks: each chunk makes its own times, re-anchors at a reduced
 checkpoint representative so matrix entries stay bounded no matter how
-long the orbit is, and partial sums are combined in a fixed order so
-results are bit-identical for any worker count.  Chunks set the numbers;
-their cache-sized row blocks (quotient.orbit_values) only tile memory.
+long the orbit is, and folds its values (to a sum, or to the rows where
+a weight is not +0.0); folds are combined in a fixed order so results are
+bit-identical for any worker count.  Chunks set the numbers; their
+cache-sized row blocks (quotient.orbit_values) only tile memory.
 """
 
 from __future__ import annotations
@@ -201,12 +203,40 @@ def orbit_coordinates(p: QuotientPoint, times: np.ndarray,
     """Reduced coordinates (N,k,3) of u(t) . p for every t.
 
     Chunks set the numbers (re-anchoring); row blocks only tile memory.
-    Materialises the whole stack (24 bytes per sample per factor); the
-    averages fold their observable chunk by chunk instead.
+    Materialises the whole stack (24 bytes per sample per factor), for
+    callers that need the coordinates themselves (orbit tables, block
+    sweeps); the averages and the sieve weights fold chunk by chunk instead.
     """
     parts = _orbit_chunks(p, len(times), lambda a, b: times[a:b], workers,
                           lambda coords: coords, lambda coords: coords)
     return np.concatenate(parts, axis=0) if parts else np.empty((0, p.lattice.k, 3))
+
+
+def integer_orbit_weights(p: QuotientPoint, n: int, observables, workers: int):
+    """Yield, for each observable f in turn, the weights a(0..n) with a(0) = 0
+    and a(m) = f(u(m) . p).
+
+    One orbit walk serves them all: each chunk makes its own times m and
+    keeps, per f, only the rows whose value is not bitwise +0.0 (a -0.0
+    stays).  Each dense array is scattered back from those rows when it is
+    asked for, with the bytes of concatenate(([0.0], f on the whole orbit)).
+    """
+    def support(coords) -> list:
+        kept = []
+        for f in observables:
+            vals = f.evaluate_coords(coords)
+            rows = np.flatnonzero(vals.view(np.int64))
+            kept.append((rows, vals[rows]))
+        return kept
+
+    chunks = _orbit_chunks(p, n, lambda a, b: np.arange(a + 1, b + 1, dtype=float), workers,
+                           lambda coords: coords, support)
+    for i in range(len(observables)):
+        weights = np.zeros(max(n, 0) + 1)
+        for start, kept in zip(range(1, n + 1, _SLAB_NODES), chunks):
+            rows, vals = kept[i]
+            weights[start + rows] = vals
+        yield weights
 
 
 def _panel_count(t_span: float, step: float) -> int:

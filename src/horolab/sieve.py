@@ -41,7 +41,7 @@ from functools import cache
 import numpy as np
 
 from .errors import BudgetExhausted, ConfigError
-from .quadrature import gl_nodes
+from .quadrature import distinct_sorted, gl_nodes
 
 EULER_GAMMA = float(np.euler_gamma)
 
@@ -278,8 +278,10 @@ def empirical_u_tilde(epsilon: float, z_max: int = 10**8) -> float:
     _BRACKET_TABLE_MAX the scan reads the full table throughout.  Scanned
     once per (epsilon, z_max).
     """
-    u_grid = np.unique(np.exp(np.linspace(math.log(2.0), math.log(z_max / 10.0), _U_GRID_SIZE)))
-    z_grid = np.unique(np.exp(np.linspace(math.log(10.0), math.log(float(z_max)), _Z_GRID_SIZE)))
+    u_grid = distinct_sorted(
+        np.exp(np.linspace(math.log(2.0), math.log(z_max / 10.0), _U_GRID_SIZE)))
+    z_grid = distinct_sorted(
+        np.exp(np.linspace(math.log(10.0), math.log(float(z_max)), _Z_GRID_SIZE)))
     factor = 1.0 + epsilon / 3.0
     cut = _MERTENS_CUT if z_max <= _BRACKET_TABLE_MAX else z_max
     primes, prefix = _prime_log_prefix(min(z_max, cut))

@@ -225,6 +225,20 @@ class TestRecords:
         monkeypatch.setattr(ex, "environment_fingerprint", lambda: {"numpy_simd": ["other"]})
         assert ex.make_record(quick_average_config(), {"value": 1.0}).content_id == rec.content_id
 
+    def test_environment_starts_no_process(self):
+        # platform.platform() runs `uname -p` in a subprocess, 5 ms on every run
+        code = ("import subprocess\n"
+                "def refuse(*args, **kwargs):\n"
+                "    raise AssertionError('started a process')\n"
+                "subprocess.Popen = refuse\n"
+                "import horolab.experiments as ex\n"
+                "print(ex.environment_fingerprint()['platform'])\n")
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip()
+
     def test_future_schema_version_rejected(self, tmp_path):
         rec = ex.make_record(quick_average_config(), {"value": 1.0})
         new = json.loads(rec.to_json())

@@ -5,6 +5,7 @@ scipy.special.roots_legendre byte for byte at every order horolab uses.
 """
 
 import ast
+import math
 import os
 import re
 import subprocess
@@ -65,6 +66,33 @@ class TestGaussLegendre:
                 qd.gauss_legendre(n)
 
 
+def phi_probe_times(t_max: float) -> np.ndarray:
+    # quotient.detect_divergence's phi-mode grid, before its repeats go
+    return np.floor(np.geomspace(1.0, max(t_max, 2.0), 60))
+
+
+def u_tilde_grids(z_max: int) -> tuple:
+    # sieve.empirical_u_tilde's u and z grids, before their repeats go
+    return (np.exp(np.linspace(math.log(2.0), math.log(z_max / 10.0), 140)),
+            np.exp(np.linspace(math.log(10.0), math.log(float(z_max)), 60)))
+
+
+class TestDistinctSorted:
+    @pytest.mark.parametrize("values", [
+        phi_probe_times(1.0e5), phi_probe_times(1.0), phi_probe_times(3.0e7),
+        *u_tilde_grids(10**6), *u_tilde_grids(10**8),
+        np.array([3.5, -1.0, 3.5, 2.0, -1.0, 1e300, 2.0, 0.5]),
+        np.repeat(np.arange(5.0)[::-1], 3),
+        np.array([7.0]), np.empty(0),
+    ], ids=["phi-1e5", "phi-1", "phi-3e7", "u-1e6", "z-1e6", "u-1e8", "z-1e8",
+            "repeats", "runs", "one", "empty"])
+    def test_bytes_match_np_unique(self, values):
+        expect = np.unique(values)
+        got = qd.distinct_sorted(values)
+        assert got.dtype == expect.dtype
+        assert got.tobytes() == expect.tobytes()
+
+
 class TestRuntimeDependencies:
     def test_imports_are_stdlib_numpy_or_horolab(self):
         allowed = set(sys.stdlib_module_names) | {"numpy", "horolab"}
@@ -93,3 +121,17 @@ class TestRuntimeDependencies:
                              text=True, timeout=300)
         assert out.returncode == 0, out.stderr
         assert out.stdout.splitlines()[-1] == "[]"
+
+    def test_sample_grids_load_no_numpy_ma(self):
+        # np.unique's masked-array check imports numpy.ma, about 10 ms per process
+        code = ("import sys\n"
+                "from horolab import presets, quotient, sieve\n"
+                "p = presets.point_preset('generic1')\n"
+                "quotient.detect_divergence(p, mode='phi', t_max=1.0e5)\n"
+                "sieve.empirical_u_tilde(0.012, z_max=10**6)\n"
+                "print('numpy.ma' in sys.modules)\n")
+        env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[-1] == "False"

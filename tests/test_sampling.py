@@ -2,13 +2,18 @@
 
 import functools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from horolab import observables as ob
+from horolab import presets
 from horolab import quotient as qt
 from horolab import sampling as sp
 from horolab import sl2
@@ -450,6 +455,58 @@ class TestChunkDriver:
                                  step=CHUNK_STEP, workers=2, reference=0.0)
         assert r.sample_count == 3 * sp._SLAB_NODES
         assert pools == [2]
+
+
+def cover_and_negative_bump() -> list:
+    # the dense branch's ten cover bumps, and one of amplitude -1, whose
+    # value off its support is -0.0
+    lattice = qt.ModularLattice()
+    return presets.cover_bumps(lattice) + [
+        ob.BumpFunction(lattice, [[0.0, 1.6, 1.0]], [[0.3, 0.4, 0.7]], amplitude=-1.0)]
+
+
+class TestIntegerOrbitWeights:
+    """The sieve weights a(0..n) fold chunk by chunk into the rows that are
+    not +0.0, with the bytes of the bumps on the materialised orbit."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n", [
+        1,
+        sp._SLAB_NODES - 1,
+        sp._SLAB_NODES,
+        sp._SLAB_NODES + 1,
+        5 * sp._SLAB_NODES // 2,
+    ])
+    def test_bytes_equal_materialised_orbit(self, generic_point, n, workers):
+        bumps = cover_and_negative_bump()
+        coords = sp.orbit_coordinates(generic_point, np.arange(1, n + 1.0), workers)
+        got = sp.integer_orbit_weights(generic_point, n, bumps, workers)
+        for f, weights in zip(bumps, got, strict=True):
+            expect = np.concatenate(([0.0], f.evaluate_coords(coords)))
+            assert weights.tobytes() == expect.tobytes()
+
+    def test_negative_bump_keeps_its_negative_zeros(self, generic_point):
+        *_, weights = sp.integer_orbit_weights(generic_point, 1000, cover_and_negative_bump(), 1)
+        assert np.signbit(weights[1:][weights[1:] == 0.0]).all()
+        assert not np.signbit(weights[0])
+
+    def test_dichotomy_memory_holds_no_orbit_stack(self):
+        # the materialised orbit held an 8 MB time array and a 24 MB coordinate
+        # stack (with a second during its concatenation) through all ten
+        # pipelines: 79 MiB traced; a fresh interpreter, so that no factor
+        # table or u-tilde scan cached by another test hides an allocation
+        code = ("import tracemalloc\n"
+                "from horolab import experiments as ex\n"
+                "cfg = ex.ExperimentConfig(kind='dichotomy', mode='almost',\n"
+                "                          point='preset:generic1', n_max=1_000_000)\n"
+                "tracemalloc.start()\n"
+                "ex.run(cfg)\n"
+                "print(tracemalloc.get_traced_memory()[1])\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(sp.__file__).resolve().parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        assert int(out.stdout.split()[-1]) < 56 * 2**20
 
 
 class TestOrbitCoordinates:
