@@ -249,7 +249,7 @@ def flow_u(p: QuotientPoint, t: float) -> QuotientPoint:
     return act(sl2.unipotent_u(t, p.lattice.k), p)
 
 
-# rows per orbit_values block: a 400 k-row k = 2 arc takes 0.39-0.55 s, 0.48-0.63 s unblocked (2 vCPU)
+# rows per row_blocks block: a 400 k-row k = 2 arc takes 0.39-0.55 s, 0.48-0.63 s unblocked (2 vCPU)
 _BLOCK_ROWS = 16_384
 
 
@@ -541,17 +541,26 @@ def coords_of_stack(lattice: Lattice, stack: np.ndarray) -> np.ndarray:
     return np.stack(iwasawa_coords(red), axis=-1)
 
 
-def orbit_values(lattice: Lattice, base: np.ndarray, offsets: np.ndarray, fn) -> np.ndarray:
-    """fn(reduced coordinates of orbit_mats(base, offsets)), block by block.
+def row_blocks(n: int) -> list[tuple[int, int]]:
+    """The [lo, hi) bounds of the _BLOCK_ROWS row blocks that tile n rows."""
+    return [(lo, min(lo + _BLOCK_ROWS, n)) for lo in range(0, n, _BLOCK_ROWS)]
+
+
+def orbit_blocks(lattice: Lattice, base: np.ndarray, offsets: np.ndarray, fn) -> list:
+    """[fn(reduced coordinates of orbit_mats(base, offsets[lo:hi]))] over row_blocks.
 
     Every step works row by row, so the blocks, which only tile memory,
     give the bytes of one whole-stack call.
     """
+    return [fn(coords_of_stack(lattice, orbit_mats(base, offsets[lo:hi])))
+            for lo, hi in row_blocks(len(offsets))]
+
+
+def orbit_values(lattice: Lattice, base: np.ndarray, offsets: np.ndarray, fn) -> np.ndarray:
+    """fn(reduced coordinates of orbit_mats(base, offsets)), block by block."""
     if len(offsets) == 0:
         return fn(np.empty((0, lattice.k, 3)))
-    return np.concatenate([
-        fn(coords_of_stack(lattice, orbit_mats(base, offsets[s:s + _BLOCK_ROWS])))
-        for s in range(0, len(offsets), _BLOCK_ROWS)], axis=0)
+    return np.concatenate(orbit_blocks(lattice, base, offsets, fn), axis=0)
 
 
 def coordinates(p: QuotientPoint) -> np.ndarray:

@@ -9,13 +9,13 @@ checkpoint representative so matrix entries stay bounded no matter how
 long the orbit is, and folds its values (to a sum, or to the rows where
 a weight is not +0.0); folds are combined in a fixed order so results are
 bit-identical for any worker count.  Chunks set the numbers; their
-cache-sized row blocks (quotient.orbit_values) only tile memory.
+cache-sized row blocks (quotient.row_blocks) only tile memory, and are the
+unit of work that `workers` > 1 spreads over forked worker processes.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -175,27 +175,69 @@ def _checkpoint(p: QuotientPoint, t0: float) -> np.ndarray:
     return red[0]
 
 
+# the block task of a forked orbit worker, installed once per worker by _install_block
+_WORKER_BLOCK = None
+
+
+def _install_block(block) -> None:
+    global _WORKER_BLOCK
+    _WORKER_BLOCK = block
+
+
+def _run_block(task: tuple[int, int, int]):
+    return _WORKER_BLOCK(*task)
+
+
 def _orbit_chunks(p: QuotientPoint, n: int, nodes, workers: int, fn, fold) -> list:
-    """[fold(fn(reduced coordinates of u(t) . p) for t in nodes(start, stop))].
+    """[fold([fn(reduced coordinates of u(t) . p) for t in each row block])
+    for each chunk].
 
     The one orbit walk: node indices [0, n) in chunks of _SLAB_NODES, each
-    making its own times and re-anchoring at a reduced checkpoint that its
-    row blocks share.  Boundaries depend only on n, so any worker count
-    gives one list, and only the chunks in flight are alive.
+    re-anchored at a reduced checkpoint that its row blocks
+    (quotient.row_blocks) share; nodes(a, b) gives the times of indices
+    [a, b) for any a <= b.  Chunk and block boundaries depend only on n, so
+    any worker count gives one list, folded in chunk order.
+
+    With workers > 1 and at least 2 * workers blocks, the (chunk, block)
+    pairs run in a pool of forked worker processes: only task indices and
+    fn's outputs cross the pipe, the parent folds each chunk as soon as its
+    blocks are in, and no worker outlives the call, even one that raises.
+    Fork, because the workers inherit numpy, horolab and the closures
+    without re-importing them (spawn and forkserver would cost about one
+    interpreter set-up per worker, or pickle every closure) and because
+    horolab starts no threads of its own.  Below that size, or with one
+    worker, the chunks run inline, each making its nodes once.
     """
     if n and abs(last := float(nodes(n - 1, n)[-1])) > TIME_RANGE_MAX:
         raise GroupDomainError(f"orbit time {last} beyond safe range {TIME_RANGE_MAX}")
+    spans = [(a, min(a + _SLAB_NODES, n)) for a in range(0, n, _SLAB_NODES)]
+    tasks = [(c, lo, hi) for c, (a, b) in enumerate(spans) for lo, hi in qt.row_blocks(b - a)]
+    if workers <= 1 or len(tasks) < 2 * workers:
+        folds = []
+        for a, b in spans:
+            times = nodes(a, b)
+            t0 = float(times[0])
+            folds.append(fold(qt.orbit_blocks(p.lattice, _checkpoint(p, t0), times - t0, fn)))
+        return folds
 
-    def one_chunk(start: int):
-        times = nodes(start, min(start + _SLAB_NODES, n))
-        t0 = float(times[0])
-        return fold(qt.orbit_values(p.lattice, _checkpoint(p, t0), times - t0, fn))
+    starts = [float(nodes(a, a + 1)[0]) for a, _ in spans]
+    anchors = [_checkpoint(p, t0) for t0 in starts]
 
-    spans = range(0, n, _SLAB_NODES)
-    if workers <= 1:
-        return [one_chunk(s) for s in spans]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one_chunk, spans))
+    def block(c: int, lo: int, hi: int):
+        a = spans[c][0]
+        offsets = nodes(a + lo, a + hi) - starts[c]
+        return qt.orbit_blocks(p.lattice, anchors[c], offsets, fn)[0]
+
+    import multiprocessing  # here, so that importing horolab stays as cheap as before
+
+    folds, parts = [], []
+    with multiprocessing.get_context("fork").Pool(workers, _install_block, (block,)) as pool:
+        for (c, _, hi), part in zip(tasks, pool.imap(_run_block, tasks)):
+            parts.append(part)
+            if hi == spans[c][1] - spans[c][0]:
+                folds.append(fold(parts))
+                parts = []
+    return folds
 
 
 def orbit_coordinates(p: QuotientPoint, times: np.ndarray,
@@ -207,16 +249,17 @@ def orbit_coordinates(p: QuotientPoint, times: np.ndarray,
     callers that need the coordinates themselves (orbit tables, block
     sweeps); the averages and the sieve weights fold chunk by chunk instead.
     """
-    parts = _orbit_chunks(p, len(times), lambda a, b: times[a:b], workers,
-                          lambda coords: coords, lambda coords: coords)
-    return np.concatenate(parts, axis=0) if parts else np.empty((0, p.lattice.k, 3))
+    chunks = _orbit_chunks(p, len(times), lambda a, b: times[a:b], workers,
+                           lambda coords: coords, list)
+    blocks = [coords for chunk in chunks for coords in chunk]
+    return np.concatenate(blocks, axis=0) if blocks else np.empty((0, p.lattice.k, 3))
 
 
 def integer_orbit_weights(p: QuotientPoint, n: int, observables, workers: int):
     """Yield, for each observable f in turn, the weights a(0..n) with a(0) = 0
     and a(m) = f(u(m) . p).
 
-    One orbit walk serves them all: each chunk makes its own times m and
+    One orbit walk serves them all: each row block makes its own times m and
     keeps, per f, only the rows whose value is not bitwise +0.0 (a -0.0
     stays).  Each dense array is scattered back from those rows when it is
     asked for, with the bytes of concatenate(([0.0], f on the whole orbit)).
@@ -230,12 +273,13 @@ def integer_orbit_weights(p: QuotientPoint, n: int, observables, workers: int):
         return kept
 
     chunks = _orbit_chunks(p, n, lambda a, b: np.arange(a + 1, b + 1, dtype=float), workers,
-                           lambda coords: coords, support)
+                           support, list)
     for i in range(len(observables)):
         weights = np.zeros(max(n, 0) + 1)
-        for start, kept in zip(range(1, n + 1, _SLAB_NODES), chunks):
-            rows, vals = kept[i]
-            weights[start + rows] = vals
+        for start, blocks in zip(range(1, n + 1, _SLAB_NODES), chunks):
+            for (lo, _), kept in zip(qt.row_blocks(_SLAB_NODES), blocks):
+                rows, vals = kept[i]
+                weights[start + lo + rows] = vals
         yield weights
 
 
@@ -262,10 +306,17 @@ def _arc_sums(f, p: QuotientPoint, t_span: float, step: float, workers: int) -> 
     _, w_chunk = _panel_nodes(t_span, step, 0, min(panels, _SLAB_NODES // _GL_ORDER))
 
     def nodes(start: int, stop: int) -> np.ndarray:
-        return _panel_nodes(t_span, step, start // _GL_ORDER, stop // _GL_ORDER)[0]
+        # the panels that hold nodes [start, stop), cut to those nodes
+        lo = start // _GL_ORDER
+        skip = start - lo * _GL_ORDER
+        hi = -(-stop // _GL_ORDER)
+        return _panel_nodes(t_span, step, lo, hi)[0][skip:skip + stop - start]
 
-    return sum(_orbit_chunks(p, panels * _GL_ORDER, nodes, workers, f.evaluate_coords,
-                             lambda vals: float(np.dot(w_chunk[:len(vals)], vals))))
+    def dot(blocks: list) -> float:
+        vals = np.concatenate(blocks)
+        return float(np.dot(w_chunk[:len(vals)], vals))
+
+    return sum(_orbit_chunks(p, panels * _GL_ORDER, nodes, workers, f.evaluate_coords, dot))
 
 
 def _resolve_step(f, step: float | None) -> float:
@@ -348,8 +399,8 @@ def sparse_average(f, p: QuotientPoint, ts: TimeSet, workers: int = 1,
     times = generate(ts)
     if len(times) == 0:
         raise ConfigError(f"empty time set: {ts!r}")
-    chunk_sums = _orbit_chunks(p, len(times), lambda a, b: times[a:b], workers,
-                               f.evaluate_coords, lambda vals: float(np.sum(vals)))
+    chunk_sums = _orbit_chunks(p, len(times), lambda a, b: times[a:b], workers, f.evaluate_coords,
+                               lambda blocks: float(np.sum(np.concatenate(blocks))))
     value = sum(chunk_sums) / len(times)
     ref, ref_kind = _reference_value(f, p, reference)
     return AverageResult(

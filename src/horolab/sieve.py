@@ -69,6 +69,7 @@ class FactorTable:
     spf: np.ndarray
     primes: np.ndarray
     _omega: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _rough: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def omega_all(self) -> np.ndarray:
         """Omega(n), prime factors with multiplicity, for n = 0..n_max
@@ -88,6 +89,18 @@ class FactorTable:
         counts.flags.writeable = False  # shared by every caller of this table
         self._omega = counts
         return counts
+
+    def rough_rows(self, z: float) -> np.ndarray:
+        """The ascending n in {1} and {n : spf(n) >= z}: those no prime below
+        z divides.  Computed once per z and cached on the table."""
+        rows = self._rough.get(z)
+        if rows is None:
+            mask = self.spf >= z
+            mask[1] = True
+            rows = np.flatnonzero(mask)
+            rows.flags.writeable = False  # shared by every caller of this table
+            self._rough[z] = rows
+        return rows
 
 
 @cache
@@ -502,7 +515,8 @@ def _midpoint_phi(dev: np.ndarray, s: np.ndarray, n: int, lag: int) -> float:
 class SieveProblem:
     """Weight sequence plus sieve parameters.
 
-    weights[n] = a(n) for 1 <= n <= N (index 0 ignored and forced to 0);
+    weights[n] = a(n) for 1 <= n <= N (index 0 ignored and forced to 0, in a
+    copy: the caller's array is never written to);
     density g defaults to g(p) = 1/p extended multiplicatively.
     """
 
@@ -519,8 +533,9 @@ class SieveProblem:
             raise ValueError("weights must be a 1-d array indexed by n")
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
-        w = w.copy()
-        w[0] = 0.0
+        if w[0] != 0.0 or np.signbit(w[0]):  # copy only when a(0) is not +0.0
+            w = w.copy()
+            w[0] = 0.0
         self.weights = w
         if not (0.0 < self.epsilon < 1.0 / 200.0):
             raise ConfigError("epsilon must lie in (0, 1/200)")
@@ -578,10 +593,8 @@ def _squarefree_divisors(primes: np.ndarray, cutoff: float, budget: int) -> list
 
 def brute_force_S(problem: SieveProblem) -> float:
     """S(A, P, z) summed directly from the factor table (n=1 counts)."""
-    n = problem.n_max
-    mask = build_factor_table(n).spf >= problem.z
-    mask[1] = True
-    return float(problem.weights[mask].sum())
+    rows = build_factor_table(problem.n_max).rough_rows(problem.z)
+    return float(np.take(problem.weights, rows).sum())
 
 
 def buchstab_defect(problem: SieveProblem, z_prime: float) -> float:

@@ -2,11 +2,14 @@
 
 import functools
 import math
+import multiprocessing
+import multiprocessing.pool
 import os
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -329,6 +332,25 @@ class TestDecayFit:
                           (1000.0, 0.1)])
 
 
+@pytest.fixture
+def process_pools(monkeypatch) -> list:
+    """Every process pool made during the test: its size and the tasks it ran."""
+    pools = []
+
+    class CountedPool(multiprocessing.pool.Pool):
+        def __init__(self, processes=None, *args, **kwargs):
+            pools.append(SimpleNamespace(processes=processes, tasks=[]))
+            super().__init__(processes, *args, **kwargs)
+
+        def imap(self, func, iterable, chunksize=1):
+            tasks = list(iterable)
+            pools[-1].tasks += tasks
+            return super().imap(func, tasks, chunksize)
+
+    monkeypatch.setattr(multiprocessing.pool, "Pool", CountedPool)
+    return pools
+
+
 class TestLayerBoundary:
     """Every k = 1 orbit row is reduced through quotient.reduce_stack, the
     boundary that per-layer reduction metrics are measured at."""
@@ -362,11 +384,30 @@ class TestLayerBoundary:
                 "kernel_calls": chunks + blocks, "kernel_rows": chunks + n}
 
     def test_orbit_coordinates(self, monkeypatch, generic_point):
+        # the counts depend on the chunking only; with one worker every
+        # reduction runs here, where it can be counted
         times = sp.generate(sp.Progression(0.37, 250000.0))
         assert len(times) > 3 * sp._SLAB_NODES
         counts = self.count_reductions(monkeypatch)
-        sp.orbit_coordinates(generic_point, times, workers=2)
+        sp.orbit_coordinates(generic_point, times, workers=1)
         assert counts == self.expected(len(times))
+
+    def test_orbit_coordinates_pool_tasks(self, monkeypatch, process_pools, generic_point):
+        # with two workers the parent reduces only the chunk checkpoints, and
+        # the pool receives every row block of every chunk once, in order
+        times = sp.generate(sp.Progression(0.37, 250000.0))
+        n = len(times)
+        counts = self.count_reductions(monkeypatch)
+        sp.orbit_coordinates(generic_point, times, workers=2)
+        chunks = -(-n // sp._SLAB_NODES)
+        assert counts == {"calls": chunks, "rows": chunks,
+                          "kernel_calls": chunks, "kernel_rows": chunks}
+        pool, = process_pools
+        assert pool.tasks == [(c, lo, min(lo + qt._BLOCK_ROWS, stop - start))
+                              for c, start in enumerate(range(0, n, sp._SLAB_NODES))
+                              for stop in [min(start + sp._SLAB_NODES, n)]
+                              for lo in range(0, stop - start, qt._BLOCK_ROWS)]
+        assert sum(hi - lo for _, lo, hi in pool.tasks) == n
 
     def test_horocycle_average_k1(self, monkeypatch, test_bump, generic_point):
         counts = self.count_reductions(monkeypatch)
@@ -442,19 +483,13 @@ class TestChunkDriver:
             tracemalloc.stop()
         assert peak < 32 * 2**20
 
-    def test_one_pool_serves_every_chunk(self, monkeypatch, generic_point, test_bump):
-        pools = []
-
-        class CountedPool(sp.ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(kwargs.get("max_workers"))
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(sp, "ThreadPoolExecutor", CountedPool)
+    def test_one_pool_serves_every_chunk(self, process_pools, generic_point, test_bump):
         r = sp.horocycle_average(test_bump, generic_point, 3 * CHUNK_PANELS * CHUNK_STEP,
                                  step=CHUNK_STEP, workers=2, reference=0.0)
         assert r.sample_count == 3 * sp._SLAB_NODES
-        assert pools == [2]
+        blocks = 3 * len(qt.row_blocks(sp._SLAB_NODES))
+        assert [(pool.processes, len(pool.tasks)) for pool in process_pools] == [
+            (min(2, blocks), blocks)]
 
 
 def cover_and_negative_bump() -> list:
@@ -507,6 +542,57 @@ class TestIntegerOrbitWeights:
                              text=True, timeout=300)
         assert out.returncode == 0, out.stderr
         assert int(out.stdout.split()[-1]) < 56 * 2**20
+
+
+class WorkerFault(RuntimeError):
+    """Raised by an observable inside a worker process."""
+
+
+class TestWorkerProcesses:
+    """workers > 1 runs the row blocks in forked processes, which end with
+    every call; small orbits stay in the calling process."""
+
+    @staticmethod
+    def faulty(coords):
+        raise WorkerFault("bump failed")
+
+    def test_fault_reraises_and_leaves_no_worker(self, process_pools, generic_point):
+        assert multiprocessing.active_children() == []
+        with pytest.raises(WorkerFault, match="bump failed"):
+            sp.sparse_average(SimpleNamespace(evaluate_coords=self.faulty), generic_point,
+                              sp.Progression(1.0, 3.0e5), workers=2, reference=0.0)
+        assert len(process_pools) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_normal_call_leaves_no_worker(self, process_pools, generic_point, test_bump):
+        assert multiprocessing.active_children() == []
+        sp.sparse_average(test_bump, generic_point, sp.Progression(1.0, 3.0e5),
+                          workers=2, reference=0.0)
+        assert len(process_pools) == 1
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers, n", [
+        (2, 3 * qt._BLOCK_ROWS),      # 3 blocks < 2 * 2
+        (3, 5 * qt._BLOCK_ROWS),      # 5 blocks < 2 * 3
+        (1, 3 * sp._SLAB_NODES),      # one worker
+    ])
+    def test_small_orbit_makes_no_pool(self, process_pools, generic_point, test_bump,
+                                       workers, n):
+        sp.sparse_average(test_bump, generic_point, sp.Progression(1.0, float(n)),
+                          workers=workers, reference=0.0)
+        assert process_pools == []
+        # 2 * workers blocks is enough
+        sp.orbit_coordinates(generic_point, np.arange(2.0 * workers * qt._BLOCK_ROWS), workers)
+        assert [pool.processes for pool in process_pools] == ([workers] if workers > 1 else [])
+
+    def test_cli_run_with_workers_exits(self):
+        # a worker left holding stdout would keep the pipe open past the timeout
+        env = {**os.environ, "PYTHONPATH": str(Path(sp.__file__).resolve().parents[1])}
+        out = subprocess.run([sys.executable, "-m", "horolab.cli", "dichotomy", "mode=almost",
+                              "--point", "preset:generic1", "N=1e5", "--workers", "2"],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert " content 0efffde9a94a5979 " in out.stdout
 
 
 class TestOrbitCoordinates:

@@ -485,6 +485,65 @@ class TestCaches:
         assert max(sieve._PRIME_LOG_CACHE) <= sieve._MERTENS_CUT
 
 
+class TestPipelineReuse:
+    """The ten pipelines of a dense-branch run share the rough-number rows per
+    z and do not copy weights whose a(0) is already +0.0, with the bytes of
+    the boolean-mask sums they replace."""
+
+    @staticmethod
+    def weights(n: int) -> np.ndarray:
+        # sparse, like a cover bump's weights, with -0.0 off the support
+        w = np.random.default_rng(23).uniform(0.0, 1.0, n + 1)
+        w[w < 0.9] = -0.0
+        w[0] = 0.0
+        return w
+
+    @pytest.mark.parametrize("n, alpha, s", [(10_000, 1.0 / 9.0, 9.0), (100_000, 0.25, 9.0),
+                                             (20_011, 0.2, 3.0)])
+    def test_bytes_equal_mask_sums(self, n, alpha, s):
+        w = self.weights(n)
+        rep = sieve.dynamical_sieve_pipeline(w, alpha, s_target=s)
+        spf = sieve.build_factor_table(n).spf
+        mask = spf >= rep.z
+        mask[1] = True
+        old_w = w.copy()
+        old_w[0] = 0.0
+        assert rep.bounds.s_exact == float(old_w[mask].sum())
+        omega = sieve.build_factor_table(n).omega_all()[1:]
+        assert rep.omega_sum == float(old_w[1:][omega <= rep.level].sum())
+
+    def test_rough_rows_cached_per_z(self):
+        table = sieve.build_factor_table(1000)
+        rows = table.rough_rows(7.0)
+        assert table.rough_rows(7.0) is rows
+        assert not rows.flags.writeable
+        # 1, then the n with no prime factor below 7
+        expect = [1] + [m for m in range(2, 1001) if all(m % p for p in (2, 3, 5))]
+        assert rows.tolist() == expect
+        assert table.rough_rows(5.0).tolist() == [1] + [m for m in range(2, 1001)
+                                                        if all(m % p for p in (2, 3))]
+
+    def test_zero_first_weight_is_not_copied(self):
+        w = self.weights(1000)
+        prob = sieve.SieveProblem(weights=w, z=5.0, level_d=25.0, epsilon=0.004)
+        assert prob.weights is w
+
+    @pytest.mark.parametrize("first", [1.0, -0.0])
+    def test_callers_weights_are_left_unchanged(self, first):
+        w = self.weights(1000)
+        w[0] = first
+        before = w.tobytes()
+        prob = sieve.SieveProblem(weights=w, z=5.0, level_d=25.0, epsilon=0.004)
+        assert w.tobytes() == before
+        assert prob.weights is not w
+        assert prob.weights[:1].tobytes() == np.zeros(1).tobytes()
+        assert prob.weights[1:].tobytes() == w[1:].tobytes()
+        rep = sieve.dynamical_sieve_pipeline(w, 0.25, s_target=9.0)
+        assert w.tobytes() == before
+        rows = sieve.build_factor_table(1000).rough_rows(rep.z)
+        assert rep.bounds.s_exact == float(np.take(prob.weights, rows).sum())
+
+
 class TestPipeline:
     def test_unit_weight_run(self):
         rep = sieve.dynamical_sieve_pipeline(
