@@ -124,6 +124,12 @@ class BumpFunction:
         vals[rows] = inner
         return vals
 
+    def support_box(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """(center, widths, off): evaluate_coords returns exactly off =
+        amplitude * 0.0 at every point outside the open box of half-widths
+        widths around center in (x, y, theta mod pi), a signed zero."""
+        return self.center, self.widths, self.amplitude * 0.0
+
     def value(self, p: QuotientPoint) -> float:
         return float(self.evaluate_coords(qt.coordinates(p)[None])[0])
 

@@ -73,6 +73,17 @@ WARM_STRIDE = 16
 WARM_MARGIN = 1e-9
 WARM_ULPS = 16.0
 WARM_DENSE_SHARE = 0.5
+# screen of dense k = 1 orbit blocks (_screened_values): a row whose anchor
+# word puts it this far inside the fundamental domain and outside an
+# observable's support box is not reduced.  100 x WARM_MARGIN and
+# 4 x WARM_ULPS, in the same units.
+SCREEN_MARGIN = 1e-7
+SCREEN_ULPS = 64.0
+# a dense block screens only where at least this share of its anchors'
+# own points pass: per 16 384-row block of a generic1 arc the screen
+# broke even at 45-50% of rows certified (a box over most of the domain
+# certified 30% and took 16% longer than the full path).
+SCREEN_MIN_SHARE = 0.5
 # round budget of the k=2 local search
 HILBERT_MAX_ROUNDS = 40
 # default enumeration bounds (keyword defaults; no config field sets them)
@@ -407,7 +418,18 @@ def _settle(mats, mats2, rows, w, w2, word, out, conv=None):
     return rows[~ok]
 
 
-def reduce_batch_k1(mats: np.ndarray):
+def _anchor_words(mats: np.ndarray):
+    """The warm start of reduce_batch_k1 on a (N,2,2) stack: (anchors, turn,
+    dense), the cold words of every WARM_STRIDE-th row, turn[i] true where
+    anchor i + 1 exists and its word differs from anchor i's, and whether at
+    least WARM_DENSE_SHARE of adjacent anchor pairs share a word."""
+    anchors, _ = _gauss_words(mats[::WARM_STRIDE])
+    turn = np.append(np.any(anchors[1:] != anchors[:-1], axis=(1, 2)), False)
+    pairs = len(turn) - 1
+    return anchors, turn, pairs - np.count_nonzero(turn) >= WARM_DENSE_SHARE * pairs
+
+
+def reduce_batch_k1(mats: np.ndarray, warm=None):
     """Gauss-reduce a (N,2,2) stack in place of z = g*i.
 
     Returns (reduced mats, converged mask, word): the output is
@@ -431,6 +453,11 @@ def reduce_batch_k1(mats: np.ndarray):
     * sparse (integer times, random stacks): every row runs the Gauss
       loop seeded with the word of the anchor at or before it.
 
+    warm = (anchors, turn, dense, slot) hands in the anchors of a larger
+    stack that these rows were taken from (_anchor_words of that stack,
+    and slot[i] the anchor at or before row i there), so no anchor pass
+    runs; each row then gets the bytes it gets in that stack's call.
+
     Every row that no word passes, NaN rows included, is reduced cold.  A
     row with a non-finite entry, or with c = d = 0, comes back unconverged
     and has no word: its word entries are NaN or infinite and mean nothing.
@@ -448,26 +475,27 @@ def reduce_batch_k1(mats: np.ndarray):
     """
     mats = np.asarray(mats, dtype=float)
     n = mats.shape[0]
-    anchors, _ = _gauss_words(mats[::WARM_STRIDE])
+    if warm is None:
+        anchors, turn, dense = _anchor_words(mats)
+        slot = np.arange(n) // WARM_STRIDE
+    else:
+        anchors, turn, dense, slot = warm
     mats2 = _norm2(mats)
-    seed = np.repeat(anchors, WARM_STRIDE, axis=0)[:n]
-    # turn[i]: anchor i + 1 exists and its word differs from anchor i's
-    turn = np.append(np.any(anchors[1:] != anchors[:-1], axis=(1, 2)), False)
-    pairs = len(turn) - 1
-    if pairs - np.count_nonzero(turn) >= WARM_DENSE_SHARE * pairs:
-        # dense: the anchors' words first, the Gauss loop only where both fail
+    seed = np.take(anchors, slot, axis=0)
+    if dense:
+        # the anchors' words first, the Gauss loop only where both fail
         anchors2 = _norm2(anchors)
         word, conv = seed, np.ones(n, dtype=bool)
         out = word @ mats
-        rows = np.flatnonzero(~_warm_inside(out, np.repeat(anchors2, WARM_STRIDE)[:n], mats2))
-        ahead = turn[rows // WARM_STRIDE]
-        right = rows[ahead] // WARM_STRIDE + 1
+        rows = np.flatnonzero(~_warm_inside(out, np.take(anchors2, slot), mats2))
+        ahead = turn[slot[rows]]
+        right = slot[rows[ahead]] + 1
         missed = _settle(mats, mats2, rows[ahead], np.take(anchors, right, axis=0),
                          np.take(anchors2, right), word, out)
         rows = np.concatenate([rows[~ahead], missed])
         if len(rows):
             w, c = _gauss_words(np.take(mats, rows, axis=0),
-                                np.take(anchors, rows // WARM_STRIDE, axis=0))
+                                np.take(anchors, slot[rows], axis=0))
             rows = _settle(mats, mats2, rows, w, _norm2(w), word, out, c)
     else:
         word, conv = _gauss_words(mats, seed)
@@ -488,11 +516,19 @@ def iwasawa_coords(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """(x, y, theta) with theta in [0, pi), for a (...,2,2) stack.
 
     g = n(x) a(y) k(theta); the bottom row determines the frame angle
-    via theta = atan2(c, d) folded modulo pi.
+    via theta = atan2(c, d) folded modulo pi.  The fold adds pi to the
+    negative angles in place and sends -0.0 and pi itself to +0.0, which
+    is np.mod(theta, pi) byte for byte on every atan2 output, at under half
+    its cost and with no second angle array.  Like np.mod, it gives pi for
+    a negative angle within about 2^-52 of 0, where adding pi rounds to pi;
+    after the canonical sign of reduce_batch_k1 no k = 1 angle is negative.
     """
     x, y = _mobius_coords(mats)
     theta = np.arctan2(mats[..., 1, 0], mats[..., 1, 1])
-    theta = np.mod(theta, np.pi)
+    top = theta == np.pi
+    theta += 0.0
+    np.add(theta, np.pi, out=theta, where=theta < 0.0)
+    theta[top] = 0.0
     return x, y, theta
 
 
@@ -512,12 +548,16 @@ def mats_from_coords(coords: np.ndarray) -> np.ndarray:
     return out
 
 
-def reduce_stack(lattice: Lattice, stack: np.ndarray):
-    """Reduce a (N,k,2,2) stack of representatives; returns (stack, flags)."""
+def reduce_stack(lattice: Lattice, stack: np.ndarray, warm=None):
+    """Reduce a (N,k,2,2) stack of representatives; returns (stack, flags).
+
+    warm: the anchor words of reduce_batch_k1 (k = 1 only), for rows taken
+    from a stack whose anchors are already known.
+    """
     if stack.ndim != 4:
         raise ValueError("expected (N,k,2,2)")
     if isinstance(lattice, ModularLattice):
-        red, conv, _ = reduce_batch_k1(stack[:, 0])
+        red, conv, _ = reduce_batch_k1(stack[:, 0], warm)
         return red[:, None, :, :], conv
     return _reduce_stack_hilbert(lattice, stack)
 
@@ -546,14 +586,131 @@ def row_blocks(n: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + _BLOCK_ROWS, n)) for lo in range(0, n, _BLOCK_ROWS)]
 
 
-def orbit_blocks(lattice: Lattice, base: np.ndarray, offsets: np.ndarray, fn) -> list:
+def orbit_blocks(lattice: Lattice, base: np.ndarray, offsets: np.ndarray, fn,
+                 support=None) -> list:
     """[fn(reduced coordinates of orbit_mats(base, offsets[lo:hi]))] over row_blocks.
 
     Every step works row by row, so the blocks, which only tile memory,
-    give the bytes of one whole-stack call.
+    give the bytes of one whole-stack call.  support = (center, widths,
+    off) says that fn returns exactly off at every point outside the open
+    box of half-widths widths around center in (x, y, theta mod pi), as a
+    BumpFunction does (its support_box); on k = 1 the blocks then skip the
+    rows the screen certifies outside it (_screened_values), with the same
+    bytes.
     """
-    return [fn(coords_of_stack(lattice, orbit_mats(base, offsets[lo:hi])))
+    if support is None or not isinstance(lattice, ModularLattice):
+        return [fn(coords_of_stack(lattice, orbit_mats(base, offsets[lo:hi])))
+                for lo, hi in row_blocks(len(offsets))]
+    return [_screened_values(lattice, base, offsets[lo:hi], fn, support)
             for lo, hi in row_blocks(len(offsets))]
+
+
+def _screen(a, b, c, d, scale, center, reach) -> np.ndarray:
+    """True where the point with entries a, b, c, d (of word @ mats) lies
+    inside the fundamental domain by the screen margin m = SCREEN_MARGIN +
+    scale * y and outside the box of half-widths reach around center in
+    (x, y, theta mod pi): by m in x and theta, by m * y in y.  scale bounds
+    SCREEN_ULPS * eps * |word| * |mats| (Frobenius norms)."""
+    den = c * c + d * d
+    x, y = (a * c + b * d) / den, (a * d - b * c) / den
+    m = SCREEN_MARGIN + scale * y
+    inside = (np.abs(x) < 0.5 - m) & (x * x + y * y > 1.0 + m) & (y > 0.0)
+    off = (np.abs(x - center[0]) >= reach[0] + m) | (np.abs(y - center[1]) >= reach[1] + m * y)
+    rows = np.flatnonzero(inside & ~off)
+    dt = np.abs(np.arctan2(c[rows], d[rows]) - center[2]) % np.pi
+    off[rows] = np.minimum(dt, np.pi - dt) >= reach[2] + m[rows]
+    return inside & off
+
+
+def _screen_reach(center: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """A support box's half-widths grown by 4 eps of themselves and of
+    pi + |center|, which covers the rounding of the bump's own edge tests."""
+    eps = np.finfo(float).eps
+    return widths * (1.0 + 4.0 * eps) + 4.0 * eps * (np.pi + np.abs(center))
+
+
+def _screened_values(lattice: ModularLattice, base: np.ndarray, offsets: np.ndarray, fn,
+                     support) -> np.ndarray:
+    """fn(reduced coordinates of a (N,1,2,2) stack), where fn returns off
+    outside a box (orbit_blocks), reducing only the rows it must.
+
+    The block's anchor words (_anchor_words) are made once.  On a sparse
+    block, or a dense one that _certify declines, every row runs
+    reduce_stack with them.  Otherwise a row is certified when _screen
+    passes the point its anchor word makes, with the anchor at or before it
+    and then, where that word differs, the next anchor, as reduce_batch_k1
+    tries them.  Certified rows get off;
+    reduce_stack, fn and the fold see only the rest, seeded with the same
+    anchors, so each of those gets the bytes of the whole-block call.
+
+    Why a certified row's value is off: the entry-by-entry point differs
+    from the kernel's word @ mats by at most 2 eps |word| |mats| per entry,
+    which moves x by at most 8 sqrt(y) + 4 y + 2, theta by at most
+    3 sqrt(y) and y by at most (4 + 12 y) sqrt(y) units eps |word| |mats|
+    to first order, for |x| <= 1/2 and y >= sqrt(3)/2.  The margin's
+    64 y units (64 y^2 in y; _certify bounds |word| |mats| over the whole
+    block) cover that, so the kernel's product lies inside the domain by
+    more than the warm margin, and by the kernel's own margin argument the
+    anchor word is the row's cold word up to sign, which only flips the
+    signs of the output.  The reduced point is therefore off the box as
+    well, and _screen_reach covers the rounding of the bump's own edge
+    tests (a difference, the fold modulo pi and a division), so
+    evaluate_coords returns exactly off there.  SCREEN_MARGIN covers the
+    few ulps of pi by which atan2, the sign flip and the fold move theta.
+    A non-finite entry anywhere in the block makes the margin NaN or
+    infinite, and no row of that block is certified.
+    """
+    stack = orbit_mats(base, offsets)
+    mats = stack[:, 0]
+    n = len(mats)
+    anchors, turn, dense = _anchor_words(mats)
+    slot = np.arange(n) // WARM_STRIDE
+    certified = _certify(base, mats, anchors, turn, slot, support) if dense else None
+    if certified is None:
+        red, _ = reduce_stack(lattice, stack, warm=(anchors, turn, dense, slot))
+        return fn(np.stack(iwasawa_coords(red), axis=-1))
+    rest = np.flatnonzero(~certified)
+    vals = np.full(n, support[2])
+    if len(rest):
+        red, _ = reduce_stack(lattice, np.take(stack, rest, axis=0),
+                              warm=(anchors, turn, dense, slot[rest]))
+        vals[rest] = fn(np.stack(iwasawa_coords(red), axis=-1))
+    return vals
+
+
+def _certify(base, mats, anchors, turn, slot, support):
+    """The rows of a dense orbit block (mats = orbit_mats(base, ...)[:, 0])
+    that _screen certifies off the support box, trying the anchor at or
+    before each row and then, where its word differs, the next anchor.
+    None when fewer than SCREEN_MIN_SHARE of the anchors' own points pass:
+    there the screen costs more than the rows it saves (a box over most of
+    the domain)."""
+    center, widths, _ = support
+    reach = _screen_reach(center[0], widths[0])
+    # |g| <= 2 max |entry| bounds both Frobenius norms over the block
+    scale = SCREEN_ULPS * np.finfo(float).eps * 4.0 * np.abs(anchors).max(initial=0.0) \
+        * np.abs(mats).max(initial=0.0)
+    # every row's first column is base's, so word @ mats has the first
+    # column of word @ base, made once per anchor
+    w00, w01, w10, w11 = anchors.reshape(-1, 4).T
+    (m00, _), (m10, _) = base[0]
+    a, c = w00 * m00 + w01 * m10, w10 * m00 + w11 * m10
+    m01, m11 = mats[:, 0, 1], mats[:, 1, 1]
+
+    def screen(word, rows):
+        """_screen of mats[rows] with the anchor words word(anchor entries)."""
+        b01, b11 = m01[rows], m11[rows]
+        return _screen(word(a), word(w00) * b01 + word(w01) * b11,
+                       word(c), word(w10) * b01 + word(w11) * b11, scale, center[0], reach)
+
+    if np.count_nonzero(screen(lambda v: v, np.s_[::WARM_STRIDE])) \
+            < SCREEN_MIN_SHARE * len(anchors):
+        return None
+    certified = screen(lambda v: np.repeat(v, WARM_STRIDE)[:len(mats)], np.s_[:])
+    rows = np.flatnonzero(~certified & turn[slot])
+    right = slot[rows] + 1
+    certified[rows] = screen(lambda v: v[right], rows)
+    return certified
 
 
 def orbit_values(lattice: Lattice, base: np.ndarray, offsets: np.ndarray, fn) -> np.ndarray:

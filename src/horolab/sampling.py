@@ -188,7 +188,8 @@ def _run_block(task: tuple[int, int, int]):
     return _WORKER_BLOCK(*task)
 
 
-def _orbit_chunks(p: QuotientPoint, n: int, nodes, workers: int, fn, fold) -> list:
+def _orbit_chunks(p: QuotientPoint, n: int, nodes, workers: int, fn, fold,
+                  support=None) -> list:
     """[fold([fn(reduced coordinates of u(t) . p) for t in each row block])
     for each chunk].
 
@@ -206,7 +207,9 @@ def _orbit_chunks(p: QuotientPoint, n: int, nodes, workers: int, fn, fold) -> li
     without re-importing them (spawn and forkserver would cost about one
     interpreter set-up per worker, or pickle every closure) and because
     horolab starts no threads of its own.  Below that size, or with one
-    worker, the chunks run inline, each making its nodes once.
+    worker, the chunks run inline, each making its nodes once.  support is
+    fn's support box, for the screen of dense k = 1 blocks
+    (quotient.orbit_blocks), or None.
     """
     if n and abs(last := float(nodes(n - 1, n)[-1])) > TIME_RANGE_MAX:
         raise GroupDomainError(f"orbit time {last} beyond safe range {TIME_RANGE_MAX}")
@@ -217,7 +220,8 @@ def _orbit_chunks(p: QuotientPoint, n: int, nodes, workers: int, fn, fold) -> li
         for a, b in spans:
             times = nodes(a, b)
             t0 = float(times[0])
-            folds.append(fold(qt.orbit_blocks(p.lattice, _checkpoint(p, t0), times - t0, fn)))
+            folds.append(fold(qt.orbit_blocks(p.lattice, _checkpoint(p, t0), times - t0, fn,
+                                              support)))
         return folds
 
     starts = [float(nodes(a, a + 1)[0]) for a, _ in spans]
@@ -226,7 +230,7 @@ def _orbit_chunks(p: QuotientPoint, n: int, nodes, workers: int, fn, fold) -> li
     def block(c: int, lo: int, hi: int):
         a = spans[c][0]
         offsets = nodes(a + lo, a + hi) - starts[c]
-        return qt.orbit_blocks(p.lattice, anchors[c], offsets, fn)[0]
+        return qt.orbit_blocks(p.lattice, anchors[c], offsets, fn, support)[0]
 
     import multiprocessing  # here, so that importing horolab stays as cheap as before
 
@@ -316,7 +320,14 @@ def _arc_sums(f, p: QuotientPoint, t_span: float, step: float, workers: int) -> 
         vals = np.concatenate(blocks)
         return float(np.dot(w_chunk[:len(vals)], vals))
 
-    return sum(_orbit_chunks(p, panels * _GL_ORDER, nodes, workers, f.evaluate_coords, dot))
+    return sum(_orbit_chunks(p, panels * _GL_ORDER, nodes, workers, f.evaluate_coords, dot,
+                             _support(f)))
+
+
+def _support(f):
+    """f's support box for the orbit walk's screen: a BumpFunction's, and
+    None for every other observable (a sum, a constant, a translate)."""
+    return f.support_box() if isinstance(f, ob.BumpFunction) else None
 
 
 def _resolve_step(f, step: float | None) -> float:
@@ -400,7 +411,7 @@ def sparse_average(f, p: QuotientPoint, ts: TimeSet, workers: int = 1,
     if len(times) == 0:
         raise ConfigError(f"empty time set: {ts!r}")
     chunk_sums = _orbit_chunks(p, len(times), lambda a, b: times[a:b], workers, f.evaluate_coords,
-                               lambda blocks: float(np.sum(np.concatenate(blocks))))
+                               lambda blocks: float(np.sum(np.concatenate(blocks))), _support(f))
     value = sum(chunk_sums) / len(times)
     ref, ref_kind = _reference_value(f, p, reference)
     return AverageResult(

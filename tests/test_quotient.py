@@ -676,6 +676,37 @@ class TestOrbitValues:
             assert blocked.tobytes() == whole.tobytes()
 
 
+class TestIwasawaFold:
+    """iwasawa_coords folds atan2 into [0, pi) by adding pi to negative
+    angles, with the bytes of np.mod(atan2(c, d), pi) everywhere."""
+
+    EDGE = [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308,
+            -2.2e-308, 1e-300, -1e-300, 1e-17, -1e-17, 1e300, -1e300]
+
+    @staticmethod
+    def assert_np_mod_bytes(c, d):
+        mats = np.zeros((len(c), 2, 2))
+        mats[:, 0, 0] = 1.0
+        mats[:, 1, 0], mats[:, 1, 1] = c, d
+        with np.errstate(all="ignore"):
+            theta = qt.iwasawa_coords(mats)[2]
+        assert theta.tobytes() == np.mod(np.arctan2(c, d), np.pi).tobytes()
+
+    def test_edge_cases(self):
+        # every pair of signed zeros, subnormals, infinities, NaN and extremes,
+        # among them angles of exactly +-pi and negative angles so small that
+        # adding pi rounds to pi
+        c, d = (v.ravel() for v in np.meshgrid(self.EDGE, self.EDGE))
+        angles = np.arctan2(c, d)
+        assert {np.pi, -np.pi} <= set(angles) and np.any((angles < 0.0) & (angles + np.pi == np.pi))
+        self.assert_np_mod_bytes(c, d)
+
+    def test_random_angles(self, rng):
+        scale = 10.0 ** rng.integers(-12, 12, size=(2, 200_000))
+        c, d = rng.standard_normal((2, 200_000)) * scale
+        self.assert_np_mod_bytes(c, d)
+
+
 class TestCoordsOfStack:
     @pytest.mark.parametrize("lattice_name", ["modular", "hilbert"])
     def test_large_stack_reduced_in_blocks(self, monkeypatch, request, lattice_name):

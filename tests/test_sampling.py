@@ -352,23 +352,24 @@ def process_pools(monkeypatch) -> list:
 
 
 class TestLayerBoundary:
-    """Every k = 1 orbit row is reduced through quotient.reduce_stack, the
-    boundary that per-layer reduction metrics are measured at."""
+    """Every k = 1 orbit row that is reduced is reduced through
+    quotient.reduce_stack, the boundary that per-layer reduction metrics
+    are measured at."""
 
     @staticmethod
     def count_reductions(monkeypatch):
         counts = {"calls": 0, "rows": 0, "kernel_calls": 0, "kernel_rows": 0}
         reduce_stack, kernel = qt.reduce_stack, qt.reduce_batch_k1
 
-        def counted_stack(lattice, stack):
+        def counted_stack(lattice, stack, **kwargs):
             counts["calls"] += 1
             counts["rows"] += len(stack)
-            return reduce_stack(lattice, stack)
+            return reduce_stack(lattice, stack, **kwargs)
 
-        def counted_kernel(mats):
+        def counted_kernel(mats, *args):
             counts["kernel_calls"] += 1
             counts["kernel_rows"] += len(mats)
-            return kernel(mats)
+            return kernel(mats, *args)
 
         monkeypatch.setattr(qt, "reduce_stack", counted_stack)
         monkeypatch.setattr(qt, "reduce_batch_k1", counted_kernel)
@@ -410,9 +411,21 @@ class TestLayerBoundary:
         assert sum(hi - lo for _, lo, hi in pool.tasks) == n
 
     def test_horocycle_average_k1(self, monkeypatch, test_bump, generic_point):
+        # the dense arc's blocks reduce only the rows the screen leaves, one
+        # reduce_stack call per block, and every kernel row comes through it
         counts = self.count_reductions(monkeypatch)
         r = sp.horocycle_average(test_bump, generic_point, 1500.0)
-        assert r.sample_count > sp._SLAB_NODES
+        n = r.sample_count
+        assert n > sp._SLAB_NODES
+        full = self.expected(n)
+        assert counts["kernel_calls"] == counts["calls"] == full["calls"]
+        assert counts["kernel_rows"] == counts["rows"]
+        assert full["calls"] < counts["rows"] < full["rows"] // 5
+
+    def test_sparse_average_at_integer_times(self, monkeypatch, test_bump, generic_point):
+        # integer-time blocks are sparse: every row is reduced, as before the screen
+        counts = self.count_reductions(monkeypatch)
+        r = sp.sparse_average(test_bump, generic_point, sp.Progression(1.0, 250000.0))
         assert counts == self.expected(r.sample_count)
 
 
