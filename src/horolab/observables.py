@@ -232,6 +232,10 @@ def haar_integral_k1(f, nx: int = 64, nv: int = 64, ntheta: int = 32) -> float:
     multiplied into one (nx, nv, ntheta) weight accumulator, so memory is
     one float per grid point plus one row of coordinates and f's
     temporaries.  Every product and both sums are those of the whole grid.
+    A BumpFunction is not evaluated where its own x test, or inside a kept
+    x row its y test, puts a whole x row or v row off its support: that row
+    is multiplied by off = amplitude * 0.0, the value evaluate_coords gives
+    there, so the bytes are the same.
     """
     xs, wx = gl_nodes(nx, -0.5, 0.5)
     ss, ws = gl_nodes(nv, 0.0, 1.0)
@@ -240,22 +244,26 @@ def haar_integral_k1(f, nx: int = 64, nv: int = 64, ntheta: int = 32) -> float:
     acc = (wx[:, None] * ws)[:, :, None] * wth
     acc *= vmax[:, None, None]
     mass = float(np.sum(acc))
+    box = f.support_box() if isinstance(f, BumpFunction) else None
+    if box is not None:
+        (cx, cy, _), (sx, sy, _), off = box[0][0], box[1][0], box[2]
     # row points (x, y, theta) with y = 1/v, v = s * vmax(x), filled in place
     row = np.empty((nv, ntheta, 3))
     row[..., 2] = ths
     for i in range(nx):
+        # evaluate_coords's own tests of (x - cx) / wx and (y - cy) / wy
+        if box is not None and not abs((xs[i] - cx) / sx) < 1.0:
+            acc[i] *= off
+            continue
         row[..., 0] = xs[i]
         row[..., 1] = (1.0 / (ss * vmax[i]))[:, None]
-        acc[i] *= f.evaluate_coords(row.reshape(-1, 1, 3)).reshape(nv, ntheta)
+        keep = slice(None)
+        if box is not None:
+            keep = np.abs((row[:, 0, 1] - cy) / sy) < 1.0
+            acc[i, ~keep] *= off
+        acc[i, keep] *= f.evaluate_coords(row[keep].reshape(-1, 1, 3)).reshape(-1, ntheta)
     total = float(np.sum(acc))
     return total / mass
-
-
-def haar_mass_k1() -> float:
-    """64-node quadrature value of the unnormalised base mass (analytic: pi/3)."""
-    xs, wx = gl_nodes(64, -0.5, 0.5)
-    vmax = 1.0 / np.sqrt(1.0 - xs * xs)
-    return float(np.sum(wx * vmax))
 
 
 def haar_reference_k2(f, lattice, t_span: float = 20000.0, samples: int = 400000):

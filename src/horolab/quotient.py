@@ -79,11 +79,14 @@ WARM_DENSE_SHARE = 0.5
 # 4 x WARM_ULPS, in the same units.
 SCREEN_MARGIN = 1e-7
 SCREEN_ULPS = 64.0
-# a dense block screens only where at least this share of its anchors'
-# own points pass: per 16 384-row block of a generic1 arc the screen
-# broke even at 45-50% of rows certified (a box over most of the domain
-# certified 30% and took 16% longer than the full path).
-SCREEN_MIN_SHARE = 0.5
+# a block screens only where at least this share of its anchor intervals
+# is certified whole (_arc_screen).  On 32 blocks of 16 384 dense rows from
+# generic1 and quadratic under boxes of growing size centred at (0, 2, 1.5)
+# (the box over most of the domain in tests/test_screen.py among them), the
+# screened block took 1.17-1.34 times the every-row block's time at shares
+# 0.03-0.16, 1.01-1.11 at 0.18-0.24 and 0.68-0.95 at 0.26-0.47 (min of 9
+# alternating runs each, 2 vCPU).
+SCREEN_MIN_SHARE = 0.25
 # round budget of the k=2 local search
 HILBERT_MAX_ROUNDS = 40
 # default enumeration bounds (keyword defaults; no config field sets them)
@@ -418,15 +421,14 @@ def _settle(mats, mats2, rows, w, w2, word, out, conv=None):
     return rows[~ok]
 
 
-def _anchor_words(mats: np.ndarray):
-    """The warm start of reduce_batch_k1 on a (N,2,2) stack: (anchors, turn,
-    dense), the cold words of every WARM_STRIDE-th row, turn[i] true where
-    anchor i + 1 exists and its word differs from anchor i's, and whether at
-    least WARM_DENSE_SHARE of adjacent anchor pairs share a word."""
-    anchors, _ = _gauss_words(mats[::WARM_STRIDE])
+def _anchor_turns(anchors: np.ndarray):
+    """(turn, dense) of the anchor words of a stack (reduce_batch_k1):
+    turn[i] true where anchor i + 1 exists and its word differs from anchor
+    i's, and whether at least WARM_DENSE_SHARE of adjacent anchor pairs
+    share a word."""
     turn = np.append(np.any(anchors[1:] != anchors[:-1], axis=(1, 2)), False)
     pairs = len(turn) - 1
-    return anchors, turn, pairs - np.count_nonzero(turn) >= WARM_DENSE_SHARE * pairs
+    return turn, pairs - np.count_nonzero(turn) >= WARM_DENSE_SHARE * pairs
 
 
 def reduce_batch_k1(mats: np.ndarray, warm=None):
@@ -454,9 +456,10 @@ def reduce_batch_k1(mats: np.ndarray, warm=None):
       loop seeded with the word of the anchor at or before it.
 
     warm = (anchors, turn, dense, slot) hands in the anchors of a larger
-    stack that these rows were taken from (_anchor_words of that stack,
-    and slot[i] the anchor at or before row i there), so no anchor pass
-    runs; each row then gets the bytes it gets in that stack's call.
+    stack that these rows were taken from (its anchor words, their
+    _anchor_turns and slot[i], the anchor at or before row i there), so no
+    anchor pass runs; each row then gets the bytes it gets in that stack's
+    call.
 
     Every row that no word passes, NaN rows included, is reduced cold.  A
     row with a non-finite entry, or with c = d = 0, comes back unconverged
@@ -476,7 +479,8 @@ def reduce_batch_k1(mats: np.ndarray, warm=None):
     mats = np.asarray(mats, dtype=float)
     n = mats.shape[0]
     if warm is None:
-        anchors, turn, dense = _anchor_words(mats)
+        anchors, _ = _gauss_words(mats[::WARM_STRIDE])
+        turn, dense = _anchor_turns(anchors)
         slot = np.arange(n) // WARM_STRIDE
     else:
         anchors, turn, dense, slot = warm
@@ -595,14 +599,26 @@ def orbit_blocks(lattice: Lattice, base: np.ndarray, offsets: np.ndarray, fn,
     off) says that fn returns exactly off at every point outside the open
     box of half-widths widths around center in (x, y, theta mod pi), as a
     BumpFunction does (its support_box); on k = 1 the blocks then skip the
-    rows the screen certifies outside it (_screened_values), with the same
-    bytes.
+    rows certified outside it (_screened_values), with the same bytes.
+    The anchor words and the interval certificate (_arc_screen) are made
+    once for the whole call: both work anchor by anchor, and every block
+    starts at a multiple of WARM_STRIDE, so a block's share is a slice.
     """
-    if support is None or not isinstance(lattice, ModularLattice):
+    blocks = row_blocks(len(offsets))
+    if support is None or not isinstance(lattice, ModularLattice) or not blocks:
         return [fn(coords_of_stack(lattice, orbit_mats(base, offsets[lo:hi])))
-                for lo, hi in row_blocks(len(offsets))]
-    return [_screened_values(lattice, base, offsets[lo:hi], fn, support)
-            for lo, hi in row_blocks(len(offsets))]
+                for lo, hi in blocks]
+    anchors, _ = _gauss_words(orbit_mats(base, offsets[::WARM_STRIDE])[:, 0])
+    center, widths, off = support
+    screen = (_screen_scale(base, offsets, anchors), center[0],
+              _screen_reach(center[0], widths[0]))
+    whole = _arc_screen(base, offsets, anchors, *screen)
+    out = []
+    for lo, hi in blocks:
+        i, j = lo // WARM_STRIDE, -(-hi // WARM_STRIDE)
+        out.append(_screened_values(lattice, base, offsets[lo:hi], fn, off,
+                                    anchors[i:j], whole[i:j], screen))
+    return out
 
 
 def _screen(a, b, c, d, scale, center, reach) -> np.ndarray:
@@ -629,88 +645,159 @@ def _screen_reach(center: np.ndarray, widths: np.ndarray) -> np.ndarray:
     return widths * (1.0 + 4.0 * eps) + 4.0 * eps * (np.pi + np.abs(center))
 
 
-def _screened_values(lattice: ModularLattice, base: np.ndarray, offsets: np.ndarray, fn,
-                     support) -> np.ndarray:
-    """fn(reduced coordinates of a (N,1,2,2) stack), where fn returns off
-    outside a box (orbit_blocks), reducing only the rows it must.
+def _screen_scale(base: np.ndarray, offsets: np.ndarray, anchors: np.ndarray) -> float:
+    """The scale of _screen over orbit_mats(base, offsets) and the anchor
+    words: SCREEN_ULPS * eps * (2 max|anchor entry|) * (2 B), with |g| <= 2
+    max|entry| bounding a Frobenius norm and B = (max|base entry| + max|s|
+    max(|a|, |c|)) (1 + 4 eps) >= every entry b - s a of orbit_mats.  NaN
+    when an offset is NaN."""
+    eps = np.finfo(float).eps
+    span = np.maximum(-offsets.min(), offsets.max())
+    entry = np.abs(base[0]).max() + span * np.abs(base[0, :, 0]).max()
+    return SCREEN_ULPS * eps * 4.0 * np.abs(anchors).max(initial=0.0) * entry * (1.0 + 4.0 * eps)
 
-    The block's anchor words (_anchor_words) are made once.  On a sparse
-    block, or a dense one that _certify declines, every row runs
-    reduce_stack with them.  Otherwise a row is certified when _screen
-    passes the point its anchor word makes, with the anchor at or before it
-    and then, where that word differs, the next anchor, as reduce_batch_k1
-    tries them.  Certified rows get off;
+
+def _anchor_columns(base: np.ndarray, anchors: np.ndarray) -> tuple:
+    """(w00, w01, w10, w11, a, c): the entries of the anchor words and the
+    first column (a, c) of word @ base, which word @ mats has for every row
+    of orbit_mats(base, ...), made once per anchor."""
+    w00, w01, w10, w11 = anchors.reshape(-1, 4).T
+    (m00, _), (m10, _) = base[0]
+    return w00, w01, w10, w11, w00 * m00 + w01 * m10, w10 * m00 + w11 * m10
+
+
+def _arc_screen(base, offsets, anchors, scale, center, reach) -> np.ndarray:
+    """True for anchor interval i, the rows [WARM_STRIDE * i, WARM_STRIDE *
+    (i + 1)) of orbit_mats(base, offsets) (the last one may be shorter), when
+    the points that anchor i's word W makes of all its rows lie inside the
+    fundamental domain and off the box by the margin of _screen, decided
+    from the interval's two end rows alone.  The offsets must be monotone,
+    as on an arc, so that every row lies between its interval's end rows;
+    otherwise no interval is certified.
+
+    Why: with W base = (A B; C D), the row at offset s is the point
+    W base (i - s), which runs at hyperbolic speed 1 along a horocycle: a
+    circle of Euclidean radius r = 1/(2 C^2) tangent to the real axis, or
+    the line y = 1/D^2 when C = 0.  The interval's rows lie on the arc
+    between the points P1, P2 of its end rows.  An arc over half that
+    circle has hyperbolic length at least pi/2 (Euclidean length pi r at
+    heights y <= 2r), so for a spread |s2 - s1| <= 1 it is the
+    minor arc, which lies within the sagitta r - sqrt(r^2 - L^2/4) <=
+    L^2 / (4r) = C^2 L^2 / 2 = h of the chord P1 P2 (L = |P1 P2|); h needs
+    no division and is 0 on the line.  So x lies within h of [min x, max x],
+    y within h of [min y, max y] and, as |P1 + t (P2 - P1)|^2 = (1 - t)
+    |P1|^2 + t |P2|^2 - t (1 - t) L^2, |z| >= sqrt(min |P|^2 - L^2/4) - h.
+    theta = atan2(C, D - s C) is monotone in s (d theta / ds = C^2 y) and
+    stays in one open half-turn (constant when C = 0), so it lies between
+    its end values, within half their difference of their mean.
+
+    The tests are those of _screen with the margin 2m, m = SCREEN_MARGIN +
+    scale * y at the top of the band: one m covers the kernel's rounding,
+    as in _screen, and the other the rounding of the end points and of h,
+    so every row certified here also passes _screen with its anchor word.
+    A non-finite entry fails every test.
+    """
+    (m00, m01), (m10, m11) = base[0]
+    w00, w01, w10, w11, a, c = _anchor_columns(base, anchors)
+    n = len(offsets)
+    first = np.arange(0, n, WARM_STRIDE)
+    if not (np.all(offsets[1:] >= offsets[:-1]) or np.all(offsets[1:] <= offsets[:-1])):
+        return np.zeros(len(first), dtype=bool)
+    s1, s2 = offsets[first], offsets[np.minimum(first + WARM_STRIDE, n) - 1]
+    short = np.abs(s2 - s1) <= 1.0
+    if not short.any():
+        # integer times: every interval spreads too far (see below)
+        return short
+    ends = []
+    for s in (s1, s2):
+        # the entries of orbit_mats(base, [s]) and of W times them, as _screen forms them
+        b01, b11 = m01 - s * m00, m11 - s * m10
+        b, d = w00 * b01 + w01 * b11, w10 * b01 + w11 * b11
+        den = c * c + d * d
+        ends.append(((a * c + b * d) / den, (a * d - b * c) / den, np.arctan2(c, d)))
+    (x1, y1, t1), (x2, y2, t2) = ends
+    chord2 = (x2 - x1) ** 2 + (y2 - y1) ** 2
+    h = 0.5 * c * c * chord2
+    y_lo, y_hi = np.minimum(y1, y2) - h, np.maximum(y1, y2) + h
+    x_lo, x_hi = np.minimum(x1, x2) - h, np.maximum(x1, x2) + h
+    m = 2.0 * (SCREEN_MARGIN + scale * y_hi)
+    near = np.minimum(x1 * x1 + y1 * y1, x2 * x2 + y2 * y2) - 0.25 * chord2
+    inside = short & (np.maximum(-x_lo, x_hi) < 0.5 - m) & (y_lo > 0.0) \
+        & (near > (np.sqrt(1.0 + m) + h) ** 2)
+    off = (x_lo - center[0] >= reach[0] + m) | (center[0] - x_hi >= reach[0] + m) \
+        | (y_lo - center[1] >= reach[1] + m * y_hi) | (center[1] - y_hi >= reach[1] + m * y_hi)
+    # theta only where the rest passes, as in _screen
+    todo = np.flatnonzero(inside & ~off)
+    dt = np.abs(0.5 * (t1[todo] + t2[todo]) - center[2]) % np.pi
+    off[todo] = np.minimum(dt, np.pi - dt) >= reach[2] + m[todo] + 0.5 * np.abs(t2 - t1)[todo]
+    return inside & off
+
+
+def _screened_values(lattice: ModularLattice, base: np.ndarray, offsets: np.ndarray, fn,
+                     off: float, anchors: np.ndarray, whole: np.ndarray, screen) -> np.ndarray:
+    """fn(reduced coordinates of orbit_mats(base, offsets)), where fn returns
+    off outside a box (orbit_blocks), reducing only the rows it must.
+    anchors are the cold words of every WARM_STRIDE-th row, whole the
+    intervals _arc_screen certified and screen = (scale, center, reach) the
+    arguments of _screen.
+
+    Where fewer than SCREEN_MIN_SHARE of the intervals are certified (a box
+    over most of the domain, or integer times, whose intervals spread
+    wider than 1), the screen costs more than the rows it saves, and every
+    row runs reduce_stack with these anchors.  Otherwise the certified
+    intervals get off and their rows are never formed.  Each row of the
+    others is formed and _screen tries it with the word of the anchor at or
+    before it and then, where that word differs, the next anchor's, as
+    reduce_batch_k1 tries them; the rows it certifies get off too.
     reduce_stack, fn and the fold see only the rest, seeded with the same
     anchors, so each of those gets the bytes of the whole-block call.
 
-    Why a certified row's value is off: the entry-by-entry point differs
-    from the kernel's word @ mats by at most 2 eps |word| |mats| per entry,
-    which moves x by at most 8 sqrt(y) + 4 y + 2, theta by at most
-    3 sqrt(y) and y by at most (4 + 12 y) sqrt(y) units eps |word| |mats|
-    to first order, for |x| <= 1/2 and y >= sqrt(3)/2.  The margin's
-    64 y units (64 y^2 in y; _certify bounds |word| |mats| over the whole
-    block) cover that, so the kernel's product lies inside the domain by
-    more than the warm margin, and by the kernel's own margin argument the
-    anchor word is the row's cold word up to sign, which only flips the
-    signs of the output.  The reduced point is therefore off the box as
-    well, and _screen_reach covers the rounding of the bump's own edge
-    tests (a difference, the fold modulo pi and a division), so
+    Why a row certified by _screen gets off: the entry-by-entry point
+    differs from the kernel's word @ mats by at most 2 eps |word| |mats|
+    per entry, which moves x by at most 8 sqrt(y) + 4 y + 2, theta by at
+    most 3 sqrt(y) and y by at most (4 + 12 y) sqrt(y) units eps |word|
+    |mats| to first order, for |x| <= 1/2 and y >= sqrt(3)/2.  The
+    margin's 64 y units (64 y^2 in y; _screen_scale bounds |word| |mats|
+    over the whole call) cover that, so the kernel's product lies inside
+    the domain by more than the warm margin, and by the kernel's own margin
+    argument the anchor word is the row's cold word up to sign, which only
+    flips the signs of the output.  The reduced point is therefore off the
+    box as well, and _screen_reach covers the rounding of the bump's own
+    edge tests (a difference, the fold modulo pi and a division), so
     evaluate_coords returns exactly off there.  SCREEN_MARGIN covers the
     few ulps of pi by which atan2, the sign flip and the fold move theta.
-    A non-finite entry anywhere in the block makes the margin NaN or
-    infinite, and no row of that block is certified.
+    A row of a certified interval lies inside the domain and off the box
+    by twice that margin before rounding, and the one rounding of b - s a
+    in orbit_mats adds at most eps |mats| per entry, so the same argument
+    holds for it.  A non-finite entry anywhere in the call makes the margin
+    NaN or infinite, and no row is certified.
     """
-    stack = orbit_mats(base, offsets)
-    mats = stack[:, 0]
-    n = len(mats)
-    anchors, turn, dense = _anchor_words(mats)
-    slot = np.arange(n) // WARM_STRIDE
-    certified = _certify(base, mats, anchors, turn, slot, support) if dense else None
-    if certified is None:
-        red, _ = reduce_stack(lattice, stack, warm=(anchors, turn, dense, slot))
+    turn, dense = _anchor_turns(anchors)
+    if np.count_nonzero(whole) < SCREEN_MIN_SHARE * len(whole):
+        red, _ = reduce_stack(lattice, orbit_mats(base, offsets),
+                              warm=(anchors, turn, dense, np.arange(len(offsets)) // WARM_STRIDE))
         return fn(np.stack(iwasawa_coords(red), axis=-1))
-    rest = np.flatnonzero(~certified)
-    vals = np.full(n, support[2])
-    if len(rest):
-        red, _ = reduce_stack(lattice, np.take(stack, rest, axis=0),
-                              warm=(anchors, turn, dense, slot[rest]))
-        vals[rest] = fn(np.stack(iwasawa_coords(red), axis=-1))
+    rows = np.flatnonzero(np.repeat(~whole, WARM_STRIDE)[:len(offsets)])
+    slot = rows // WARM_STRIDE
+    stack = orbit_mats(base, offsets[rows])
+    w00, w01, w10, w11, a, c = _anchor_columns(base, anchors)
+    b01, b11 = stack[:, 0, 0, 1], stack[:, 0, 1, 1]
+
+    def certified(word, sel) -> np.ndarray:
+        """_screen of the rows sel of stack with the anchor words word."""
+        return _screen(a[word], w00[word] * b01[sel] + w01[word] * b11[sel],
+                       c[word], w10[word] * b01[sel] + w11[word] * b11[sel], *screen)
+
+    ok = certified(slot, np.s_[:])
+    retry = np.flatnonzero(~ok & turn[slot])
+    ok[retry] = certified(slot[retry] + 1, retry)
+    left = np.flatnonzero(~ok)
+    vals = np.full(len(offsets), off)
+    if len(left):
+        red, _ = reduce_stack(lattice, np.take(stack, left, axis=0),
+                              warm=(anchors, turn, dense, slot[left]))
+        vals[rows[left]] = fn(np.stack(iwasawa_coords(red), axis=-1))
     return vals
-
-
-def _certify(base, mats, anchors, turn, slot, support):
-    """The rows of a dense orbit block (mats = orbit_mats(base, ...)[:, 0])
-    that _screen certifies off the support box, trying the anchor at or
-    before each row and then, where its word differs, the next anchor.
-    None when fewer than SCREEN_MIN_SHARE of the anchors' own points pass:
-    there the screen costs more than the rows it saves (a box over most of
-    the domain)."""
-    center, widths, _ = support
-    reach = _screen_reach(center[0], widths[0])
-    # |g| <= 2 max |entry| bounds both Frobenius norms over the block
-    scale = SCREEN_ULPS * np.finfo(float).eps * 4.0 * np.abs(anchors).max(initial=0.0) \
-        * np.abs(mats).max(initial=0.0)
-    # every row's first column is base's, so word @ mats has the first
-    # column of word @ base, made once per anchor
-    w00, w01, w10, w11 = anchors.reshape(-1, 4).T
-    (m00, _), (m10, _) = base[0]
-    a, c = w00 * m00 + w01 * m10, w10 * m00 + w11 * m10
-    m01, m11 = mats[:, 0, 1], mats[:, 1, 1]
-
-    def screen(word, rows):
-        """_screen of mats[rows] with the anchor words word(anchor entries)."""
-        b01, b11 = m01[rows], m11[rows]
-        return _screen(word(a), word(w00) * b01 + word(w01) * b11,
-                       word(c), word(w10) * b01 + word(w11) * b11, scale, center[0], reach)
-
-    if np.count_nonzero(screen(lambda v: v, np.s_[::WARM_STRIDE])) \
-            < SCREEN_MIN_SHARE * len(anchors):
-        return None
-    certified = screen(lambda v: np.repeat(v, WARM_STRIDE)[:len(mats)], np.s_[:])
-    rows = np.flatnonzero(~certified & turn[slot])
-    right = slot[rows] + 1
-    certified[rows] = screen(lambda v: v[right], rows)
-    return certified
 
 
 def orbit_values(lattice: Lattice, base: np.ndarray, offsets: np.ndarray, fn) -> np.ndarray:

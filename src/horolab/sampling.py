@@ -113,7 +113,7 @@ def generate(ts: TimeSet) -> np.ndarray:
     if isinstance(ts, Interval):
         if ts.t_span <= 0:
             return np.empty(0)
-        return _panel_nodes(ts.t_span, ts.quadrature_step or ts.t_span / 64.0)[0]
+        return _panel_nodes(ts.t_span, ts.quadrature_step or ts.t_span / 64.0)
     raise ConfigError(f"unknown time set {ts!r}")
 
 
@@ -292,14 +292,18 @@ def _panel_count(t_span: float, step: float) -> int:
 
 
 def _panel_nodes(t_span: float, step: float, lo: int = 0, hi: int | None = None):
-    """Composite Gauss-Legendre nodes and weights of panels [lo, hi) on [0, t_span]."""
+    """Composite Gauss-Legendre nodes of panels [lo, hi) on [0, t_span]."""
     panels = _panel_count(t_span, step)
     h = t_span / panels
     hi = panels if hi is None else hi
     starts = np.arange(lo, hi) * h
-    nodes = (starts[:, None] + 0.5 * h * (_GL_X[None, :] + 1.0)).ravel()
-    weights = np.broadcast_to(0.5 * h * _GL_W, (hi - lo, _GL_ORDER)).ravel().copy()
-    return nodes, weights
+    return (starts[:, None] + 0.5 * h * (_GL_X[None, :] + 1.0)).ravel()
+
+
+def _panel_weights(t_span: float, step: float, count: int):
+    """Composite Gauss-Legendre weights of count panels on [0, t_span]: every
+    panel has the same."""
+    return np.tile(0.5 * (t_span / _panel_count(t_span, step)) * _GL_W, count)
 
 
 def _arc_sums(f, p: QuotientPoint, t_span: float, step: float, workers: int) -> float:
@@ -307,14 +311,14 @@ def _arc_sums(f, p: QuotientPoint, t_span: float, step: float, workers: int) -> 
     added in chunk order."""
     panels = _panel_count(t_span, step)
     # every panel has the same weights, so one chunk's serve them all
-    _, w_chunk = _panel_nodes(t_span, step, 0, min(panels, _SLAB_NODES // _GL_ORDER))
+    w_chunk = _panel_weights(t_span, step, min(panels, _SLAB_NODES // _GL_ORDER))
 
     def nodes(start: int, stop: int) -> np.ndarray:
         # the panels that hold nodes [start, stop), cut to those nodes
         lo = start // _GL_ORDER
         skip = start - lo * _GL_ORDER
         hi = -(-stop // _GL_ORDER)
-        return _panel_nodes(t_span, step, lo, hi)[0][skip:skip + stop - start]
+        return _panel_nodes(t_span, step, lo, hi)[skip:skip + stop - start]
 
     def dot(blocks: list) -> float:
         vals = np.concatenate(blocks)
@@ -436,7 +440,9 @@ def renormalization_identity_check(f, p: QuotientPoint, t_span: float) -> float:
     lhs = _arc_sums(f, p, t_span, h, 1) / t_span
 
     tau = math.log(t_span)
-    sig_nodes, sig_w = _panel_nodes(1.0, 1.0 / _panel_count(t_span, h))
+    sig_step = 1.0 / _panel_count(t_span, h)
+    sig_nodes = _panel_nodes(1.0, sig_step)
+    sig_w = _panel_weights(1.0, sig_step, _panel_count(1.0, sig_step))
     a_fwd = sl2.diagonal_a(tau, p.lattice.k)
     a_bwd = sl2.diagonal_a(-tau, p.lattice.k)
     k = p.lattice.k

@@ -16,6 +16,7 @@ from horolab import quotient as qt
 from horolab import sampling as sp
 from horolab import sl2
 from horolab.presets import bump_preset, cover_bumps, point_preset
+from horolab.quadrature import gl_nodes
 
 # the directory holding the horolab package under test
 SRC = Path(ob.__file__).resolve().parents[1]
@@ -243,7 +244,77 @@ class TestSobolev:
             assert sign == math.prod(combo)
 
 
+def every_row_haar_k1(f, nx: int, nv: int, ntheta: int) -> float:
+    """haar_integral_k1 as it was before it skipped rows off a bump's
+    support: every grid row evaluated and multiplied into the weights."""
+    xs, wx = gl_nodes(nx, -0.5, 0.5)
+    ss, ws = gl_nodes(nv, 0.0, 1.0)
+    ths, wth = gl_nodes(ntheta, 0.0, math.pi)
+    vmax = 1.0 / np.sqrt(1.0 - xs * xs)
+    acc = (wx[:, None] * ws)[:, :, None] * wth
+    acc *= vmax[:, None, None]
+    mass = float(np.sum(acc))
+    row = np.empty((nv, ntheta, 3))
+    row[..., 2] = ths
+    for i in range(nx):
+        row[..., 0] = xs[i]
+        row[..., 1] = (1.0 / (ss * vmax[i]))[:, None]
+        acc[i] *= f.evaluate_coords(row.reshape(-1, 1, 3)).reshape(nv, ntheta)
+    return float(np.sum(acc)) / mass
+
+
+def grid_edge_bump(modular) -> ob.BumpFunction:
+    """A bump whose right x edge lands exactly on a node of the 64-node x grid."""
+    xs, _ = gl_nodes(64, -0.5, 0.5)
+    width = xs[45] - xs[40]
+    assert (xs[45] - xs[40]) / width == 1.0
+    return ob.BumpFunction(modular, [[xs[40], 1.6, 1.0]], [[width, 0.4, 0.8]])
+
+
+HAAR_CASES = {
+    "bump1": lambda lat: bump_preset(lat),
+    "x-edge-on-node": grid_edge_bump,
+    # every x row kept, most v rows off
+    "narrow-y": lambda lat: ob.BumpFunction(lat, [[0.05, 1.9, 2.0]], [[0.9, 0.02, 1.2]]),
+    "negative": lambda lat: ob.BumpFunction(lat, [[-0.1, 1.4, 0.6]], [[0.2, 0.3, 0.5]],
+                                            amplitude=-1.0),
+    # a box between two x nodes of both grids: every row is skipped
+    "negative-between-nodes": lambda lat: ob.BumpFunction(lat, [[0.0, 1.4, 0.6]],
+                                                          [[1e-4, 0.3, 0.5]], amplitude=-1.0),
+    # no support box, so no row is skipped
+    "constant": lambda lat: ob.ConstantObservable(lat, 0.75),
+    "sum": lambda lat: ob.ObservableSum([(2.0, bump_preset(lat)), (-0.5, grid_edge_bump(lat))]),
+    "translated": lambda lat: ob.TranslatedObservable(bump_preset(lat), sl2.unipotent_u(0.3)),
+}
+
+
 class TestHaarIntegralK1:
+    @pytest.mark.parametrize("case", sorted(HAAR_CASES))
+    def test_bytes_of_every_row(self, modular, case):
+        f = HAAR_CASES[case](modular)
+        for grid in [(64, 64, 32), (40, 24, 16)]:
+            got = ob.haar_integral_k1(f, *grid)
+            assert np.float64(got).tobytes() == np.float64(every_row_haar_k1(f, *grid)).tobytes()
+
+    @pytest.mark.parametrize("case", ["bump1", "x-edge-on-node"])
+    def test_rows_off_the_support_are_not_evaluated(self, modular, monkeypatch, case):
+        # the x window keeps some of the 64 x rows (not the node on its edge,
+        # where |dx| = 1), and the y window some v rows of each
+        f = HAAR_CASES[case](modular)
+        points = []
+        evaluate = ob.BumpFunction.evaluate_coords
+
+        def counted(self, coords):
+            points.append(len(coords))
+            return evaluate(self, coords)
+
+        monkeypatch.setattr(ob.BumpFunction, "evaluate_coords", counted)
+        ob.haar_integral_k1(f)
+        xs, _ = gl_nodes(64, -0.5, 0.5)
+        kept = int(np.count_nonzero(np.abs((xs - f.center[0, 0]) / f.widths[0, 0]) < 1.0))
+        assert len(points) == kept < 64
+        assert sum(points) < 0.5 * kept * 64 * 32
+
     def test_constant_is_one(self, modular):
         assert ob.haar_integral_k1(ob.ConstantObservable(modular, 1.0)) == 1.0
 
@@ -262,7 +333,9 @@ class TestHaarIntegralK1:
         assert abs(fine - coarse) <= 1e-5
 
     def test_base_mass_near_pi_thirds(self):
-        assert abs(ob.haar_mass_k1() - math.pi / 3.0) <= 1e-6
+        # the x quadrature of the base mass: integral of 1/sqrt(1 - x^2) over |x| <= 1/2
+        xs, wx = gl_nodes(64, -0.5, 0.5)
+        assert abs(float(np.sum(wx * (1.0 / np.sqrt(1.0 - xs * xs)))) - math.pi / 3.0) <= 1e-6
 
     def test_pinned_bytes(self, test_bump):
         # the quadrature at three grids and two translated pairs through it
