@@ -5,7 +5,8 @@ file, HOROLAB_* environment variables, tokens and --set, then dedicated
 flags; the subcommand sets `kind`.  Every source hands over text or
 plain values, which ExperimentConfig reads by field type.
 Exit codes: 0 success, 1 malformed config, 2 tolerance failure,
-3 budget exhaustion.
+3 budget exhaustion.  A stdout closed before the summary is printed is
+still success.
 """
 
 from __future__ import annotations
@@ -157,6 +158,17 @@ def _summarize(record: ex.ResultRecord) -> str:
     return "\n".join(lines)
 
 
+def _emit(text: str) -> None:
+    """Print text.  A reader that closed stdout early (`horolab ... | head -1`)
+    has what it wanted, and the run and its record are complete by now, so
+    stdout goes to os.devnull, as Python's signal docs advise: the flush at
+    exit then cannot fail again."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -166,7 +178,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"unrecognized arguments: {' '.join(bad)}")
         args.tokens = list(args.tokens) + extra
         if args.command == "describe":
-            print(_describe())
+            _emit(_describe())
             return 0
         cfg = config_from_args(args)
         record = ex.run(cfg)
@@ -179,9 +191,10 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExhausted as err:
         print(f"budget exhausted: {err}", file=sys.stderr)
         return 3
-    print(_summarize(record))
+    summary = _summarize(record)
     if cfg.out_dir:
-        print(f"records appended under {cfg.out_dir}")
+        summary += f"\nrecords appended under {cfg.out_dir}"
+    _emit(summary)
     return 0
 
 

@@ -100,14 +100,6 @@ class ExperimentConfig:
         lines = [f"{key} = {json.dumps(val)}" for key, val in sorted(self.to_dict().items())]
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_text(cls, text: str) -> "ExperimentConfig":
-        return cls.from_dict(_text_fields(text))
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "ExperimentConfig":
-        return cls.from_dict(file_fields(path))
-
     def config_hash(self) -> str:
         return hashlib.sha256(self.to_text().encode()).hexdigest()[:16]
 
@@ -373,7 +365,9 @@ def _run_mixing(cfg: ExperimentConfig):
         "flow": cfg.mixing_flow,
         "series": [{"t": t, "abs_centered_correlation": c} for t, c in series],
     }
-    exponents = {"mixing_slope": fit.slope} if fit else {}
+    exponents = {}
+    if fit:  # a floored fit has no meaningful slope (decay_fit)
+        exponents["mixing_slope"] = float("nan") if fit.floored else fit.slope
     rows = [(t, c) for t, c in series]
     return payload, exponents, ("mixing", ["t", "abs_centered_correlation"], rows)
 
@@ -386,7 +380,7 @@ def _run_blocks(cfg: ExperimentConfig):
     taylor = sp.block_taylor_remainder(cfg.m_base, cfg.gamma_exp)
     exact_avg, linear_avg, gap = sp.block_average_compare(
         f, p, cfg.m_base, cfg.gamma_exp, workers=cfg.workers)
-    s1 = ob.sobolev_norm(f, 1).value
+    s1 = ob.sobolev_norm(f, 1)
     payload = {
         "m_base": cfg.m_base,
         "gamma_exp": cfg.gamma_exp,
@@ -563,7 +557,8 @@ def _run_report(cfg: ExperimentConfig):
                 raise ConfigError(
                     "report: multiple average records at the same scale with "
                     "otherwise identical configs; refusing ambiguous aggregation")
-            slope = sp.decay_fit(series).slope if len(series) >= 4 else float("nan")
+            fit = sp.decay_fit(series) if len(series) >= 4 else None
+            slope = fit.slope if fit and not fit.floored else float("nan")
             exponents[f"decay_slope[{recs[0].config['observable']}]"] = slope
             verdict = "pass" if slope <= -0.1 else ("n/a" if math.isnan(slope) else "fail")
             for (scale, dev), r in zip(series, recs):

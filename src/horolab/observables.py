@@ -135,41 +135,6 @@ class BumpFunction:
 
 
 @dataclass
-class ObservableSum:
-    """Finite linear combination of bumps (same lattice)."""
-
-    terms: list[tuple[float, BumpFunction]]
-
-    def __post_init__(self):
-        if not self.terms:
-            raise ValueError("empty observable")
-        k0 = self.terms[0][1].k
-        if any(b.k != k0 for _, b in self.terms):
-            raise ValueError("mixed factor counts in one observable")
-
-    @property
-    def lattice(self) -> Lattice:
-        return self.terms[0][1].lattice
-
-    @property
-    def k(self) -> int:
-        return self.terms[0][1].k
-
-    def min_width(self) -> float:
-        return min(b.min_width() for _, b in self.terms)
-
-    def evaluate_coords(self, coords: np.ndarray) -> np.ndarray:
-        out = None
-        for c, b in self.terms:
-            v = c * b.evaluate_coords(coords)
-            out = v if out is None else out + v
-        return out
-
-    def value(self, p: QuotientPoint) -> float:
-        return float(self.evaluate_coords(qt.coordinates(p)[None])[0])
-
-
-@dataclass
 class ConstantObservable:
     """f == const; the degenerate case every average test starts from."""
 
@@ -370,13 +335,6 @@ class SmoothingKernel:
 # Sobolev-type upper bounds by nested differencing
 # ----------------------------------------------------------------------
 
-@dataclass
-class SobolevRecord:
-    value: float
-    points: int
-    words: int
-
-
 def _offset_elements(word: tuple[int, ...], steps: np.ndarray):
     """All 2^m offset products exp(s_1 eps W_1) ... exp(s_m eps W_m).
 
@@ -394,44 +352,34 @@ def _offset_elements(word: tuple[int, ...], steps: np.ndarray):
     return mats, signs
 
 
-def _support_boxes(f) -> list[tuple[np.ndarray, np.ndarray]]:
-    if isinstance(f, BumpFunction):
-        return [(f.center, f.widths)]
-    if isinstance(f, ObservableSum):
-        return [(b.center, b.widths) for _, b in f.terms]
-    return []
-
-
 def _sample_coords(f) -> np.ndarray:
     """Support grid plus seeded random points, all placed relative to the widths.
 
     Width-relative placement keeps the sample set covariant under
     dilations of the observable, so grid suprema of rescaled bumps obey
-    the chain-rule scaling instead of drifting with the sampling.
+    the chain-rule scaling instead of drifting with the sampling.  An
+    observable without a support box gets random points of the domain.
     """
     k = f.k
-    boxes = _support_boxes(f)
-    # per box, the grid spanning [-0.9, 0.9] of each width around the centre
-    ticks = np.linspace(-0.9, 0.9, 13 if k == 1 else 5)
-    parts = [tensor_grid(center.reshape(-1, 1) + ticks * widths.reshape(-1, 1)).reshape(-1, k, 3)
-             for center, widths in boxes]
     rng = np.random.default_rng(_SOBOLEV_SEED)
-    if boxes:
-        per = max(1, _SOBOLEV_EXTRA_POINTS // len(boxes))
-        parts += [center[None] + rng.uniform(-1.05, 1.05, size=(per, k, 3)) * widths[None]
-                  for center, widths in boxes]
+    if isinstance(f, BumpFunction):
+        center, widths = f.center, f.widths
+        # the grid spanning [-0.9, 0.9] of each width around the centre
+        ticks = np.linspace(-0.9, 0.9, 13 if k == 1 else 5)
+        grid = tensor_grid(center.reshape(-1, 1) + ticks * widths.reshape(-1, 1)).reshape(-1, k, 3)
+        extra = center + rng.uniform(-1.05, 1.05, size=(_SOBOLEV_EXTRA_POINTS, k, 3)) * widths
+        pts = np.concatenate([grid, extra], axis=0)
     else:
-        parts.append(np.stack([
+        pts = np.stack([
             rng.uniform(-0.45, 0.45, size=(_SOBOLEV_EXTRA_POINTS, k)),
             rng.uniform(1.05, 2.2, size=(_SOBOLEV_EXTRA_POINTS, k)),
             rng.uniform(0.1, math.pi - 0.1, size=(_SOBOLEV_EXTRA_POINTS, k)),
-        ], axis=2))
-    pts = np.concatenate(parts, axis=0)
+        ], axis=2)
     pts[:, :, 1] = np.maximum(pts[:, :, 1], 1e-3)
     return pts
 
 
-def sobolev_norm(f, order: int) -> SobolevRecord:
+def sobolev_norm(f, order: int) -> float:
     """Grid supremum of all right-derivative words up to the given order.
 
     Nested central differences of p -> f(p exp(t W)) over every word of
@@ -451,14 +399,12 @@ def sobolev_norm(f, order: int) -> SobolevRecord:
     base_mats = qt.mats_from_coords(pts)
     best = float(np.max(np.abs(f.evaluate_coords(pts))))  # order-0 term
     if order == 0:
-        return SobolevRecord(value=best, points=len(pts), words=0)
+        return best
     # exp(s eps W) for s = +1, -1 and the 3k directions W: X, Y, Z in each factor
     steps = np.array([[sl2.exp_map(sl2.LieAlgebraElement(s * eps * w)).mats
                        for w in np.eye(3 * k).reshape(3 * k, k, 3)] for s in (1.0, -1.0)])
-    nwords = 0
     for m in range(1, order + 1):
         for word in itertools.product(range(3 * k), repeat=m):
-            nwords += 1
             offs, signs = _offset_elements(word, steps)
             # (P, O, k, 2, 2): every point times every offset
             moved = np.einsum("pkab,okbc->pokac", base_mats, offs)
@@ -467,4 +413,4 @@ def sobolev_norm(f, order: int) -> SobolevRecord:
             vals = vals.reshape(len(pts), len(offs))
             diff = vals @ signs / (2.0 * eps) ** m
             best = max(best, float(np.max(np.abs(diff))))
-    return SobolevRecord(value=_SOBOLEV_SAFETY * best, points=len(pts), words=nwords)
+    return _SOBOLEV_SAFETY * best

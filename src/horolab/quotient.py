@@ -31,9 +31,9 @@ Two lattice families are supported:
   continued-fraction expansion of a reduced generator of O, in exact
   integers, once per lattice.
 
-Injectivity radius, lattice-point enumeration and the distance between
-classes are all computed from bounded generator-ball enumerations of
-Gamma, and are certified only within the enumeration validity radius.
+Injectivity radius, lattice-point enumeration and the torus search are
+all computed from bounded generator-ball enumerations of Gamma, and are
+certified only within the enumeration validity radius.
 """
 
 from __future__ import annotations
@@ -258,11 +258,6 @@ def act(w: GroupElement, p: QuotientPoint) -> QuotientPoint:
     return QuotientPoint(p.lattice, sl2.compose(p.rep, sl2.inverse(w)), reduced=False)
 
 
-def flow_u(p: QuotientPoint, t: float) -> QuotientPoint:
-    """Horocycle flow for time t (translation by u(t))."""
-    return act(sl2.unipotent_u(t, p.lattice.k), p)
-
-
 # rows per row_blocks block: a 400 k-row k = 2 arc takes 0.39-0.55 s, 0.48-0.63 s unblocked (2 vCPU)
 _BLOCK_ROWS = 16_384
 
@@ -285,19 +280,12 @@ def flow_a_contracting(p: QuotientPoint, t: float) -> QuotientPoint:
     return act(sl2.diagonal_a(-t, p.lattice.k), p)
 
 
-def phi_map(x: float, gamma_exp: float) -> GroupElement:
-    """The composed element a(-log x / 2) * u(x^{1+gamma}) of SL(2,R) (the paper's alpha = 1).
+def _phi_stack(xs, gamma_exp: float, k: int) -> np.ndarray:
+    """(N,k,2,2) stack of a(-log x / 2) u(x^{1+gamma}) for x in xs (the paper's alpha = 1).
 
-    Translating the identity class by this element at x = n drives the
+    Translating the identity class by the element at x = n drives the
     reduced cusp height to infinity like sqrt(n): the divergence
     signature separating the two branches of the sparse dichotomy.
-    """
-    return GroupElement(_phi_stack([x], gamma_exp, 1)[0])
-
-
-def _phi_stack(xs, gamma_exp: float, k: int) -> np.ndarray:
-    """(N,k,2,2) stack of phi_map(x) for x in xs.
-
     math.log and float ** run one x at a time: numpy's vector log and power
     round some arguments to other bytes.
     """
@@ -1012,7 +1000,7 @@ def _enumerate_hilbert(lat: HilbertLattice, max_entry: float, budget: int) -> np
 
 
 # ----------------------------------------------------------------------
-# distances, injectivity radius, cusp height
+# injectivity radius, cusp height
 # ----------------------------------------------------------------------
 
 def _with_negations(stack: np.ndarray) -> np.ndarray:
@@ -1023,23 +1011,6 @@ def _with_negations(stack: np.ndarray) -> np.ndarray:
 def _ball_words(left: np.ndarray, gammas: np.ndarray, right: np.ndarray) -> np.ndarray:
     """left^{-1} gamma right for every gamma of a (N,k,2,2) stack; left, right are (k,2,2)."""
     return np.einsum("kab,nkbc,kcd->nkad", sl2.inverse(left), gammas, right)
-
-
-def quotient_distance(p: QuotientPoint, q: QuotientPoint) -> float:
-    """min over enumerated gamma of distance(p.rep, gamma * q.rep).
-
-    Scans both orderings of the pair, which amounts to minimising over
-    the enumerated ball together with its inverses; the result is
-    symmetric in (p, q) by construction.
-    """
-    if p.lattice != q.lattice:
-        raise ValueError("points live on different quotients")
-    gammas = _with_negations(enumerate_gamma(p.lattice))
-    best = np.inf
-    for left, right in ((p, q), (q, p)):
-        w = _ball_words(left.rep.mats, gammas, right.rep.mats)
-        best = min(best, float(sl2.displacement_from_identity_batch(w).min()))
-    return best
 
 
 def injectivity_radius(p: QuotientPoint) -> float:
@@ -1102,7 +1073,6 @@ def _cd_rows(lat: HilbertLattice) -> np.ndarray:
 
 @dataclass
 class DivergenceReport:
-    times: np.ndarray
     heights: np.ndarray
     diverges: bool
     first_escape: float | None
@@ -1111,7 +1081,7 @@ class DivergenceReport:
 def detect_divergence(p: QuotientPoint, mode: str = "geodesic",
                       t_max: float = 30.0, samples: int = 60,
                       gamma_exp: float = 0.1) -> DivergenceReport:
-    """Sample cusp heights along the contracting geodesic or phi_map (alpha = 1).
+    """Sample cusp heights along the contracting geodesic or the phi map (_phi_stack).
 
     Divergence = the height passes HEIGHT_THRESHOLD at some sample time,
     never drops below HEIGHT_THRESHOLD * HYSTERESIS afterwards, and at least
@@ -1138,8 +1108,7 @@ def detect_divergence(p: QuotientPoint, mode: str = "geodesic",
         if tail_ok and len(heights) - j >= MIN_ESCAPE_TAIL:
             diverges = True
             first_escape = float(times[j])
-    return DivergenceReport(times=times, heights=heights, diverges=diverges,
-                            first_escape=first_escape)
+    return DivergenceReport(heights=heights, diverges=diverges, first_escape=first_escape)
 
 
 @dataclass

@@ -330,7 +330,7 @@ def _arc_sums(f, p: QuotientPoint, t_span: float, step: float, workers: int) -> 
 
 def _support(f):
     """f's support box for the orbit walk's screen: a BumpFunction's, and
-    None for every other observable (a sum, a constant, a translate)."""
+    None for every other observable (a constant, a translate)."""
     return f.support_box() if isinstance(f, ob.BumpFunction) else None
 
 

@@ -396,25 +396,6 @@ class LinearSieveFunctions:
             out[mid] = 1.0 - q / s_arr[mid]
         return out if out.ndim else float(out)
 
-    def check_invariants(self) -> dict:
-        """Grid-level shape certificates; raises AssertionError on failure."""
-        F = self.upper(self.s_grid)
-        f = self.lower(self.s_grid)
-        assert np.all(np.diff(F) <= 1e-12), "F0 must be nonincreasing"
-        assert np.all(np.diff(f) >= -1e-12), "f0 must be nondecreasing"
-        assert np.all(f <= 1.0 + 1e-12) and np.all(F >= 1.0 - 1e-12), "f0 <= 1 <= F0"
-        tail = self.s_grid >= 10.0
-        bound = 5.0 * np.exp(-self.s_grid[tail])
-        dev_f = np.abs(F[tail] - 1.0)
-        dev_g = np.abs(1.0 - f[tail])
-        assert np.all(dev_f <= bound), "F0 tail envelope violated"
-        assert np.all(dev_g <= bound), "f0 tail envelope violated"
-        return {
-            "F_at_2": float(self.upper(2.0)),
-            "f_at_4": float(self.lower(4.0)),
-            "max_tail_dev": float(max(dev_f.max(initial=0.0), dev_g.max(initial=0.0))),
-        }
-
 
 @cache
 def linear_sieve_functions(s_max: float = 40.0, grid_step: float = 1e-3) -> LinearSieveFunctions:

@@ -163,18 +163,6 @@ def diagonal_a(t: float, k: int = 1) -> GroupElement:
     return GroupElement(au_stack([t], [0.0], k)[0])
 
 
-def adjoint(g: GroupElement, x: LieAlgebraElement) -> LieAlgebraElement:
-    """Ad(g) x = g x g^{-1}, factor-wise, back in (X,Y,Z) coordinates."""
-    if g.k != x.k:
-        raise GroupDomainError(f"factor mismatch: {g.k} vs {x.k}")
-    conj = np.matmul(np.matmul(g.mats, x.matrices()), inverse(g).mats)
-    out = np.empty((g.k, 3))
-    out[:, 0] = conj[:, 0, 1]
-    out[:, 1] = conj[:, 1, 0]
-    out[:, 2] = conj[:, 0, 0]
-    return LieAlgebraElement(out)
-
-
 def _exp_2x2(m: np.ndarray) -> np.ndarray:
     """exp of a stack of traceless 2x2 matrices via the q = -det branch."""
     q = m[:, 0, 0] ** 2 + m[:, 0, 1] * m[:, 1, 0]  # = -det(m) for traceless m
@@ -247,15 +235,6 @@ def displacement_from_identity_batch(stack: np.ndarray) -> np.ndarray:
     return np.where(in_branch.all(axis=1),
                     np.sqrt(np.sum(log_norm * log_norm, axis=1)),
                     np.sum(proxy, axis=1))
-
-
-def distance(g: GroupElement, h: GroupElement) -> float:
-    """Displacement of g^{-1} h from the identity: one row of the batch kernel.
-
-    Only comparability with the genuine left-invariant metric is relied
-    on elsewhere.
-    """
-    return float(displacement_from_identity_batch(compose(inverse(g), h).mats[None])[0])
 
 
 def random_element(rng: np.random.Generator, k: int = 1, scale: float = 0.5) -> GroupElement:

@@ -1,6 +1,7 @@
 """Experiment configs, result records, runners, report, and the CLI."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -59,6 +60,14 @@ def quick_average_config(**overrides) -> ex.ExperimentConfig:
     return ex.ExperimentConfig(**base)
 
 
+def read_config(path: Path, text: str | None = None) -> ex.ExperimentConfig:
+    """The config in the file at path (first written with text, if given),
+    read the way the CLI reads --config: file_fields, then from_dict."""
+    if text is not None:
+        path.write_text(text)
+    return ex.ExperimentConfig.from_dict(ex.file_fields(path))
+
+
 @pytest.fixture(scope="module")
 def average_grid_dir(tmp_path_factory):
     """Four sparse-average records over a T grid, persisted together."""
@@ -78,10 +87,10 @@ def mixing_record_dir(tmp_path_factory):
 
 
 class TestConfig:
-    def test_text_round_trip_bit_identical(self):
+    def test_text_round_trip_bit_identical(self, tmp_path):
         cfg = quick_average_config(workers=3, epsilon=0.003)
         text = cfg.to_text()
-        again = ex.ExperimentConfig.from_text(text)
+        again = read_config(tmp_path / "c.cfg", text)
         assert again == cfg
         assert again.to_text() == text
 
@@ -95,28 +104,27 @@ class TestConfig:
         txt.write_text(cfg.to_text())
         js = tmp_path / "c.json"
         js.write_text(json.dumps(cfg.to_dict()))
-        assert ex.ExperimentConfig.from_file(txt) == cfg
-        assert ex.ExperimentConfig.from_file(js) == cfg
+        assert read_config(txt) == cfg
+        assert read_config(js) == cfg
 
-    def test_comments_and_blanks_ignored(self):
-        cfg = ex.ExperimentConfig.from_text(
-            "# a comment\n\nkind = \"reduce\"\nt_span = 12.5  # trailing\n")
+    def test_comments_and_blanks_ignored(self, tmp_path):
+        cfg = read_config(tmp_path / "c.cfg",
+                          "# a comment\n\nkind = \"reduce\"\nt_span = 12.5  # trailing\n")
         assert cfg.kind == "reduce"
         assert cfg.t_span == 12.5
 
     @pytest.mark.parametrize("out_dir", ["runs#1", "#", 'a"#b', "x\\#y"])
     def test_hash_inside_quoted_value_round_trips(self, tmp_path, out_dir):
         cfg = ex.ExperimentConfig(out_dir=out_dir)
-        assert ex.ExperimentConfig.from_text(cfg.to_text()) == cfg
-        path = tmp_path / "c.cfg"
-        path.write_text(f"out_dir = {json.dumps(out_dir)}  # comment \"q\"\n")
-        assert ex.ExperimentConfig.from_file(path).out_dir == out_dir
+        assert read_config(tmp_path / "c.cfg", cfg.to_text()) == cfg
+        text = f"out_dir = {json.dumps(out_dir)}  # comment \"q\"\n"
+        assert read_config(tmp_path / "c.cfg", text).out_dir == out_dir
 
-    def test_unknown_field_rejected(self):
+    def test_unknown_field_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             ex.ExperimentConfig.from_dict({"kind": "average", "bogus": 1})
         with pytest.raises(ConfigError):
-            ex.ExperimentConfig.from_text("volume = 11\n")
+            read_config(tmp_path / "c.cfg", "volume = 11\n")
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ConfigError):
@@ -299,6 +307,13 @@ class TestRunners:
         assert len(rec.payload["series"]) == 4
         assert rec.exponents["mixing_slope"] < 0.0
 
+    def test_mixing_floored_fit_records_no_slope(self, monkeypatch):
+        # every correlation equal to mean^2 is exact agreement, so the fit is floored
+        monkeypatch.setattr(ex.ob, "haar_integral_k1", lambda f: 0.0)
+        monkeypatch.setattr(ex.sp, "correlation", lambda f, g, t, flow: 0.0)
+        rec = ex.run(ex.ExperimentConfig(kind="mixing", point="preset:generic1"))
+        assert math.isnan(rec.exponents["mixing_slope"])
+
     def test_blocks_run(self):
         rec = ex.run(ex.ExperimentConfig(kind="blocks", point="preset:generic1",
                                          m_base=400_000, gamma_exp=0.1))
@@ -393,6 +408,17 @@ class TestReport:
         assert rows and all(row["slope"] < 0.0 for row in rows)
         assert all(row["pass"] == "pass" for row in rows)
 
+    def test_floored_average_family_is_not_judged(self, tmp_path):
+        # a zero deviation is exact agreement: decay_fit floors it, and the
+        # slope through the floor means nothing, so neither pass nor fail
+        for t_span, deviation in ((1.0e2, 1e-2), (1.0e3, 1e-3), (1.0e4, 0.0), (1.0e5, 1e-5)):
+            record = ex.make_record(quick_average_config(t_span=t_span), {"deviation": deviation})
+            ex.append_record(record, tmp_path)
+        rec = ex.run(ex.ExperimentConfig(
+            kind="report", records_path=str(tmp_path / "records.jsonl")))
+        assert [row["pass"] for row in rec.payload["rows"]] == ["n/a"] * 4
+        assert all(math.isnan(slope) for slope in rec.exponents.values())
+
     def test_duplicate_scale_refused(self, tmp_path):
         for _ in range(2):
             ex.run(quick_average_config(out_dir=str(tmp_path)))
@@ -461,6 +487,20 @@ class TestCli:
         assert {"dad93dbe8998f80a", "9ed36d62cf1399fb"} <= {cid for _, cid in pairs}
         for line, cid in pairs:
             assert (line.split(), cid) in PINNED_CLI_IDS
+
+    @pytest.mark.parametrize("argv", [["describe"], ["reduce", "--point", "preset:generic1"]])
+    def test_closed_stdout_exits_cleanly(self, argv, tmp_path):
+        # as in `horolab ... | head -1`: the reader is gone before anything is printed
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            out = subprocess.run([sys.executable, "-m", "horolab.cli", *argv, "--out", str(tmp_path)],
+                                 env={**os.environ, "PYTHONPATH": str(SRC)}, stdout=write_end,
+                                 stderr=subprocess.PIPE, text=True, timeout=120)
+        finally:
+            os.close(write_end)
+        assert out.returncode == 0 and out.stderr == ""
+        assert (tmp_path / "records.jsonl").exists() == (argv[0] != "describe")
 
     @pytest.mark.parametrize("blas_env", [{"OPENBLAS_NUM_THREADS": "1"},
                                           {"OPENBLAS_NUM_THREADS": "4"},

@@ -14,6 +14,7 @@ from horolab import quotient as qt
 from horolab import sampling as sp
 from horolab import sl2
 from horolab.presets import bump_preset, point_from_spec, point_preset
+from horolab.quadrature import distinct_sorted
 
 HEIGHT_COMPARABILITY_C = 4.0
 
@@ -40,6 +41,26 @@ def point_at(z: complex, lattice=None) -> qt.QuotientPoint:
     lattice = lattice or qt.ModularLattice()
     coords = np.array([[z.real, z.imag, 0.7]])
     return qt.QuotientPoint(lattice, sl2.GroupElement(qt.mats_from_coords(coords[None])[0]))
+
+
+def flow_u(p: qt.QuotientPoint, t: float) -> qt.QuotientPoint:
+    """The horocycle flow for time t: translation of the class by u(t)."""
+    return qt.act(sl2.unipotent_u(t, p.lattice.k), p)
+
+
+def same_reduced_coords(p: qt.QuotientPoint, q: qt.QuotientPoint, tol: float) -> bool:
+    """Whether p and q reduce to the same (x, y, theta mod pi) within tol."""
+    gap = np.abs(qt.coordinates(p) - qt.coordinates(q))
+    gap[:, 2] %= math.pi
+    gap[:, 2] = np.minimum(gap[:, 2], math.pi - gap[:, 2])
+    return float(gap.max()) <= tol
+
+
+def probe_times(mode: str, t_max: float, samples: int = 60) -> np.ndarray:
+    """The sample grid of detect_divergence (at its default sample count)."""
+    if mode == "geodesic":
+        return np.linspace(0.0, t_max, samples)
+    return distinct_sorted(np.floor(np.geomspace(1.0, max(t_max, 2.0), samples)))
 
 
 def squarefree(d: int) -> bool:
@@ -744,8 +765,8 @@ class TestActionAndFlows:
         assert np.max(np.abs(lhs.rep.mats - rhs.rep.mats)) <= 1e-12
 
     def test_horocycle_flow_additive(self, generic_point):
-        a = qt.flow_u(qt.flow_u(generic_point, 1.25), 2.5)
-        b = qt.flow_u(generic_point, 3.75)
+        a = flow_u(flow_u(generic_point, 1.25), 2.5)
+        b = flow_u(generic_point, 3.75)
         assert np.max(np.abs(a.rep.mats - b.rep.mats)) <= 1e-12
 
     def test_geodesic_heights_at_identity(self, modular):
@@ -757,25 +778,25 @@ class TestActionAndFlows:
     def test_sparse_map_heights_at_identity(self, modular):
         p = qt.identity_coset(modular)
         for n in (4.0, 100.0, 10_000.0):
-            moved = qt.act(qt.phi_map(n, gamma_exp=0.1), p)
+            moved = qt.act(sl2.GroupElement(qt._phi_stack([n], 0.1, 1)[0]), p)
             assert abs(qt.cusp_height(moved) - math.sqrt(n)) <= 1e-6 * math.sqrt(n)
 
     def test_sparse_map_at_one_is_unit_shear(self):
         # a(-log(1)/2) is the identity, so only the shear factor survives
-        got = qt.phi_map(1.0, gamma_exp=0.3)
-        assert np.array_equal(got.mats, sl2.unipotent_u(1.0).mats)
+        got = qt._phi_stack([1.0], 0.3, 1)[0]
+        assert np.array_equal(got, sl2.unipotent_u(1.0).mats)
 
     def test_sparse_map_flat_exponent_factors(self):
         x = math.exp(2.0)
-        got = qt.phi_map(x, gamma_exp=0.0)
+        got = qt._phi_stack([x], 0.0, 1)[0]
         want = sl2.compose(sl2.diagonal_a(-1.0), sl2.unipotent_u(x))
-        assert np.max(np.abs(got.mats - want.mats)) <= 1e-12
+        assert np.max(np.abs(got - want.mats)) <= 1e-12
 
     def test_sparse_map_domain(self):
         with pytest.raises(ValueError):
-            qt.phi_map(0.0, gamma_exp=0.1)
+            qt._phi_stack([0.0], 0.1, 1)
         with pytest.raises(ValueError):
-            qt.phi_map(-3.0, gamma_exp=0.1)
+            qt._phi_stack([4.0, -3.0], 0.1, 2)
 
     def test_height_comparability_along_horocycle(self, rng, modular):
         pts = [qt.QuotientPoint(modular, sl2.random_element(rng, scale=1.2))
@@ -785,29 +806,18 @@ class TestActionAndFlows:
         for p in pts:
             h0 = qt.cusp_height(p)
             for s in (0.25, 0.5, 0.75, 1.0):
-                ratio = qt.cusp_height(qt.flow_u(p, s)) / h0
+                ratio = qt.cusp_height(flow_u(p, s)) / h0
                 assert 1.0 / HEIGHT_COMPARABILITY_C <= ratio <= HEIGHT_COMPARABILITY_C
 
 
 class TestDistancesAndRadii:
-    def test_self_distance(self, generic_point):
-        assert qt.quotient_distance(generic_point, generic_point) <= 1e-12
-
-    def test_symmetry(self, rng, modular):
-        for _ in range(100):
-            p = qt.QuotientPoint(modular, sl2.random_element(rng, scale=0.8))
-            q = qt.QuotientPoint(modular, sl2.random_element(rng, scale=0.8))
-            d1 = qt.quotient_distance(p, q)
-            d2 = qt.quotient_distance(q, p)
-            assert abs(d1 - d2) <= 1e-9 * max(1.0, d1)
-
     def test_invariance_under_lattice(self, rng, modular):
         gammas = qt.enumerate_gamma(modular)
         p = qt.QuotientPoint(modular, sl2.random_element(rng, scale=0.7))
         for idx in rng.integers(0, len(gammas), size=30):
             moved = qt.QuotientPoint(modular, sl2.GroupElement(
                 (gammas[idx, 0] @ p.rep.mats[0])[None]))
-            assert qt.quotient_distance(p, qt.reduce_point(moved)) <= 1e-9
+            assert same_reduced_coords(p, qt.reduce_point(moved), 1e-9)
 
     def test_injectivity_radius_decreases_up_the_cusp(self, modular):
         ys = np.linspace(2.0, 50.0, 25)
@@ -830,7 +840,7 @@ class TestDistancesAndRadii:
             p = qt.reduce_point(qt.QuotientPoint(modular, sl2.random_element(rng, scale=1.2)))
             e0 = qt.injectivity_radius(p)
             for s in (0.25, 1.0):
-                e1 = qt.injectivity_radius(qt.reduce_point(qt.flow_u(p, s)))
+                e1 = qt.injectivity_radius(qt.reduce_point(flow_u(p, s)))
                 assert 1.0 / HEIGHT_COMPARABILITY_C <= e1 / e0 <= HEIGHT_COMPARABILITY_C
 
     def test_injectivity_vanishes_along_divergent_geodesic(self, modular):
@@ -901,7 +911,7 @@ class TestCuspHeightsKernel:
         stacks, rep = self.captured_stacks(
             monkeypatch, lambda: qt.detect_divergence(p, mode=mode, t_max=t_max))
         [(lattice, stack)] = stacks
-        assert len(stack) == len(rep.times)
+        assert len(stack) == len(rep.heights) == len(probe_times(mode, t_max))
         expected = single_point_heights(lattice, stack)
         assert qt.cusp_heights(lattice, stack).tobytes() == expected.tobytes()
         assert rep.heights.tobytes() == expected.tobytes()
@@ -936,14 +946,15 @@ class TestCuspHeightsKernel:
     def test_divergence_probe_stack_is_act_per_sample(self, monkeypatch, name, mode, t_max):
         p = point_preset(name)
         k = p.lattice.k
-        [(_, stack)], rep = self.captured_stacks(
+        [(_, stack)], _ = self.captured_stacks(
             monkeypatch, lambda: qt.detect_divergence(p, mode=mode, t_max=t_max))
+        times = probe_times(mode, t_max).tolist()
         if mode == "geodesic":
-            elements = [sl2.diagonal_a(-t, k) for t in rep.times.tolist()]
-        else:  # phi_map at the default gamma_exp = 0.1, for any k
+            elements = [sl2.diagonal_a(-t, k) for t in times]
+        else:  # the phi map at the default gamma_exp = 0.1, for any k
             elements = [sl2.compose(sl2.diagonal_a(-math.log(x) / 2.0, k),
                                     sl2.unipotent_u(x ** (1.0 + 0.1), k))
-                        for x in rep.times.tolist()]
+                        for x in times]
         expected = np.array([qt.act(g, p).rep.mats for g in elements])
         assert stack.tobytes() == expected.tobytes()
 
@@ -1010,7 +1021,7 @@ class TestDivergence:
         assert rep.first_escape is not None
         # height e^t crosses 50 at t = ln 50
         assert rep.first_escape >= math.log(50.0) - 1e-9
-        assert np.all(np.diff(rep.times) > 0)
+        assert rep.first_escape in probe_times("geodesic", 30.0)
 
     def test_identity_coset_flagged(self, modular):
         # the probe over the renormalising push of a horizon-500 arc
@@ -1072,7 +1083,7 @@ class TestTorusSearch:
         rep = qt.torus_orbit_check(p)
         for g in rep.generators:
             moved = qt.QuotientPoint(modular, sl2.GroupElement(g.mats @ p.rep.mats))
-            assert qt.quotient_distance(p, moved) <= 1e-6
+            assert same_reduced_coords(p, moved, 1e-6)
 
 
 def reference_ball(lattice, max_entry: float, budget: int) -> np.ndarray:

@@ -34,7 +34,7 @@ POINTS = screen_points()
 
 def narrow_bump(p: qt.QuotientPoint) -> ob.BumpFunction:
     # centred on the orbit itself, so rows cross all of its edges
-    center = qt.coordinates(qt.flow_u(p, 3.3))
+    center = qt.coordinates(qt.act(sl2.unipotent_u(3.3), p))
     return ob.BumpFunction(LATTICE, center, [[2e-3, 2e-3, 2e-3]])
 
 

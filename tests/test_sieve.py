@@ -355,8 +355,16 @@ class TestLinearSieveFunctions:
         assert np.all(np.abs(1.0 - fns.lower(s)) <= 5.0 * np.exp(-s))
 
     def test_self_check_report(self, fns):
-        rep = fns.check_invariants()
-        assert abs(rep["F_at_2"] - math.exp(EULER_GAMMA)) <= 1e-9
+        # the grid-level shape certificates: the checks above at every node
+        # of the integration grid itself, and F0(2) = e^gamma
+        upper, lower = fns.upper(fns.s_grid), fns.lower(fns.s_grid)
+        assert np.all(np.diff(upper) <= 1e-12) and np.all(np.diff(lower) >= -1e-12)
+        assert np.all(lower <= 1.0 + 1e-12) and np.all(upper >= 1.0 - 1e-12)
+        tail = fns.s_grid >= 10.0
+        bound = 5.0 * np.exp(-fns.s_grid[tail])
+        assert np.all(np.abs(upper[tail] - 1.0) <= bound)
+        assert np.all(np.abs(1.0 - lower[tail]) <= bound)
+        assert abs(fns.upper(2.0) - math.exp(EULER_GAMMA)) <= 1e-9
 
     @pytest.mark.parametrize("s_max, grid_step, digest", [
         (40.0, 1e-3, "4a99c9ff9a926927"),

@@ -1,11 +1,14 @@
-"""Static guards on horolab's surface: every option has a caller, every output
-field a reader, every import a use, no module keeps a hand-rolled cache, and no
-module reads another's private names.
+"""Static guards on horolab's surface: every option has a caller, every public
+function, method and class a use, every output field a reader, every import a
+use, no module keeps a hand-rolled cache, and no module reads another's private
+names.
 
 All read the source with `ast` and run nothing.  The censuses match by name
 only: a call to any function of the same name counts as setting its
 parameters, and a load of any attribute of the same name counts as reading a
 field, so they can miss an unset option or an unread field, never invent one.
+Options may be set by tests; functions, classes and fields must be reached
+from `src/` or `perfbench/`, except the subjects of the acceptance criteria.
 """
 
 import ast
@@ -16,10 +19,30 @@ import horolab
 SRC = Path(horolab.__file__).resolve().parent
 ROOT = SRC.parents[1]
 CALLER_DIRS = [SRC, ROOT / "tests", ROOT / "perfbench"]
+# the code that uses the library; a name only tests reach is dead weight
+REACH_DIRS = [SRC, ROOT / "perfbench"]
+# names that tests/test_acceptance.py checks and nothing else needs
+ACCEPTANCE_SUBJECTS = [
+    "observables.SmoothingKernel", "observables.SmoothingKernel.quadrature_check",
+    "sampling.renormalization_identity_check",
+    "sieve.mertens_check", "sieve.MertensReport.lhs", "sieve.MertensReport.rhs",
+    "sieve.MertensReport.holds",
+    "sieve.buchstab_defect",
+    "sl2.log_map", "sl2.random_element",
+]
 
 
 def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
+
+
+def _trees(folders) -> dict[Path, ast.Module]:
+    return {path: _parse(path) for folder in folders for path in sorted(folder.rglob("*.py"))}
+
+
+def _name(node) -> str | None:
+    """The name a Name, Attribute or call target refers to, by its last part."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -73,19 +96,14 @@ def _defaulted_params(tree: ast.Module):
 def _calls():
     """name -> list of (positional count, keyword names, whether * or ** is used)."""
     calls: dict[str, list] = {}
-    for folder in CALLER_DIRS:
-        for path in sorted(folder.rglob("*.py")):
-            for node in ast.walk(_parse(path)):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name is None:
-                    continue
-                starred = any(isinstance(a, ast.Starred) for a in node.args) \
-                    or any(k.arg is None for k in node.keywords)
-                calls.setdefault(name, []).append(
-                    (len(node.args), {k.arg for k in node.keywords}, starred))
+    for tree in _trees(CALLER_DIRS).values():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or _name(node.func) is None:
+                continue
+            starred = any(isinstance(a, ast.Starred) for a in node.args) \
+                or any(k.arg is None for k in node.keywords)
+            calls.setdefault(_name(node.func), []).append(
+                (len(node.args), {k.arg for k in node.keywords}, starred))
     return calls
 
 
@@ -102,18 +120,59 @@ def unset_parameters() -> list[str]:
     return unset
 
 
+def _public_defs(tree: ast.Module):
+    """(qualified name, node) of every public module-level function and class
+    and every public method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{item.name}", item) for item in node.body
+                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"))
+
+
+def unreached_names() -> list[str]:
+    """`module.name` for every public function, method or class of src/horolab
+    that no code in `src/` or `perfbench/` reaches.  A function or method is
+    reached where its name is loaded outside its own body; a class only where it
+    is called or subclassed, so an isinstance test is no use of it."""
+    trees = _trees(REACH_DIRS)
+    loads: dict[str, list] = {}
+    built = set()
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                loads.setdefault(_name(node), []).append((path, node))
+            elif isinstance(node, ast.Call):
+                built.add(_name(node.func))
+            elif isinstance(node, ast.ClassDef):
+                built |= {_name(base) for base in node.bases}
+    unreached = []
+    for path in sorted(SRC.glob("*.py")):
+        for name, node in _public_defs(trees[path]):
+            short = name.rsplit(".", 1)[-1]
+            if isinstance(node, ast.ClassDef):
+                reached = short in built
+            else:
+                body = {id(inner) for inner in ast.walk(node)}
+                reached = any(where != path or id(load) not in body
+                              for where, load in loads.get(short, []))
+            if not reached:
+                unreached.append(f"{path.stem}.{name}")
+    return unreached
+
+
 def _reads_itself_whole(node: ast.ClassDef) -> bool:
     """A class that hands itself to `asdict`, so every field reaches its output."""
-    return any(isinstance(call, ast.Call)
-               and (getattr(call.func, "id", None) or getattr(call.func, "attr", None)) == "asdict"
+    return any(isinstance(call, ast.Call) and _name(call.func) == "asdict"
                and any(isinstance(a, ast.Name) and a.id == "self" for a in call.args)
                for call in ast.walk(node))
 
 
 def write_only_fields() -> list[str]:
-    """`module.Class.field` for every dataclass field whose name no attribute load reads."""
-    loaded = {node.attr for folder in CALLER_DIRS for path in sorted(folder.rglob("*.py"))
-              for node in ast.walk(_parse(path))
+    """`module.Class.field` for every dataclass field whose name no attribute
+    load in `src/` or `perfbench/` reads."""
+    loaded = {node.attr for tree in _trees(REACH_DIRS).values() for node in ast.walk(tree)
               if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     unread = []
     for path in sorted(SRC.glob("*.py")):
@@ -190,8 +249,21 @@ def test_every_defaulted_parameter_has_a_caller():
     assert unset_parameters() == []
 
 
+def test_every_public_name_is_reached():
+    assert [name for name in unreached_names() if name not in ACCEPTANCE_SUBJECTS] == []
+
+
 def test_every_dataclass_field_has_a_reader():
-    assert write_only_fields() == []
+    assert [name for name in write_only_fields() if name not in ACCEPTANCE_SUBJECTS] == []
+
+
+def test_acceptance_subjects_hide_no_dead_code():
+    # each exempt name is one a census lists, and tests/test_acceptance.py uses it
+    listed = set(unreached_names()) | set(write_only_fields())
+    used = {_name(node) for node in ast.walk(_parse(ROOT / "tests" / "test_acceptance.py"))
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    assert [name for name in ACCEPTANCE_SUBJECTS
+            if name not in listed or name.rsplit(".", 1)[-1] not in used] == []
 
 
 def test_every_import_is_used():
