@@ -2,9 +2,8 @@
 
 Observables are built from compactly supported bumps in the reduced
 coordinates (x, y, theta-mod-pi per factor).  Everything evaluates in
-batch on (N, k, 3) coordinate arrays; single-point convenience wrappers
-reduce their argument first, so observables are genuinely functions on
-the quotient.
+batch on (N, k, 3) arrays of reduced coordinates, so observables are
+genuinely functions on the quotient.
 
 The smoothing kernels are the mollified box indicators used to compare
 sums over integer boxes with their continuous volumes: exact 0/1 away
@@ -23,7 +22,7 @@ from . import quotient as qt
 from . import sl2
 from .errors import ConfigError
 from .quadrature import gl_nodes, tensor_grid
-from .quotient import Lattice, QuotientPoint
+from .quotient import Lattice
 
 _PROFILE_GRID = 16385
 # finite-difference step, relative to the smallest bump width
@@ -130,9 +129,6 @@ class BumpFunction:
         widths around center in (x, y, theta mod pi), a signed zero."""
         return self.center, self.widths, self.amplitude * 0.0
 
-    def value(self, p: QuotientPoint) -> float:
-        return float(self.evaluate_coords(qt.coordinates(p)[None])[0])
-
 
 @dataclass
 class ConstantObservable:
@@ -152,9 +148,6 @@ class ConstantObservable:
         coords = np.asarray(coords, dtype=float)
         n = coords.shape[0] if coords.ndim == 3 else 1
         return np.full(n, self.level)
-
-    def value(self, p: QuotientPoint) -> float:
-        return self.level
 
 
 class TranslatedObservable:
@@ -176,9 +169,6 @@ class TranslatedObservable:
         mats = qt.mats_from_coords(coords)
         moved = np.einsum("nkab,kbc->nkac", mats, self.g.mats)
         return self.base.evaluate_coords(qt.coords_of_stack(self.lattice, moved))
-
-    def value(self, p: QuotientPoint) -> float:
-        return self.base.value(qt.translate(p, self.g))
 
 
 # ----------------------------------------------------------------------
@@ -241,7 +231,7 @@ def haar_reference_k2(f, lattice, t_span: float = 20000.0, samples: int = 400000
     """
     # the arc base * u(t) at t = (j + 1/2) t_span / samples, as offsets -t
     offsets = -(np.arange(samples) + 0.5) * (t_span / samples)
-    vals = qt.orbit_values(lattice, _K2_REFERENCE_BASE, offsets, f.evaluate_coords)
+    vals = np.concatenate(qt.orbit_blocks(lattice, _K2_REFERENCE_BASE, offsets, f.evaluate_coords))
     half = samples // 2
     full_avg = float(vals.mean())
     half_avg = float(vals[:half].mean())

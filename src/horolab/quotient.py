@@ -243,11 +243,6 @@ def identity_coset(lattice: Lattice) -> QuotientPoint:
     return QuotientPoint(lattice, sl2.identity(lattice.k), reduced=True)
 
 
-def translate(p: QuotientPoint, g: GroupElement) -> QuotientPoint:
-    """Raw right multiplication of the representative: rep -> rep * g."""
-    return QuotientPoint(p.lattice, sl2.compose(p.rep, g), reduced=False)
-
-
 def act(w: GroupElement, p: QuotientPoint) -> QuotientPoint:
     """Translation of the class by the group element w.
 
@@ -591,6 +586,9 @@ def orbit_blocks(lattice: Lattice, base: np.ndarray, offsets: np.ndarray, fn,
     The anchor words and the interval certificate (_arc_screen) are made
     once for the whole call: both work anchor by anchor, and every block
     starts at a multiple of WARM_STRIDE, so a block's share is a slice.
+    The orbit walk (sampling._orbit_chunks) calls this once per span of
+    whole blocks; the span sets only the screen's margin (_screen_scale),
+    which decides which rows get off, the value they get anyway.
     """
     blocks = row_blocks(len(offsets))
     if support is None or not isinstance(lattice, ModularLattice) or not blocks:
@@ -786,13 +784,6 @@ def _screened_values(lattice: ModularLattice, base: np.ndarray, offsets: np.ndar
                               warm=(anchors, turn, dense, slot[left]))
         vals[rows[left]] = fn(np.stack(iwasawa_coords(red), axis=-1))
     return vals
-
-
-def orbit_values(lattice: Lattice, base: np.ndarray, offsets: np.ndarray, fn) -> np.ndarray:
-    """fn(reduced coordinates of orbit_mats(base, offsets)), block by block."""
-    if len(offsets) == 0:
-        return fn(np.empty((0, lattice.k, 3)))
-    return np.concatenate(orbit_blocks(lattice, base, offsets, fn), axis=0)
 
 
 def coordinates(p: QuotientPoint) -> np.ndarray:
@@ -1162,7 +1153,7 @@ def torus_orbit_check(p: QuotientPoint, grid: int = 6) -> TorusReport:
     found = torus_dim == k and defect <= UNIPOTENT_TOL
     bound = None
     if found:
-        # translate(p, I + sum_i c_i (gen_i - I)) for every c on the grid [0, 1]^k
+        # rep * (I + sum_i c_i (gen_i - I)) for every c on the grid [0, 1]^k
         nil = gens - np.eye(2)
         coords = tensor_grid([np.linspace(0.0, 1.0, grid)] * torus_dim)
         shifts = np.eye(2) + sum(coords[:, i, None, None, None] * nil[i] for i in range(torus_dim))

@@ -9,12 +9,13 @@ checkpoint representative so matrix entries stay bounded no matter how
 long the orbit is, and folds its values (to a sum, or to the rows where
 a weight is not +0.0); folds are combined in a fixed order so results are
 bit-identical for any worker count.  Chunks set the numbers; their
-cache-sized row blocks (quotient.row_blocks) only tile memory, and are the
-unit of work that `workers` > 1 spreads over forked worker processes.
+cache-sized row blocks (quotient.row_blocks) only tile memory; spans of
+whole blocks are the unit of work, in the caller or in forked workers.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -167,25 +168,32 @@ def block_taylor_remainder(m_base: int, gamma_exp: float) -> float:
 # orbit evaluation in reduced chunks
 # ----------------------------------------------------------------------
 
+def _in_range(times: np.ndarray) -> np.ndarray:
+    """times, checked against TIME_RANGE_MAX; a NaN time passes."""
+    if not max(times.max(initial=-np.inf), -times.min(initial=np.inf)) <= TIME_RANGE_MAX:
+        far = times[np.abs(times) > TIME_RANGE_MAX]  # empty if only a NaN failed the test
+        if len(far):
+            raise GroupDomainError(f"orbit time {far[0]} beyond safe range {TIME_RANGE_MAX}")
+    return times
+
+
 def _checkpoint(p: QuotientPoint, t0: float) -> np.ndarray:
     """Reduced representative of the orbit point at time t0."""
-    if abs(t0) > TIME_RANGE_MAX:
-        raise GroupDomainError(f"orbit time {t0} beyond safe range {TIME_RANGE_MAX}")
-    red, _ = qt.reduce_stack(p.lattice, qt.orbit_mats(p.rep.mats, np.array([t0])))
+    red, _ = qt.reduce_stack(p.lattice, qt.orbit_mats(p.rep.mats, _in_range(np.array([t0]))))
     return red[0]
 
 
-# the block task of a forked orbit worker, installed once per worker by _install_block
-_WORKER_BLOCK = None
+# the span task of a forked orbit worker, installed once per worker by _install_span
+_WORKER_SPAN = None
 
 
-def _install_block(block) -> None:
-    global _WORKER_BLOCK
-    _WORKER_BLOCK = block
+def _install_span(span) -> None:
+    global _WORKER_SPAN
+    _WORKER_SPAN = span
 
 
-def _run_block(task: tuple[int, int, int]):
-    return _WORKER_BLOCK(*task)
+def _run_span(task: tuple[int, int, int]):
+    return _WORKER_SPAN(*task)
 
 
 def _orbit_chunks(p: QuotientPoint, n: int, nodes, workers: int, fn, fold,
@@ -194,51 +202,43 @@ def _orbit_chunks(p: QuotientPoint, n: int, nodes, workers: int, fn, fold,
     for each chunk].
 
     The one orbit walk: node indices [0, n) in chunks of _SLAB_NODES, each
-    re-anchored at a reduced checkpoint that its row blocks
-    (quotient.row_blocks) share; nodes(a, b) gives the times of indices
-    [a, b) for any a <= b.  Chunk and block boundaries depend only on n, so
-    any worker count gives one list, folded in chunk order.
+    re-anchored at a reduced checkpoint; nodes(a, b) gives the times of
+    indices [a, b) for any a <= b.  Chunk and block boundaries depend only
+    on n, so any worker count gives one list, folded in chunk order.
 
-    With workers > 1 and at least 2 * workers blocks, the (chunk, block)
-    pairs run in a pool of forked worker processes: only task indices and
-    fn's outputs cross the pipe, the parent folds each chunk as soon as its
-    blocks are in, and no worker outlives the call, even one that raises.
-    Fork, because the workers inherit numpy, horolab and the closures
-    without re-importing them (spawn and forkserver would cost about one
-    interpreter set-up per worker, or pickle every closure) and because
-    horolab starts no threads of its own.  Below that size, or with one
-    worker, the chunks run inline, each making its nodes once.  support is
-    fn's support box, for the screen of dense k = 1 blocks
-    (quotient.orbit_blocks), or None.
+    A task is a span of whole row blocks of one chunk: one orbit_blocks
+    call at the chunk's checkpoint, reduced before any task runs.  With one
+    worker, or fewer than 2 * workers blocks, each chunk is one span, run
+    here in turn; else min(workers, its blocks) near-equal spans, run in a
+    pool of forked worker processes, which inherit numpy, horolab and the
+    closures unpickled.  Only task indices and fn's outputs cross the pipe,
+    each chunk is folded once its spans are in, and no worker outlives the
+    call, even one that raises.  support is fn's support box, for the
+    screen of dense k = 1 blocks (quotient.orbit_blocks), or None.
     """
-    if n and abs(last := float(nodes(n - 1, n)[-1])) > TIME_RANGE_MAX:
-        raise GroupDomainError(f"orbit time {last} beyond safe range {TIME_RANGE_MAX}")
-    spans = [(a, min(a + _SLAB_NODES, n)) for a in range(0, n, _SLAB_NODES)]
-    tasks = [(c, lo, hi) for c, (a, b) in enumerate(spans) for lo, hi in qt.row_blocks(b - a)]
-    if workers <= 1 or len(tasks) < 2 * workers:
-        folds = []
-        for a, b in spans:
-            times = nodes(a, b)
-            t0 = float(times[0])
-            folds.append(fold(qt.orbit_blocks(p.lattice, _checkpoint(p, t0), times - t0, fn,
-                                              support)))
-        return folds
-
-    starts = [float(nodes(a, a + 1)[0]) for a, _ in spans]
+    _in_range(nodes(max(n - 1, 0), n))  # first, so that a huge orbit lists no chunks
+    blocks = [qt.row_blocks(min(_SLAB_NODES, n - a)) for a in range(0, n, _SLAB_NODES)]
+    pooled = workers > 1 and sum(map(len, blocks)) >= 2 * workers
+    counts = [min(workers, len(rows)) if pooled else 1 for rows in blocks]
+    tasks = [(c, rows[len(rows) * i // k][0], rows[len(rows) * (i + 1) // k - 1][1])
+             for c, (rows, k) in enumerate(zip(blocks, counts)) for i in range(k)]
+    starts = [float(nodes(a, a + 1)[0]) for a in range(0, n, _SLAB_NODES)]
     anchors = [_checkpoint(p, t0) for t0 in starts]
 
-    def block(c: int, lo: int, hi: int):
-        a = spans[c][0]
-        offsets = nodes(a + lo, a + hi) - starts[c]
-        return qt.orbit_blocks(p.lattice, anchors[c], offsets, fn, support)[0]
-
-    import multiprocessing  # here, so that importing horolab stays as cheap as before
+    def span(c: int, lo: int, hi: int) -> list:
+        times = _in_range(nodes(c * _SLAB_NODES + lo, c * _SLAB_NODES + hi))
+        return qt.orbit_blocks(p.lattice, anchors[c], times - starts[c], fn, support)
 
     folds, parts = [], []
-    with multiprocessing.get_context("fork").Pool(workers, _install_block, (block,)) as pool:
-        for (c, _, hi), part in zip(tasks, pool.imap(_run_block, tasks)):
-            parts.append(part)
-            if hi == spans[c][1] - spans[c][0]:
+    with contextlib.ExitStack() as stack:
+        results = (span(*task) for task in tasks)
+        if pooled:
+            import multiprocessing  # here, so that importing horolab stays as cheap as before
+            results = stack.enter_context(multiprocessing.get_context("fork").Pool(
+                workers, _install_span, (span,))).imap(_run_span, tasks)
+        for (c, _, hi), part in zip(tasks, results):
+            parts += part
+            if hi == blocks[c][-1][1]:
                 folds.append(fold(parts))
                 parts = []
     return folds

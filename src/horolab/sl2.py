@@ -59,9 +59,6 @@ class GroupElement:
     def k(self) -> int:
         return self.mats.shape[0]
 
-    def factor(self, i: int) -> np.ndarray:
-        return self.mats[i]
-
     def det(self) -> np.ndarray:
         """Per-factor determinants."""
         m = self.mats

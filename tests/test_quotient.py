@@ -691,7 +691,9 @@ class TestOrbitValues:
         base = sl2.random_element(rng, k=lat.k, scale=1.5).mats
         offsets = rng.uniform(-50.0, 50.0, n)
         for fn in (lambda coords: coords, bump_preset(lat).evaluate_coords):
-            blocked = qt.orbit_values(lat, base, offsets, fn)
+            blocks = qt.orbit_blocks(lat, base, offsets, fn)
+            assert len(blocks) == len(qt.row_blocks(n))
+            blocked = np.concatenate(blocks, axis=0) if n else fn(np.empty((0, lat.k, 3)))
             whole = fn(qt.coords_of_stack(lat, qt.orbit_mats(base, offsets)))
             assert blocked.dtype == whole.dtype and blocked.shape == whole.shape
             assert blocked.tobytes() == whole.tobytes()
@@ -965,7 +967,7 @@ class TestCuspHeightsKernel:
         nil = [g.mats - np.eye(2) for g in rep.generators]
         shifts = [np.eye(2) + sum(c * n for c, n in zip(coords, nil))
                   for coords in itertools.product(np.linspace(0.0, 1.0, 6), repeat=2)]
-        expected = np.array([qt.translate(p, sl2.GroupElement(s)).rep.mats for s in shifts])
+        expected = np.array([sl2.compose(p.rep, sl2.GroupElement(s)).mats for s in shifts])
         assert stack.tobytes() == expected.tobytes()
 
     def test_one_row_view(self, hilbert):
@@ -1059,7 +1061,7 @@ class TestTorusSearch:
     def test_identity_coset_k1(self, modular):
         rep = qt.torus_orbit_check(qt.identity_coset(modular))
         assert rep.found and rep.torus_dim == 1
-        gen = rep.generators[0].factor(0)
+        gen = rep.generators[0].mats[0]
         assert np.allclose(np.abs(gen), [[1.0, 1.0], [0.0, 1.0]], atol=1e-9)
         assert rep.orbit_height_bound is not None
         assert rep.orbit_height_bound < qt.HEIGHT_THRESHOLD

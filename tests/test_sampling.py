@@ -152,7 +152,8 @@ class TestHorocycleAverage:
         pid = qt.identity_coset(modular)
 
         def along_orbit(s):
-            return f.value(qt.act(sl2.unipotent_u(s), pid))
+            coords = qt.coordinates(qt.act(sl2.unipotent_u(s), pid))
+            return float(f.evaluate_coords(coords[None])[0])
 
         oracle, err = quad(along_orbit, 0.0, 1.0, limit=400)
         assert oracle > 0.0
@@ -218,7 +219,7 @@ class TestSparseAverage:
         f = ob.BumpFunction(modular, [[0.3, 1.12, 0.0]], [[0.15, 0.13, 0.5]])
         pid = qt.identity_coset(modular)
         r = sp.sparse_average(f, pid, sp.Progression(1.0, 200.0))
-        assert r.value == f.value(pid)
+        assert r.value == float(f.evaluate_coords(qt.coordinates(pid)[None])[0])
 
     def test_deviation_shrinks_generic(self, test_bump, generic_point):
         d4 = sp.sparse_average(test_bump, generic_point,
@@ -351,6 +352,25 @@ def process_pools(monkeypatch) -> list:
     return pools
 
 
+def assert_span_tiling(tasks: list, n: int, workers: int):
+    """The (chunk, lo, hi) tasks tile every _SLAB_NODES chunk of n nodes, in
+    chunk order, with min(workers, its blocks) near-equal spans of whole row
+    blocks."""
+    sizes = [min(sp._SLAB_NODES, n - s) for s in range(0, n, sp._SLAB_NODES)]
+    assert [c for c, _, _ in tasks] == sorted(c for c, _, _ in tasks)
+    for c, size in enumerate(sizes):
+        spans = [(lo, hi) for k, lo, hi in tasks if k == c]
+        blocks = -(-size // qt._BLOCK_ROWS)
+        assert len(spans) == min(workers, blocks)
+        cuts = [0] + [hi for _, hi in spans]
+        assert [lo for lo, _ in spans] == cuts[:-1] and cuts[-1] == size
+        assert all(lo < hi for lo, hi in spans)
+        assert all(cut % qt._BLOCK_ROWS == 0 for cut in cuts[:-1])
+        widths = [-(-(hi - lo) // qt._BLOCK_ROWS) for lo, hi in spans]
+        assert max(widths) - min(widths) <= 1
+    assert len(tasks) == sum(min(workers, -(-size // qt._BLOCK_ROWS)) for size in sizes)
+
+
 class TestLayerBoundary:
     """Every k = 1 orbit row that is reduced is reduced through
     quotient.reduce_stack, the boundary that per-layer reduction metrics
@@ -394,21 +414,21 @@ class TestLayerBoundary:
         assert counts == self.expected(len(times))
 
     def test_orbit_coordinates_pool_tasks(self, monkeypatch, process_pools, generic_point):
-        # with two workers the parent reduces only the chunk checkpoints, and
-        # the pool receives every row block of every chunk once, in order
+        # with two or three workers the parent reduces only the chunk
+        # checkpoints, and the pool receives spans that tile every chunk once,
+        # in order
         times = sp.generate(sp.Progression(0.37, 250000.0))
         n = len(times)
-        counts = self.count_reductions(monkeypatch)
-        sp.orbit_coordinates(generic_point, times, workers=2)
         chunks = -(-n // sp._SLAB_NODES)
-        assert counts == {"calls": chunks, "rows": chunks,
-                          "kernel_calls": chunks, "kernel_rows": chunks}
-        pool, = process_pools
-        assert pool.tasks == [(c, lo, min(lo + qt._BLOCK_ROWS, stop - start))
-                              for c, start in enumerate(range(0, n, sp._SLAB_NODES))
-                              for stop in [min(start + sp._SLAB_NODES, n)]
-                              for lo in range(0, stop - start, qt._BLOCK_ROWS)]
-        assert sum(hi - lo for _, lo, hi in pool.tasks) == n
+        for workers in (2, 3):
+            counts = self.count_reductions(monkeypatch)
+            sp.orbit_coordinates(generic_point, times, workers=workers)
+            assert counts == {"calls": chunks, "rows": chunks,
+                              "kernel_calls": chunks, "kernel_rows": chunks}
+            assert process_pools[-1].processes == workers
+            assert_span_tiling(process_pools[-1].tasks, n, workers)
+            assert sum(hi - lo for _, lo, hi in process_pools[-1].tasks) == n
+        assert len(process_pools) == 2
 
     def test_horocycle_average_k1(self, monkeypatch, test_bump, generic_point):
         # the dense arc's blocks reduce only the rows the screen leaves, one
@@ -454,8 +474,8 @@ def materialised_arc(t_span: float) -> tuple:
     for s in range(0, len(nodes), sp._SLAB_NODES):
         t0 = float(nodes[s])
         anchor = qt.reduce_stack(p.lattice, qt.orbit_mats(p.rep.mats, np.array([t0])))[0][0]
-        parts.append(qt.orbit_values(p.lattice, anchor, nodes[s:s + sp._SLAB_NODES] - t0,
-                                     f.evaluate_coords))
+        parts += qt.orbit_blocks(p.lattice, anchor, nodes[s:s + sp._SLAB_NODES] - t0,
+                                 f.evaluate_coords)
     vals = np.concatenate(parts)
     slabs = range(0, len(nodes), sp._SLAB_NODES)
     horocycle = sum(float(np.dot(weights[s:s + sp._SLAB_NODES], vals[s:s + sp._SLAB_NODES]))
@@ -497,12 +517,15 @@ class TestChunkDriver:
         assert peak < 32 * 2**20
 
     def test_one_pool_serves_every_chunk(self, process_pools, generic_point, test_bump):
-        r = sp.horocycle_average(test_bump, generic_point, 3 * CHUNK_PANELS * CHUNK_STEP,
-                                 step=CHUNK_STEP, workers=2, reference=0.0)
-        assert r.sample_count == 3 * sp._SLAB_NODES
-        blocks = 3 * len(qt.row_blocks(sp._SLAB_NODES))
+        for workers in (2, 3):
+            r = sp.horocycle_average(test_bump, generic_point, 3 * CHUNK_PANELS * CHUNK_STEP,
+                                     step=CHUNK_STEP, workers=workers, reference=0.0)
+            assert r.sample_count == 3 * sp._SLAB_NODES
+            assert_span_tiling(process_pools[-1].tasks, r.sample_count, workers)
+        # one pool per call, each running min(workers, blocks) spans of each chunk
+        blocks = len(qt.row_blocks(sp._SLAB_NODES))
         assert [(pool.processes, len(pool.tasks)) for pool in process_pools] == [
-            (min(2, blocks), blocks)]
+            (2, 3 * min(2, blocks)), (3, 3 * min(3, blocks))]
 
 
 def cover_and_negative_bump() -> list:
@@ -626,3 +649,21 @@ class TestOrbitCoordinates:
     def test_time_range_guard(self, generic_point):
         with pytest.raises(GroupDomainError):
             sp.orbit_coordinates(generic_point, np.array([0.0, 2.0e12]))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_time_range_guard_inside_the_orbit(self, process_pools, generic_point, workers):
+        # a time beyond the range that is neither a chunk's first nor the
+        # last, also behind a NaN; four blocks, so that two workers run two
+        # spans in a pool
+        for times in ([0.0, 2.0e12, 1.0], [0.0, np.nan, -2.0e12, 1.0]):
+            with pytest.raises(GroupDomainError, match="beyond safe range"):
+                sp.orbit_coordinates(generic_point, np.array(times), workers)
+        times = np.arange(4.0 * qt._BLOCK_ROWS)
+        times[3 * qt._BLOCK_ROWS + 7] = -2.0e12
+        with pytest.raises(GroupDomainError, match="beyond safe range"):
+            sp.orbit_coordinates(generic_point, times, workers)
+        assert [pool.processes for pool in process_pools] == ([2] if workers == 2 else [])
+
+    def test_nan_time_gives_a_nan_row(self, generic_point):
+        coords = sp.orbit_coordinates(generic_point, np.array([0.0, np.nan, 1.0]))
+        assert np.isnan(coords[1]).all() and not np.isnan(coords[[0, 2]]).any()

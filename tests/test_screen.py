@@ -66,7 +66,8 @@ def every_row_arc(f, p: qt.QuotientPoint, t_span: float, step: float) -> tuple:
     for s in slabs:
         part = nodes[s:s + sp._SLAB_NODES]
         anchor = qt.reduce_stack(p.lattice, qt.orbit_mats(p.rep.mats, part[:1]))[0][0]
-        vals = qt.orbit_values(p.lattice, anchor, part - part[0], f.evaluate_coords)
+        vals = np.concatenate(qt.orbit_blocks(p.lattice, anchor, part - part[0],
+                                              f.evaluate_coords))
         horocycle += float(np.dot(weights[s:s + sp._SLAB_NODES], vals))
         sparse += float(np.sum(vals))
     return horocycle / t_span, sparse / len(nodes)

@@ -30,7 +30,7 @@ class TestOneParameterSubgroups:
                           sl2.unipotent_u(5.0), 0.0)
 
     def test_u_convention(self):
-        m = sl2.unipotent_u(1.0).factor(0)
+        m = sl2.unipotent_u(1.0).mats[0]
         assert np.array_equal(m, np.array([[1.0, 1.0], [0.0, 1.0]]))
 
     def test_u_zero_and_inverse(self):
@@ -72,9 +72,9 @@ class TestOneParameterSubgroups:
 
     def test_multifactor_embedding(self):
         g = sl2.unipotent_u(2.5, k=3)
-        assert np.array_equal(g.factor(1), np.eye(2))
-        assert np.array_equal(g.factor(2), np.eye(2))
-        assert g.factor(0)[0, 1] == 2.5
+        assert np.array_equal(g.mats[1], np.eye(2))
+        assert np.array_equal(g.mats[2], np.eye(2))
+        assert g.mats[0][0, 1] == 2.5
 
 
 class TestLieAlgebra:

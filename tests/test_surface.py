@@ -5,8 +5,9 @@ names.
 
 All read the source with `ast` and run nothing.  The censuses match by name
 only: a call to any function of the same name counts as setting its
-parameters, and a load of any attribute of the same name counts as reading a
-field, so they can miss an unset option or an unread field, never invent one.
+parameters or reaching a method, and a load of any attribute of the same name
+counts as reading a field, so they can miss an unset option, an unused method
+or an unread field, never invent one.
 Options may be set by tests; functions, classes and fields must be reached
 from `src/` or `perfbench/`, except the subjects of the acceptance criteria.
 """
@@ -131,13 +132,21 @@ def _public_defs(tree: ast.Module):
                         if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"))
 
 
+def _is_property(node) -> bool:
+    return any(_name(d) in ("property", "cached_property") for d in node.decorator_list)
+
+
 def unreached_names() -> list[str]:
     """`module.name` for every public function, method or class of src/horolab
-    that no code in `src/` or `perfbench/` reaches.  A function or method is
-    reached where its name is loaded outside its own body; a class only where it
-    is called or subclassed, so an isinstance test is no use of it."""
+    that no code in `src/` or `perfbench/` reaches.  A function or property is
+    reached where its name is loaded outside its own body; a method only where
+    it is called as `obj.name(...)` outside its own body, so that a load of
+    another object's attribute of the same name (`r.value`) is no use of it; a
+    class only where it is called or subclassed, so an isinstance test is no
+    use of it."""
     trees = _trees(REACH_DIRS)
     loads: dict[str, list] = {}
+    method_calls: dict[str, list] = {}
     built = set()
     for path, tree in trees.items():
         for node in ast.walk(tree):
@@ -145,6 +154,8 @@ def unreached_names() -> list[str]:
                 loads.setdefault(_name(node), []).append((path, node))
             elif isinstance(node, ast.Call):
                 built.add(_name(node.func))
+                if isinstance(node.func, ast.Attribute):
+                    method_calls.setdefault(node.func.attr, []).append((path, node))
             elif isinstance(node, ast.ClassDef):
                 built |= {_name(base) for base in node.bases}
     unreached = []
@@ -155,8 +166,9 @@ def unreached_names() -> list[str]:
                 reached = short in built
             else:
                 body = {id(inner) for inner in ast.walk(node)}
-                reached = any(where != path or id(load) not in body
-                              for where, load in loads.get(short, []))
+                uses = method_calls if "." in name and not _is_property(node) else loads
+                reached = any(where != path or id(use) not in body
+                              for where, use in uses.get(short, []))
             if not reached:
                 unreached.append(f"{path.stem}.{name}")
     return unreached
