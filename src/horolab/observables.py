@@ -5,6 +5,13 @@ coordinates (x, y, theta-mod-pi per factor).  Everything evaluates in
 batch on (N, k, 3) arrays of reduced coordinates, so observables are
 genuinely functions on the quotient.
 
+Reference measures: on the modular quotient (k = 1), a quadrature over the
+fundamental domain.  On a Hilbert quotient (k = 2), a bump whose support
+box provably injects into PGamma \\ H^2 (box_injects_k2) integrates exactly,
+as a product of one-dimensional integrals over the covolume 8 pi^2
+zeta_K(-1) (haar_integral_k2); any other observable falls back on a long
+horocycle average from a fixed base point (haar_reference_k2).
+
 The smoothing kernels are the mollified box indicators used to compare
 sums over integer boxes with their continuous volumes: exact 0/1 away
 from an edge layer of width delta, with total mass exactly gamma_len**n.
@@ -21,7 +28,7 @@ import numpy as np
 from . import quotient as qt
 from . import sl2
 from .errors import ConfigError
-from .quadrature import gl_nodes, tensor_grid
+from .quadrature import gauss_legendre, gl_nodes, tensor_grid
 from .quotient import Lattice
 
 _PROFILE_GRID = 16385
@@ -35,7 +42,13 @@ _SOBOLEV_EXTRA_POINTS = 120
 _SOBOLEV_SEED = 2024
 # Gauss-Legendre nodes per panel of SmoothingKernel.quadrature_check
 _KERNEL_GL_ORDER = 24
-# base point of the k = 2 reference arc: a generic frame in each factor
+# Gauss-Legendre nodes of each one-dimensional integral of a k = 2 bump: from 96
+# nodes on they agree with scipy's quad to 2e-14 relative (1e-11 at 64), and 128
+# are built in 2-4 ms against 7-11 ms for 256 (2 vCPU)
+_BUMP_GL_ORDER = 128
+# relative margin of the float comparisons in box_injects_k2
+_INJECT_MARGIN = 1e-9
+# base point of the k = 2 surrogate arc: a generic frame in each factor
 _K2_REFERENCE_BASE = np.array([[[1.3, 0.21], [0.17, (1.0 + 0.21 * 0.17) / 1.3]],
                                [[0.8, -0.33], [0.29, (1.0 - 0.33 * 0.29) / 0.8]]])
 
@@ -221,13 +234,107 @@ def haar_integral_k1(f, nx: int = 64, nv: int = 64, ntheta: int = 32) -> float:
     return total / mass
 
 
+# ----------------------------------------------------------------------
+# reference measure, k = 2
+# ----------------------------------------------------------------------
+
+def sixty_zeta_minus_one(disc: int) -> int:
+    """60 zeta_K(-1) for K = Q(sqrt(disc)), an integer.
+
+    Zagier's formula (L'Enseignement Math. 22, 1976): zeta_K(-1) is 1/60
+    of the sum of sigma_1((d_K - b^2) / 4) over b with b^2 < d_K and
+    b = d_K mod 2, d_K the field discriminant (disc for disc = 1 mod 4,
+    else 4 disc).  Summed in plain integers.
+    """
+    d_k = disc if disc % 4 == 1 else 4 * disc
+    top = math.isqrt(d_k - 1)
+    total = 0
+    for b in range(-top, top + 1):
+        if (d_k - b) % 2 == 0:
+            n = (d_k - b * b) // 4
+            total += sum(d + n // d if d * d != n else d
+                         for d in range(1, math.isqrt(n) + 1) if n % d == 0)
+    return total
+
+
+def box_injects_k2(f: BumpFunction) -> bool:
+    """True when no gamma in SL2(O) other than +-1 maps a point of the
+    (x, y) support box of the k = 2 bump f to another point of it, so that
+    the box injects into PGamma \\ H^2.
+
+    Three bounds, each compared with the relative margin _INJECT_MARGIN (a
+    box inside the margin is not certified):
+    - c != 0: the image's height product is at most 1 / (N(c)^2 y1 y2),
+      so min y1 * min y2 > 1 leaves no such gamma;
+    - c = 0: gamma acts by z_i -> u_i^2 z_i + u_i b_i, which scales the
+      heights by eps_1^(2n) and eps_1^(-2n) for u = +-eps^n, so eps_1^2 >=
+      max y / min y in either factor leaves only u = +-1;
+    - u = +-1 translates by b = m + n omega: no b != 0 may have
+      |b_i| < 2 wx_i in both embeddings, a finite search over n.
+    Whether the box lies in the domain the reduction returns is not checked.
+    """
+    lat = f.lattice
+    grow = 1.0 + _INJECT_MARGIN
+    lo = f.center[:, 1] - f.widths[:, 1]
+    hi = f.center[:, 1] + f.widths[:, 1]
+    if not (lo.min() > 0.0 and lo[0] * lo[1] > grow):
+        return False
+    eps1 = lat.embed(*lat.unit_pair[0])[0]
+    if not eps1 * eps1 >= float((hi / lo).min()) * grow:
+        return False
+    reach = 2.0 * f.widths[:, 0] * grow
+    w1, w2 = lat.omega_embeddings()
+    # Minkowski: a box |b_i| < reach_i of area above 4 (w1 - w2), four times the
+    # covolume of the embedded O, holds some b != 0; so the search below is short
+    if reach[0] * reach[1] > w1 - w2:
+        return False
+    # |b_1 - b_2| = |n| (w1 - w2) < reach_1 + reach_2
+    n_top = int((reach[0] + reach[1]) / (w1 - w2))
+    for n in range(-n_top, n_top + 1):
+        for m in range(math.ceil(-n * w1 - reach[0]), math.floor(-n * w1 + reach[0]) + 1):
+            if (m, n) != (0, 0) and abs(m + n * w1) < reach[0] and abs(m + n * w2) < reach[1]:
+                return False
+    return True
+
+
+def bump_factor_integrals(f: BumpFunction) -> np.ndarray:
+    """(k, 3) one-dimensional integrals of f's profiles, per factor: over x,
+    over y against dy / y^2, and over the theta offset, which is folded
+    modulo pi, so a half-width wt <= pi/2 covers an arc of length 2 wt.
+
+    Each is one _BUMP_GL_ORDER-point Gauss-Legendre rule in the offset
+    r = (v - c) / w over (-1, 1); sums are numpy's, with no BLAS call.
+    """
+    r, w = gauss_legendre(_BUMP_GL_ORDER)
+    wphi = w * bump_profile(r)
+    mass = float(np.sum(wphi))
+    cy, wy = f.center[:, 1:2], f.widths[:, 1:2]
+    iy = wy[:, 0] * np.sum(wphi / (cy + wy * r) ** 2, axis=1)
+    return np.stack([f.widths[:, 0] * mass, iy, f.widths[:, 2] * mass], axis=1)
+
+
+def haar_integral_k2(f: BumpFunction) -> float:
+    """Normalised invariant integral of a k = 2 bump whose support box
+    injects (box_injects_k2): A * prod_i Ix_i Iy_i Itheta_i / (8 pi^2
+    zeta_K(-1) * pi^2).
+
+    vol(SL2(O) \\ H^2) = 8 pi^2 zeta_K(-1) for prod dx dy / y^2 (Siegel).
+    Over PGamma \\ H^2 the frame fibre is SO(2)^2 / <(-1, -1)>, of mass
+    (2 pi)^2 / 2; a bump that sees each theta modulo pi integrates over it
+    to twice its integral over [0, pi)^2.  So the total mass is the volume
+    times pi^2, of the shape of k = 1's (pi / 3) * pi.
+    """
+    volume = 8.0 * math.pi ** 2 * sixty_zeta_minus_one(f.lattice.disc) / 60.0
+    return float(f.amplitude * np.prod(bump_factor_integrals(f)) / (volume * math.pi ** 2))
+
+
 def haar_reference_k2(f, lattice, t_span: float = 20000.0, samples: int = 400000):
     """Surrogate invariant integral on a Hilbert quotient.
 
     Long-horocycle time average from the basepoint _K2_REFERENCE_BASE,
     reported with a doubling self-consistency error |A(T) - A(T/2)|.
-    Used only where no closed-form fundamental domain is available; the
-    error estimate is part of the return value on purpose.
+    The fallback for observables that haar_integral_k2 does not cover;
+    the error estimate is part of the return value on purpose.
     """
     # the arc base * u(t) at t = (j + 1/2) t_span / samples, as offsets -t
     offsets = -(np.arange(samples) + 0.5) * (t_span / samples)

@@ -171,5 +171,12 @@ def observable_from_spec(spec: str, lattice: Lattice):
                 f"bump spec wants {per} numbers (+ optional amplitude), got {len(vals)}")
         amp = vals[per] if len(vals) == per + 1 else 1.0
         arr = np.array(vals[:per]).reshape(lattice.k, 6)
+        if lattice.k == 1:
+            # a box across |x| = 1/2 or the unit circle is not a function on the
+            # quotient; BumpFunction itself refuses a theta width above pi/2
+            cx, cy, _, wx, wy, _ = arr[0]
+            if not (abs(cx) + wx <= 0.5 and cy - wy >= 1.0):
+                raise ConfigError(f"bump spec {spec!r} leaves the fundamental domain: "
+                                  "want |cx| + wx <= 1/2 and cy - wy >= 1")
         return BumpFunction(lattice, arr[:, :3], arr[:, 3:], amplitude=amp)
     raise ConfigError(f"unknown observable spec {spec!r}")

@@ -11,6 +11,14 @@ a weight is not +0.0); folds are combined in a fixed order so results are
 bit-identical for any worker count.  Chunks set the numbers; their
 cache-sized row blocks (quotient.row_blocks) only tile memory; spans of
 whole blocks are the unit of work, in the caller or in forked workers.
+
+Each average carries the invariant integral it is compared with, and a
+reference_kind that names where it came from: "explicit" (given by the
+caller); "haar-quadrature-k1", the fundamental-domain quadrature on the
+modular quotient; on a Hilbert quotient, "constant-level" for a constant,
+"covolume-k2" for a bump whose support box injects into the quotient
+(observables.haar_integral_k2), and else "horocycle-surrogate-k2(err=...)",
+the long-arc surrogate with its doubling error.
 """
 
 from __future__ import annotations
@@ -372,10 +380,15 @@ class AverageResult:
 
 
 def _reference_value(f, p: QuotientPoint, reference: float | None) -> tuple[float, str]:
+    """(the invariant integral an average is compared with, its reference_kind)."""
     if reference is not None:
         return float(reference), "explicit"
     if isinstance(p.lattice, qt.ModularLattice):
         return ob.haar_integral_k1(f, *_HAAR_GRID), "haar-quadrature-k1"
+    if isinstance(f, ob.ConstantObservable):
+        return float(f.level), "constant-level"
+    if isinstance(f, ob.BumpFunction) and ob.box_injects_k2(f):
+        return ob.haar_integral_k2(f), "covolume-k2"
     val, err = ob.haar_reference_k2(f, p.lattice)
     return val, f"horocycle-surrogate-k2(err={err:.2e})"
 

@@ -28,10 +28,10 @@ PINNED_CLI_IDS = [
       "--point", "coords:0.1,1.3,0.4,-0.2,1.1,1.7"], "4c5cf3c5c835b6b1"),
     (["dichotomy", "mode=poly", "--lattice", "hilbert", "D=2", "--point", "identity"],
      "d13e102178387d0f"),
-    # the first pin through haar_reference_k2's 400 k-row arc
+    # through the exact k = 2 reference: the preset bump's box injects into the quotient
     (["average", "--lattice", "hilbert", "D=2",
       "--point", "coords:0.1,1.3,0.4,-0.2,1.1,1.7",
-      "--timeset", "poly", "N=1e3"], "a562b743fce67bc9"),
+      "--timeset", "poly", "N=1e3"], "290e041362ee3f5a"),
     (["orbit", "--timeset", "progression", "K=0.01", "T=1e3"], "5216e9984061f1e5"),
     (["orbit", "--lattice", "hilbert", "D=2",
       "--point", "coords:0.1,1.3,0.4,-0.2,1.1,1.7",
@@ -48,6 +48,12 @@ PINNED_CLI_IDS = [
     (["sieve", "N=1e6", "z-exp=0.1111", "s=9"], "9ed36d62cf1399fb"),
     # through the translated-pair correlations of the k = 1 Haar quadrature
     (["mixing", "t_grid=2"], "2cceef46b405273c"),
+    # through haar_reference_k2's 400 k-row arc: min y1 * min y2 = 0.64, so the
+    # box is not certified
+    (["average", "--lattice", "hilbert", "D=2",
+      "--point", "coords:0.1,1.3,0.4,-0.2,1.1,1.7",
+      "--timeset", "poly", "N=1e3", "--observable",
+      "bump:0.05,1.6,0.8,0.45,0.8,1.4,-0.1,1.6,2.2,0.45,0.8,1.4"], "56c179e2e9b9c42c"),
 ]
 # the ones that reduce on a Hilbert lattice (k = 2)
 PINNED_K2_IDS = [(argv, cid) for argv, cid in PINNED_CLI_IDS if "hilbert" in argv]
@@ -507,7 +513,7 @@ class TestCli:
                                           {"OPENBLAS_CORETYPE": "Nehalem"}],
                              ids=["threads-1", "threads-4", "nehalem"])
     def test_k2_ids_independent_of_blas(self, blas_env):
-        # the variables act only on the child; one interpreter runs all six
+        # the variables act only on the child; one interpreter runs all seven
         env = {k: v for k, v in os.environ.items() if not k.startswith("OPENBLAS_")}
         env.update(blas_env, PYTHONPATH=str(SRC))
         code = ("import sys\nfrom horolab.cli import main\n"
@@ -586,9 +592,16 @@ class TestCli:
         ["reduce", "--point", "coords:x,1,2"],
         ["average", "N=10", "--observable", "constant:abc"],
         ["average", "--timeset", "interval", "T=1e13"],
+        # k = 1 bump boxes that leave the fundamental domain
+        ["average", "N=10", "--observable", "bump:0.3,1.5,1,0.25,0.3,0.4"],
+        ["average", "N=10", "--observable", "bump:-0.3,1.5,1,0.25,0.3,0.4"],
+        ["average", "N=10", "--observable", "bump:0,1.2,1,0.2,0.3,0.4"],
+        ["average", "N=10", "--observable", "bump:0,1.5,1,0.2,0.3,1.6"],
     ], ids=["torus-D=4", "reduce-D=1", "sieve-eps=0.1", "sieve-z-exp=0", "sieve-s=0",
             "sieve-eps=0", "sieve-D-overflows", "sieve-z-past-N", "bump-zero-width",
-            "coords-not-a-number", "constant-not-a-number", "interval-T=1e13"])
+            "coords-not-a-number", "constant-not-a-number", "interval-T=1e13",
+            "bump-past-x-half", "bump-past-minus-x-half", "bump-below-unit-circle",
+            "bump-theta-past-pi-half"])
     def test_rejected_value_is_config_error(self, argv, capsys):
         # rejected before any factor table: z = N^1.5 at N = 1e6 would ask for 10^9 entries
         tables = build_factor_table.cache_info().currsize

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -383,3 +384,113 @@ class TestHaarReference:
                                           samples=160000)
         assert avg >= 0.0
         assert abs(avg2 - avg) <= max(err, err2) * 3.0
+
+
+def quad_factor_integrals(f: ob.BumpFunction) -> list[tuple[float, float, float]]:
+    """(Ix, Iy, Itheta) per factor by adaptive quadrature, Iy against dy / y^2."""
+    opts = {"epsabs": 0.0, "epsrel": 1e-13, "limit": 200}
+
+    def profile(r: float) -> float:
+        return math.exp(1.0 + 1.0 / (r * r - 1.0)) if abs(r) < 1.0 else 0.0
+
+    out = []
+    for (cx, cy, _), (wx, wy, wt) in zip(f.center, f.widths):
+        ix, _ = quad(lambda x: profile((x - cx) / wx), cx - wx, cx + wx, **opts)
+        iy, _ = quad(lambda y: profile((y - cy) / wy) / (y * y), cy - wy, cy + wy, **opts)
+        it, _ = quad(lambda s: profile(s / wt), -wt, wt, **opts)
+        out.append((ix, iy, it))
+    return out
+
+
+def wide_bump_k2(hilbert) -> ob.BumpFunction:
+    return ob.BumpFunction(hilbert, [[0.05, 1.9, 0.8], [-0.1, 1.9, 2.2]], [[0.45, 0.8, 1.4]] * 2)
+
+
+def preset_with(lat, y_box=None, wx=None) -> ob.BumpFunction:
+    """The k = 2 preset bump with its y box (lo, hi) or its x half-width replaced."""
+    f = bump_preset(lat)
+    center, widths = f.center.copy(), f.widths.copy()
+    if y_box is not None:
+        center[:, 1], widths[:, 1] = (y_box[0] + y_box[1]) / 2.0, (y_box[1] - y_box[0]) / 2.0
+    if wx is not None:
+        widths[:, 0] = wx
+    return ob.BumpFunction(lat, center, widths)
+
+
+class TestHaarIntegralK2:
+    @pytest.mark.parametrize("disc, d_k, zeta", [
+        (5, 5, Fraction(1, 30)), (2, 8, Fraction(1, 12)), (3, 12, Fraction(1, 6)),
+        (13, 13, Fraction(1, 6)), (17, 17, Fraction(1, 3)), (6, 24, Fraction(1, 2))])
+    def test_zeta_minus_one(self, disc, d_k, zeta):
+        assert (disc if disc % 4 == 1 else 4 * disc) == d_k
+        assert Fraction(ob.sixty_zeta_minus_one(disc), 60) == zeta
+
+    @pytest.mark.parametrize("case", ["preset", "wide"])
+    def test_factor_integrals_against_quad(self, hilbert, case):
+        f = bump_preset(hilbert) if case == "preset" else wide_bump_k2(hilbert)
+        got = ob.bump_factor_integrals(f)
+        want = np.array(quad_factor_integrals(f))
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+    def test_preset_against_quad_product(self, hilbert):
+        f = bump_preset(hilbert)
+        want = math.prod(math.prod(v) for v in quad_factor_integrals(f)) / (
+            8.0 * math.pi ** 2 / 12.0 * math.pi ** 2)
+        got = ob.haar_integral_k2(f)
+        assert type(got) is float
+        assert abs(want - 4.879295103e-5) <= 1e-12
+        assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("disc", [2, 5])
+    def test_certificate_accepts_presets(self, disc):
+        assert ob.box_injects_k2(bump_preset(qt.HilbertLattice(disc)))
+
+    @pytest.mark.parametrize("change, fails", [
+        ({"y_box": (0.8, 1.2)}, "heights"),
+        ({"y_box": (1.1, 7.0)}, "unit"),
+        ({"wx": 0.75}, "translation"),
+        # wide enough that a search over every translation in reach would not end
+        ({"wx": 1e6}, "translation"),
+    ], ids=["heights", "unit", "translation", "translation-wide"])
+    def test_certificate_rejects_one_condition_at_a_time(self, hilbert, change, fails):
+        f = preset_with(hilbert, **change)
+        lo = f.center[:, 1] - f.widths[:, 1]
+        hi = f.center[:, 1] + f.widths[:, 1]
+        reach = 2.0 * f.widths[:, 0]
+        held = {
+            # no gamma with c != 0 maps a height product above 1 to one above 1
+            "heights": lo[0] * lo[1] > 1.0,
+            # the unit 1 + sqrt 2 scales the heights by its square and its inverse
+            "unit": (1.0 + math.sqrt(2.0)) ** 2 >= min(hi / lo),
+            # no translation m + n sqrt 2 != 0 moves x by less than 2 wx in both places
+            "translation": not any(
+                abs(m + n * math.sqrt(2.0)) < reach[0] and abs(m - n * math.sqrt(2.0)) < reach[1]
+                for m in range(-4, 5) for n in range(-4, 5) if (m, n) != (0, 0)),
+        }
+        assert [name for name, ok in held.items() if not ok] == [fails]
+        assert not ob.box_injects_k2(f)
+
+    def test_within_the_surrogate_doubling_error(self, hilbert):
+        f = bump_preset(hilbert)
+        surrogate, err = ob.haar_reference_k2(f, hilbert)
+        assert abs(ob.haar_integral_k2(f) - surrogate) < err
+
+    def test_theta_mass_against_a_long_arc(self, hilbert):
+        # pi^2 per point of PGamma \ H^2, not 2 pi^2
+        f = wide_bump_k2(hilbert)
+        exact = ob.haar_integral_k2(f)
+        arc, _ = ob.haar_reference_k2(f, hilbert, t_span=8.0e4, samples=1_600_000)
+        assert abs(arc - exact) <= 0.1 * exact
+        assert abs(arc - exact / 2.0) > 0.4 * (exact / 2.0)
+
+    def test_no_blas_call(self, hilbert, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("BLAS call on the exact k = 2 path")
+
+        f = wide_bump_k2(hilbert)
+        want = ob.haar_integral_k2(f)
+        monkeypatch.setattr(np, "dot", refuse)
+        monkeypatch.setattr(np, "matmul", refuse)
+        assert ob.box_injects_k2(f)
+        assert ob.haar_integral_k2(f) == want
+

@@ -245,6 +245,39 @@ class TestSparseAverage:
         assert vals[0] == vals[1] == vals[2]
 
 
+class TestReferenceK2:
+    """Which reference a k = 2 average is compared with, and its kind."""
+
+    @pytest.fixture(scope="class")
+    def hilbert_point(self, hilbert):
+        return presets.point_from_spec("coords:0.1,1.3,0.4,-0.2,1.1,1.7", hilbert)
+
+    def test_constant_reference_is_its_level(self, hilbert, hilbert_point):
+        f = presets.observable_from_spec("constant:0.75", hilbert)
+        r = sp.sparse_average(f, hilbert_point, sp.Progression(1.0, 200.0))
+        assert (r.reference, r.metadata["reference_kind"]) == (0.75, "constant-level")
+        assert r.deviation == abs(r.value - 0.75)
+
+    def test_certified_bump_takes_the_exact_path(self, hilbert, hilbert_point, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("surrogate arc walked for a certified box")
+
+        monkeypatch.setattr(ob, "haar_reference_k2", refuse)
+        f = bump_preset(hilbert)
+        r = sp.sparse_average(f, hilbert_point, sp.Progression(1.0, 200.0))
+        assert r.metadata["reference_kind"] == "covolume-k2"
+        assert type(r.reference) is float and r.reference == ob.haar_integral_k2(f)
+
+    def test_uncertified_box_falls_back_on_the_surrogate(self, hilbert, hilbert_point):
+        # y box (0.8, 1.2) in both factors: min y1 * min y2 < 1
+        f = ob.BumpFunction(hilbert, [[0.05, 1.0, 0.7], [-0.1, 1.0, 2.1]], [[0.3, 0.2, 0.6]] * 2)
+        assert not ob.box_injects_k2(f)
+        r = sp.sparse_average(f, hilbert_point, sp.Progression(1.0, 200.0))
+        val, err = ob.haar_reference_k2(f, hilbert)
+        assert r.reference == val
+        assert r.metadata["reference_kind"] == f"horocycle-surrogate-k2(err={err:.2e})"
+
+
 class TestBlockAverages:
     def test_gap_vanishes_as_gamma_vanishes(self, test_bump, generic_point):
         _, _, gap = sp.block_average_compare(test_bump, generic_point,
