@@ -414,6 +414,7 @@ def _sieve_report_payload(rep: sieve.PipelineReport) -> dict:
 
 
 def _run_sieve(cfg: ExperimentConfig):
+    sieve.check_table_range(cfg.n_max)
     weights = np.ones(cfg.n_max + 1)
     weights[0] = 0.0
     rep = sieve.dynamical_sieve_pipeline(
@@ -446,6 +447,7 @@ def _sieve_orbit(cfg: ExperimentConfig, p: qt.QuotientPoint,
 
 
 def _run_pipeline(cfg: ExperimentConfig):
+    sieve.check_table_range(cfg.n_max)
     p = _resolve_point(cfg)
     f = presets.observable_from_spec(cfg.observable, p.lattice)
     rep, = _sieve_orbit(cfg, p, [f])
@@ -459,6 +461,8 @@ def _run_dichotomy(cfg: ExperimentConfig):
     lattice = p.lattice
     if cfg.mode not in ("almost", "poly"):
         raise ConfigError(f"dichotomy mode must be 'almost' or 'poly', got {cfg.mode!r}")
+    if cfg.mode == "almost":  # before any orbit is walked, the divergence probe's too
+        sieve.check_table_range(cfg.n_max)
     probe_mode = "geodesic" if cfg.mode == "almost" else "phi"
     probe = qt.detect_divergence(p, mode=probe_mode, t_max=30.0 if probe_mode == "geodesic" else 1.0e5,
                                  gamma_exp=cfg.gamma_exp)

@@ -273,15 +273,21 @@ def integer_orbit_weights(p: QuotientPoint, n: int, observables, workers: int):
 
     One orbit walk serves them all: each row block makes its own times m and
     keeps, per f, only the rows whose value is not bitwise +0.0 (a -0.0
-    stays).  Each dense array is scattered back from those rows when it is
-    asked for, with the bytes of concatenate(([0.0], f on the whole orbit)).
+    stays), as offsets into the block in the narrowest dtype that holds
+    every offset of a full block: quotient._BLOCK_ROWS sets it (uint16 for
+    16 384 rows), so a kept weight takes 10 bytes with its value.  Each
+    dense array is scattered back from those rows when it is asked for,
+    each offset added to its block's start in intp, so that no block size
+    can wrap it, with the bytes of concatenate(([0.0], f on the whole orbit)).
     """
+    offset = np.min_scalar_type(qt.row_blocks(_SLAB_NODES)[0][1] - 1)  # a full block's last row
+
     def support(coords) -> list:
         kept = []
         for f in observables:
             vals = f.evaluate_coords(coords)
             rows = np.flatnonzero(vals.view(np.int64))
-            kept.append((rows, vals[rows]))
+            kept.append((rows.astype(offset), vals[rows]))
         return kept
 
     chunks = _orbit_chunks(p, n, lambda a, b: np.arange(a + 1, b + 1, dtype=float), workers,
@@ -291,7 +297,7 @@ def integer_orbit_weights(p: QuotientPoint, n: int, observables, workers: int):
         for start, blocks in zip(range(1, n + 1, _SLAB_NODES), chunks):
             for (lo, _), kept in zip(qt.row_blocks(_SLAB_NODES), blocks):
                 rows, vals = kept[i]
-                weights[start + lo + rows] = vals
+                weights[np.add(rows, start + lo, dtype=np.intp)] = vals
         yield weights
 
 

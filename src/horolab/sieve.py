@@ -61,9 +61,25 @@ _DEVIATION_CLAMP = 1e-9
 # smallest-prime-factor table and multiplicity counts
 # ----------------------------------------------------------------------
 
+# Factor tables hold n and spf(n) as int32, and Omega(n) <= log2 n < 31 as
+# int8: exact for every n_max below this bound, which is checked before any
+# table of 1..n_max, or any orbit whose weights it would sieve, is made.
+_TABLE_LIMIT = 2**31
+
+
+def check_table_range(n_max: int) -> None:
+    """Raise ConfigError unless n_max < 2^31, so a table of 1..n_max fits int32."""
+    if n_max >= _TABLE_LIMIT:
+        raise ConfigError(f"integer range N = {n_max} must be below 2^31 = {_TABLE_LIMIT}: "
+                          "the factor table stores n as int32")
+
+
 @dataclass
 class FactorTable:
-    """Smallest-prime-factor table for 1..n_max (spf[1] = 1 by convention)."""
+    """Smallest-prime-factor table for 1..n_max (spf[1] = 1 by convention).
+
+    spf and primes are int32 (4 bytes per n), exact since n_max < 2^31;
+    Omega is int8 (1 byte per n), since Omega(n) <= log2 n < 31."""
 
     n_max: int
     spf: np.ndarray
@@ -73,14 +89,15 @@ class FactorTable:
 
     def omega_all(self) -> np.ndarray:
         """Omega(n), prime factors with multiplicity, for n = 0..n_max
-        (index 0 unused, set to 0).  Computed once and cached on the table.
+        (index 0 unused, set to 0), as int8: Omega(n) <= log2 n < 31.
+        Computed once and cached on the table.
 
         Filled by Omega(n) = Omega(n / spf(n)) + 1 over the doubling blocks
         [lo, 2 lo), lo = 2, 4, 8, ...: every quotient n / spf(n) <= n / 2
         lies in an earlier block, so each block is one gather."""
         if self._omega is not None:
             return self._omega
-        counts = np.zeros(self.n_max + 1, dtype=np.int32)
+        counts = np.zeros(self.n_max + 1, dtype=np.int8)
         lo = 2
         while lo <= self.n_max:
             hi = min(2 * lo, self.n_max + 1)
@@ -90,14 +107,21 @@ class FactorTable:
         self._omega = counts
         return counts
 
+    def omega_at_most(self, level: int) -> np.ndarray:
+        """The mask Omega(n) <= level for n = 0..n_max.  Omega(n) < 31, so a
+        level cut to int8's top gives the same mask: exact for any int level
+        on every numpy, whatever its rule for comparing int8 with an int."""
+        omega = self.omega_all()
+        return omega <= min(level, np.iinfo(omega.dtype).max)
+
     def rough_rows(self, z: float) -> np.ndarray:
         """The ascending n in {1} and {n : spf(n) >= z}: those no prime below
-        z divides.  Computed once per z and cached on the table."""
+        z divides, as int32.  Computed once per z and cached on the table."""
         rows = self._rough.get(z)
         if rows is None:
             mask = self.spf >= z
             mask[1] = True
-            rows = np.flatnonzero(mask)
+            rows = np.flatnonzero(mask).astype(np.int32)
             rows.flags.writeable = False  # shared by every caller of this table
             self._rough[z] = rows
         return rows
@@ -105,10 +129,12 @@ class FactorTable:
 
 @cache
 def build_factor_table(n_max: int) -> FactorTable:
-    """The factor table of 1..n_max, built once per n_max; its arrays are read-only."""
+    """The factor table of 1..n_max, built once per n_max; its arrays are
+    read-only.  n_max must lie in [1, 2^31): spf and primes are int32."""
     if n_max < 1:
         raise ConfigError("factor table needs n_max >= 1")
-    spf = np.zeros(n_max + 1, dtype=np.int64)
+    check_table_range(n_max)
+    spf = np.zeros(n_max + 1, dtype=np.int32)
     for p in range(2, int(math.isqrt(n_max)) + 1):
         if spf[p] == 0:
             sl = spf[p * p:: p]
@@ -116,7 +142,7 @@ def build_factor_table(n_max: int) -> FactorTable:
     unmarked = spf == 0
     spf[unmarked] = np.arange(n_max + 1)[unmarked]  # primes (and 0,1) map to themselves
     spf[1] = 1
-    primes = np.flatnonzero(spf == np.arange(n_max + 1))[2:]  # drop 0 and 1
+    primes = np.flatnonzero(spf == np.arange(n_max + 1))[2:].astype(np.int32)  # drop 0 and 1
     spf.flags.writeable = primes.flags.writeable = False  # shared by every caller
     return FactorTable(n_max=n_max, spf=spf, primes=primes)
 
@@ -125,7 +151,7 @@ def almost_primes(level: int, n_max: int) -> np.ndarray:
     """All n <= n_max with Omega(n) <= level, ascending; contains 1."""
     if level < 0:
         raise ValueError("level must be >= 0")
-    hits = np.flatnonzero(build_factor_table(n_max).omega_all() <= level)
+    hits = np.flatnonzero(build_factor_table(n_max).omega_at_most(level))
     return hits[hits >= 1]
 
 
@@ -724,8 +750,7 @@ def dynamical_sieve_pipeline(weights: np.ndarray, alpha_exp: float,
     )
     report = sieve_bounds(problem)
     f0 = float(linear_sieve_functions().lower(report.s))
-    omega_vals = table.omega_all()[1:]
-    omega_sum = float(w[1:][omega_vals <= level].sum())
+    omega_sum = float(w[1:][table.omega_at_most(level)[1:]].sum())
     chain_ok = (omega_sum >= report.s_exact - 1e-9) and (report.s_exact >= report.lower - 1e-9)
     margin = report.s_exact - (0.01 * report.big_x - report.remainder)
     return PipelineReport(

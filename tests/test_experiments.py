@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -592,6 +593,9 @@ class TestCli:
         ["reduce", "--point", "coords:x,1,2"],
         ["average", "N=10", "--observable", "constant:abc"],
         ["average", "--timeset", "interval", "T=1e13"],
+        ["sieve", "N=3e9"],
+        ["pipeline", "--point", "preset:generic1", "N=2147483648"],
+        ["average", "--timeset", "almost", "N=3e9"],
         # k = 1 bump boxes that leave the fundamental domain
         ["average", "N=10", "--observable", "bump:0.3,1.5,1,0.25,0.3,0.4"],
         ["average", "N=10", "--observable", "bump:-0.3,1.5,1,0.25,0.3,0.4"],
@@ -600,6 +604,7 @@ class TestCli:
     ], ids=["torus-D=4", "reduce-D=1", "sieve-eps=0.1", "sieve-z-exp=0", "sieve-s=0",
             "sieve-eps=0", "sieve-D-overflows", "sieve-z-past-N", "bump-zero-width",
             "coords-not-a-number", "constant-not-a-number", "interval-T=1e13",
+            "sieve-N-past-int32", "pipeline-N=2^31", "average-almost-N-past-int32",
             "bump-past-x-half", "bump-past-minus-x-half", "bump-below-unit-circle",
             "bump-theta-past-pi-half"])
     def test_rejected_value_is_config_error(self, argv, capsys):
@@ -608,6 +613,18 @@ class TestCli:
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("config error:")
         assert build_factor_table.cache_info().currsize == tables
+
+    def test_integer_range_past_int32_exits_at_once(self):
+        # N = 3e9 parses; unbounded, it walked 3e9 orbit times before it asked
+        # for a 24 GB weight array and a factor table past int32
+        started = time.monotonic()
+        out = subprocess.run([sys.executable, "-m", "horolab.cli", "dichotomy", "mode=almost",
+                              "--point", "preset:generic1", "N=3e9"],
+                             env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True,
+                             text=True, timeout=60)
+        assert time.monotonic() - started < 10
+        assert out.returncode == 1
+        assert out.stderr.startswith("config error:")
 
     def test_almost_prime_average_at_n_1(self, capsys):
         assert main(["average", "--timeset", "almost", "N=1"]) == 0

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from horolab import sieve
-from horolab.errors import BudgetExhausted
+from horolab.errors import BudgetExhausted, ConfigError
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -153,9 +153,26 @@ class TestFactorTable:
         table = sieve.build_factor_table(n_max)
         ours = table.omega_all()
         ref = repeated_division_omega(table)
-        assert ours.dtype == ref.dtype == np.int32
+        assert ours.dtype == np.int8
         assert np.array_equal(ours, ref)
         assert not ours.flags.writeable
+
+    def test_table_widths(self, table_small):
+        # n < 2^31 fits int32, and Omega(n) <= log2 n < 31 fits int8
+        assert table_small.spf.dtype == table_small.primes.dtype == np.int32
+        assert table_small.rough_rows(7.0).dtype == np.int32
+        assert table_small.omega_all().dtype == np.int8
+
+    def test_range_past_int32_rejected_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=r"below 2\^31"):
+                sieve.build_factor_table(2**31)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        sieve.check_table_range(2**31 - 1)  # the largest n_max that fits
 
     def test_omega_computed_once_per_table(self):
         table = sieve.build_factor_table(1000)
@@ -170,6 +187,10 @@ class TestFactorTable:
     def test_almost_primes_level_two(self):
         got = sieve.almost_primes(2, 10)
         assert got.tolist() == [1, 2, 3, 4, 5, 6, 7, 9, 10]
+
+    def test_almost_primes_level_past_int8(self):
+        # an int8 Omega compared with a level it cannot hold
+        assert sieve.almost_primes(200, 1000).tolist() == list(range(1, 1001))
 
     def test_almost_primes_counts_match_oracle(self, omega_1e6):
         ours = sieve.almost_primes(3, 1_000_000)
