@@ -28,7 +28,7 @@ import numpy as np
 from . import quotient as qt
 from . import sl2
 from .errors import ConfigError
-from .quadrature import gauss_legendre, gl_nodes, tensor_grid
+from .quadrature import PairwiseFold, gauss_legendre, gl_nodes, tensor_grid
 from .quotient import Lattice
 
 _PROFILE_GRID = 16385
@@ -196,22 +196,22 @@ def haar_integral_k1(f, nx: int = 64, nv: int = 64, ntheta: int = 32) -> float:
     in [0, pi).  The total mass is computed by the same quadrature (and
     equals pi/3 * pi analytically), so the result is exactly 1 for f == 1.
 
-    The grid is never held: f is evaluated one x row at a time and
-    multiplied into one (nx, nv, ntheta) weight accumulator, so memory is
-    one float per grid point plus one row of coordinates and f's
-    temporaries.  Every product and both sums are those of the whole grid.
-    A BumpFunction is not evaluated where its own x test, or inside a kept
-    x row its y test, puts a whole x row or v row off its support: that row
-    is multiplied by off = amplitude * 0.0, the value evaluate_coords gives
-    there, so the bytes are the same.
+    Neither the grid nor its weights are held: one x row at a time, each
+    weight ((wx_i * ws_j) * wth_l) * vmax_i and its product with f go into
+    two quadrature.PairwiseFold sums, so memory is one row of weights,
+    coordinates and f's temporaries plus a leaf buffer per fold.  Every
+    product is that of the whole grid, and both sums have the bytes of
+    np.sum over the (nx, nv, ntheta) grid.  A BumpFunction is not evaluated
+    where its own x test, or inside a kept x row its y test, puts a whole
+    x row or v row off its support: that row is multiplied by off =
+    amplitude * 0.0, the value evaluate_coords gives there, so the bytes
+    are the same.
     """
     xs, wx = gl_nodes(nx, -0.5, 0.5)
     ss, ws = gl_nodes(nv, 0.0, 1.0)
     ths, wth = gl_nodes(ntheta, 0.0, math.pi)
     vmax = 1.0 / np.sqrt(1.0 - xs * xs)
-    acc = (wx[:, None] * ws)[:, :, None] * wth
-    acc *= vmax[:, None, None]
-    mass = float(np.sum(acc))
+    mass, total = PairwiseFold(nx * nv * ntheta), PairwiseFold(nx * nv * ntheta)
     box = f.support_box() if isinstance(f, BumpFunction) else None
     if box is not None:
         (cx, cy, _), (sx, sy, _), off = box[0][0], box[1][0], box[2]
@@ -219,19 +219,23 @@ def haar_integral_k1(f, nx: int = 64, nv: int = 64, ntheta: int = 32) -> float:
     row = np.empty((nv, ntheta, 3))
     row[..., 2] = ths
     for i in range(nx):
+        w = (wx[i] * ws)[:, None] * wth
+        w *= vmax[i]
+        mass.push(w)
         # evaluate_coords's own tests of (x - cx) / wx and (y - cy) / wy
         if box is not None and not abs((xs[i] - cx) / sx) < 1.0:
-            acc[i] *= off
+            w *= off
+            total.push(w)
             continue
         row[..., 0] = xs[i]
         row[..., 1] = (1.0 / (ss * vmax[i]))[:, None]
         keep = slice(None)
         if box is not None:
             keep = np.abs((row[:, 0, 1] - cy) / sy) < 1.0
-            acc[i, ~keep] *= off
-        acc[i, keep] *= f.evaluate_coords(row[keep].reshape(-1, 1, 3)).reshape(-1, ntheta)
-    total = float(np.sum(acc))
-    return total / mass
+            w[~keep] *= off
+        w[keep] *= f.evaluate_coords(row[keep].reshape(-1, 1, 3)).reshape(-1, ntheta)
+        total.push(w)
+    return total.total() / mass.total()
 
 
 # ----------------------------------------------------------------------

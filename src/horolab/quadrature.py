@@ -1,5 +1,6 @@
 """Gauss-Legendre quadrature from numpy alone, the tensor grid of quadrature
-axes, and the distinct values of a sample grid.
+axes, the distinct values of a sample grid, and a sum of values that arrive
+in pieces with the bytes of one np.add.reduce over them all.
 
 gauss_legendre(n) follows SciPy's roots_legendre step for step: the
 Golub-Welsch eigenvalues (LAPACK dsterf, where eigvals_banded ends too),
@@ -92,3 +93,77 @@ def distinct_sorted(values: np.ndarray) -> np.ndarray:
     keep = np.ones(len(ordered), dtype=bool)
     np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
     return ordered[keep]
+
+
+# values per leaf of PairwiseFold: the one buffer a fold holds (64 KiB); any
+# length of at least numpy's 128-value block gives the same bytes
+_FOLD_LEAF = 8192
+
+
+def _pairwise_plan(n: int) -> list:
+    """numpy's pairwise-sum tree over n values in post-order, cut at nodes of
+    at most _FOLD_LEAF values: an int is such a node's length, None adds the
+    last two node sums."""
+    if n <= _FOLD_LEAF:
+        return [n]
+    half = n // 2 - n // 2 % 8
+    return _pairwise_plan(half) + _pairwise_plan(n - half) + [None]
+
+
+class PairwiseFold:
+    """np.add.reduce of n float64 values that arrive in pieces of any size,
+    with its bytes, holding one leaf of values instead of all n.
+
+    numpy sums a contiguous float64 array pairwise (Higham, SIAM J. Sci.
+    Comput. 14, 1993): a node of more than 128 values is split at half its
+    length rounded down to a multiple of 8, a split that depends on the
+    length alone, so each node of that tree can be summed on its own.  The
+    fold sums each node of at most _FOLD_LEAF values with np.add.reduce once
+    its values are in, and adds the node sums in the tree's order.  The
+    reduce adds its sum to +0.0, so neither a leaf sum nor the sum of the
+    whole is -0.0; a -0.0 term would change only the sign of a zero sum.
+    """
+
+    def __init__(self, n: int):
+        self._plan = iter(_pairwise_plan(n))
+        self._buf = np.empty(min(n, _FOLD_LEAF))
+        self._sums = []
+        self._filled = 0
+        self._need = self._next_leaf()
+        self._close_leaf()  # n = 0 is one empty leaf
+
+    def _next_leaf(self):
+        """The length of the next leaf, after adding every node sum that
+        precedes it in the plan; None once the plan is done."""
+        for step in self._plan:
+            if step is not None:
+                return step
+            right = self._sums.pop()
+            self._sums[-1] += right
+        return None
+
+    def push(self, values) -> None:
+        """Fold the next len(values) values, in order (any shape, read flat)."""
+        values = np.asarray(values, dtype=np.float64).reshape(-1)
+        at = 0
+        while at < len(values):
+            if self._need is None:
+                raise ValueError("more values pushed than the fold was made for")
+            take = min(self._need - self._filled, len(values) - at)
+            self._buf[self._filled:self._filled + take] = values[at:at + take]
+            self._filled += take
+            at += take
+            self._close_leaf()
+
+    def _close_leaf(self) -> None:
+        """Sum the leaf in the buffer if it is full, and move to the next."""
+        if self._filled == self._need:
+            self._sums.append(float(np.add.reduce(self._buf[:self._need])))
+            self._filled = 0
+            self._need = self._next_leaf()
+
+    def total(self) -> float:
+        """The sum of all n values, once they are all in."""
+        if self._need is not None:
+            raise ValueError("fewer values pushed than the fold was made for")
+        return self._sums[0]

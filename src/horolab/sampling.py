@@ -35,7 +35,7 @@ from . import quotient as qt
 from . import sieve
 from . import sl2
 from .errors import ConfigError
-from .quadrature import gauss_legendre
+from .quadrature import PairwiseFold, gauss_legendre
 from .quotient import QuotientPoint
 from .sl2 import GroupDomainError
 
@@ -234,8 +234,9 @@ def _orbit_chunks(p: QuotientPoint, n: int, nodes, workers: int, fn, fold,
     anchors = [_checkpoint(p, t0) for t0 in starts]
 
     def span(c: int, lo: int, hi: int) -> list:
-        times = _in_range(nodes(c * _SLAB_NODES + lo, c * _SLAB_NODES + hi))
-        return qt.orbit_blocks(p.lattice, anchors[c], times - starts[c], fn, support)
+        # the offsets only, so that nodes' own array is gone before the walk
+        offsets = _in_range(nodes(c * _SLAB_NODES + lo, c * _SLAB_NODES + hi)) - starts[c]
+        return qt.orbit_blocks(p.lattice, anchors[c], offsets, fn, support)
 
     folds, parts = [], []
     with contextlib.ExitStack() as stack:
@@ -427,6 +428,14 @@ def horocycle_average(f, p: QuotientPoint, t_span: float,
         })
 
 
+def _pairwise_total(blocks: list) -> float:
+    """np.sum(np.concatenate(blocks)), with its bytes, with no concatenated copy."""
+    fold = PairwiseFold(sum(map(len, blocks)))
+    for vals in blocks:
+        fold.push(vals)
+    return fold.total()
+
+
 def sparse_average(f, p: QuotientPoint, ts: TimeSet, workers: int = 1,
                    reference: float | None = None, point_id: str = "") -> AverageResult:
     """Plain mean of f over {u(t) . p : t in the time set}."""
@@ -434,7 +443,7 @@ def sparse_average(f, p: QuotientPoint, ts: TimeSet, workers: int = 1,
     if len(times) == 0:
         raise ConfigError(f"empty time set: {ts!r}")
     chunk_sums = _orbit_chunks(p, len(times), lambda a, b: times[a:b], workers, f.evaluate_coords,
-                               lambda blocks: float(np.sum(np.concatenate(blocks))), _support(f))
+                               _pairwise_total, _support(f))
     value = sum(chunk_sums) / len(times)
     ref, ref_kind = _reference_value(f, p, reference)
     return AverageResult(

@@ -1,4 +1,5 @@
-"""The numpy Gauss-Legendre rule, and the runtime's dependency on numpy alone.
+"""The numpy Gauss-Legendre rule, the streaming pairwise sum, and the
+runtime's dependency on numpy alone.
 
 scipy appears here only as a reference: the rule must reproduce
 scipy.special.roots_legendre byte for byte at every order horolab uses.
@@ -10,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +93,79 @@ class TestDistinctSorted:
         got = qd.distinct_sorted(values)
         assert got.dtype == expect.dtype
         assert got.tobytes() == expect.tobytes()
+
+
+def fold_in_pieces(values: np.ndarray, rng) -> float:
+    """PairwiseFold's total of values pushed in random pieces: empty ones,
+    short ones, ones up to a leaf and ones longer than a leaf."""
+    leaf = qd._FOLD_LEAF
+    fold = qd.PairwiseFold(len(values))
+    at = 0
+    while at < len(values):
+        lo, hi = [(0, 1), (1, 16), (1, leaf + 1), (leaf + 1, 3 * leaf)][rng.integers(4)]
+        size = int(rng.integers(lo, hi))
+        fold.push(values[at:at + size])
+        at += size
+    fold.push(values[at:])  # an empty last piece
+    return fold.total()
+
+
+def spread_values(n: int, rng) -> np.ndarray:
+    # magnitudes over 16 decades, so that any other order of the adds rounds differently
+    return rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+
+
+POWER_LENGTHS = [2 ** k + d for k in range(1, 22) for d in (-1, 0, 1)]
+
+
+class TestPairwiseFold:
+    @pytest.mark.parametrize("lengths", [range(0, 301), POWER_LENGTHS, [10**6, 2_048_000]],
+                             ids=["0-300", "powers-of-two", "large"])
+    def test_bytes_match_add_reduce(self, rng, lengths):
+        for n in lengths:
+            values = spread_values(n, rng)
+            got = np.float64(fold_in_pieces(values, rng))
+            assert got.tobytes() == np.add.reduce(values).tobytes(), n
+
+    def test_k1_haar_grid_in_rows_holds_one_leaf(self, rng):
+        grid = spread_values(160 * 160 * 80, rng).reshape(160, 160, 80)
+        tracemalloc.start()
+        try:
+            fold = qd.PairwiseFold(grid.size)
+            for row in grid:
+                fold.push(row)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.float64(fold.total()).tobytes() == np.sum(grid).tobytes()
+        # one 64 KiB leaf and the plan, against 15.6 MiB for the grid
+        assert peak < 128 * 2**10
+
+    @pytest.mark.parametrize("kind", ["negative-zeros", "mixed-zeros", "infinities", "nan"])
+    def test_signed_zeros_and_non_finite_values(self, rng, kind):
+        for n in [1, 2, 7, 8, 9, 127, 129, qd._FOLD_LEAF + 1, 3 * qd._FOLD_LEAF + 5]:
+            if kind == "negative-zeros":
+                values = np.full(n, -0.0)
+            elif kind == "mixed-zeros":
+                values = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+            elif kind == "infinities":
+                values = spread_values(n, rng)
+                values[rng.integers(n, size=2)] = rng.choice([np.inf, -np.inf], size=2)
+            else:
+                values = spread_values(n, rng)
+                values[rng.integers(n)] = np.nan
+            with np.errstate(invalid="ignore"):  # inf - inf
+                got, expect = np.float64(fold_in_pieces(values, rng)), np.add.reduce(values)
+            assert got.tobytes() == expect.tobytes(), (kind, n)
+
+    def test_length_is_enforced(self):
+        fold = qd.PairwiseFold(10)
+        fold.push(np.ones(4))
+        with pytest.raises(ValueError):
+            fold.total()
+        with pytest.raises(ValueError):
+            fold.push(np.ones(7))
+        assert qd.PairwiseFold(0).total() == 0.0
 
 
 class TestRuntimeDependencies:

@@ -186,6 +186,17 @@ class TestHorocycleAverage:
                                      workers=w).value for w in (1, 4, 16)]
         assert max(vals) - min(vals) <= 1e-12
 
+    def test_reference_and_arc_peak_memory(self, test_bump, generic_point):
+        # a 16 MiB grid of Haar weights read 16.4 MiB; the folded reference and
+        # the 2 M-node arc's chunks read about 10 MiB
+        tracemalloc.start()
+        try:
+            sp.horocycle_average(test_bump, generic_point, 1.0e4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+
 
 class TestRenormalizationIdentity:
     def test_unit_horizon_identical(self, test_bump, generic_point):
@@ -237,6 +248,15 @@ class TestSparseAverage:
         with pytest.raises(GroupDomainError):
             sp.sparse_average(test_bump, generic_point,
                               sp.Progression(1.0e11, 1.0e13))
+
+    def test_bytes_of_chunk_sums(self, test_bump, generic_point):
+        # np.sum over each chunk's values, the chunk sums added in order
+        ts = sp.PolynomialTimes(0.1, 450_000)
+        times = sp.generate(ts)
+        vals = test_bump.evaluate_coords(sp.orbit_coordinates(generic_point, times))
+        expect = sum(float(np.sum(vals[a:a + sp._SLAB_NODES]))
+                     for a in range(0, len(times), sp._SLAB_NODES)) / len(times)
+        assert sp.sparse_average(test_bump, generic_point, ts).value.hex() == expect.hex()
 
     def test_worker_determinism(self, test_bump, generic_point):
         ts = sp.PolynomialTimes(0.1, 30000)
