@@ -6,10 +6,11 @@ batch on (N, k, 3) arrays of reduced coordinates, so observables are
 genuinely functions on the quotient.
 
 Reference measures: on the modular quotient (k = 1), a quadrature over the
-fundamental domain.  On a Hilbert quotient (k = 2), a bump whose support
-box provably injects into PGamma \\ H^2 (box_injects_k2) integrates exactly,
-as a product of one-dimensional integrals over the covolume 8 pi^2
-zeta_K(-1) (haar_integral_k2); any other observable falls back on a long
+fundamental domain.  A bump whose support box lies in the fundamental
+domain (k = 1) or provably injects into PGamma \\ H^2 (k = 2,
+box_injects_k2) integrates exactly, as a product of one-dimensional
+integrals over the covolume pi / 3 or 8 pi^2 zeta_K(-1)
+(haar_integral_bump); any other k = 2 observable falls back on a long
 horocycle average from a fixed base point (haar_reference_k2).
 
 The smoothing kernels are the mollified box indicators used to compare
@@ -42,7 +43,7 @@ _SOBOLEV_EXTRA_POINTS = 120
 _SOBOLEV_SEED = 2024
 # Gauss-Legendre nodes per panel of SmoothingKernel.quadrature_check
 _KERNEL_GL_ORDER = 24
-# Gauss-Legendre nodes of each one-dimensional integral of a k = 2 bump: from 96
+# Gauss-Legendre nodes of each one-dimensional integral of a bump: from 96
 # nodes on they agree with scipy's quad to 2e-14 relative (1e-11 at 64), and 128
 # are built in 2-4 ms against 7-11 ms for 256 (2 vCPU)
 _BUMP_GL_ORDER = 128
@@ -239,7 +240,7 @@ def haar_integral_k1(f, nx: int = 64, nv: int = 64, ntheta: int = 32) -> float:
 
 
 # ----------------------------------------------------------------------
-# reference measure, k = 2
+# exact bump integrals, k = 1 and 2; the k = 2 surrogate
 # ----------------------------------------------------------------------
 
 def sixty_zeta_minus_one(disc: int) -> int:
@@ -259,6 +260,14 @@ def sixty_zeta_minus_one(disc: int) -> int:
             total += sum(d + n // d if d * d != n else d
                          for d in range(1, math.isqrt(n) + 1) if n % d == 0)
     return total
+
+
+def box_in_domain_k1(f: BumpFunction) -> bool:
+    """True when the (x, y) support box of the k = 1 bump f lies in the
+    fundamental domain, |cx| + wx <= 1/2 and cy - wy >= 1: then f is a
+    function on the quotient, and its box injects into it."""
+    (cx, cy, _), (wx, wy, _) = f.center[0], f.widths[0]
+    return bool(abs(cx) + wx <= 0.5 and cy - wy >= 1.0)
 
 
 def box_injects_k2(f: BumpFunction) -> bool:
@@ -317,19 +326,30 @@ def bump_factor_integrals(f: BumpFunction) -> np.ndarray:
     return np.stack([f.widths[:, 0] * mass, iy, f.widths[:, 2] * mass], axis=1)
 
 
-def haar_integral_k2(f: BumpFunction) -> float:
-    """Normalised invariant integral of a k = 2 bump whose support box
-    injects (box_injects_k2): A * prod_i Ix_i Iy_i Itheta_i / (8 pi^2
-    zeta_K(-1) * pi^2).
+def haar_integral_bump(f: BumpFunction) -> float:
+    """Normalised invariant integral of a bump whose support box is one
+    piece of the quotient: A * prod_i Ix_i Iy_i Itheta_i / (covolume *
+    fibre mass).
 
+    k = 1: the box must lie in the fundamental domain (box_in_domain_k1;
+    a ConfigError otherwise).  The covolume of dx dy / y^2 is pi / 3 and
+    the frame fibre, theta modulo pi, has mass pi.
+    k = 2: the box must inject (box_injects_k2; the caller checks).
     vol(SL2(O) \\ H^2) = 8 pi^2 zeta_K(-1) for prod dx dy / y^2 (Siegel).
     Over PGamma \\ H^2 the frame fibre is SO(2)^2 / <(-1, -1)>, of mass
     (2 pi)^2 / 2; a bump that sees each theta modulo pi integrates over it
     to twice its integral over [0, pi)^2.  So the total mass is the volume
     times pi^2, of the shape of k = 1's (pi / 3) * pi.
     """
-    volume = 8.0 * math.pi ** 2 * sixty_zeta_minus_one(f.lattice.disc) / 60.0
-    return float(f.amplitude * np.prod(bump_factor_integrals(f)) / (volume * math.pi ** 2))
+    if f.k == 1:
+        if not box_in_domain_k1(f):
+            raise ConfigError("the exact k = 1 integral needs a bump box inside the "
+                              "fundamental domain: |cx| + wx <= 1/2 and cy - wy >= 1")
+        mass = math.pi / 3.0 * math.pi
+    else:
+        volume = 8.0 * math.pi ** 2 * sixty_zeta_minus_one(f.lattice.disc) / 60.0
+        mass = volume * math.pi ** 2
+    return float(f.amplitude * np.prod(bump_factor_integrals(f)) / mass)
 
 
 def haar_reference_k2(f, lattice, t_span: float = 20000.0, samples: int = 400000):
@@ -337,7 +357,7 @@ def haar_reference_k2(f, lattice, t_span: float = 20000.0, samples: int = 400000
 
     Long-horocycle time average from the basepoint _K2_REFERENCE_BASE,
     reported with a doubling self-consistency error |A(T) - A(T/2)|.
-    The fallback for observables that haar_integral_k2 does not cover;
+    The fallback for observables that haar_integral_bump does not cover;
     the error estimate is part of the return value on purpose.
     """
     # the arc base * u(t) at t = (j + 1/2) t_span / samples, as offsets -t

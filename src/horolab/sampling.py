@@ -12,12 +12,20 @@ bit-identical for any worker count.  Chunks set the numbers; their
 cache-sized row blocks (quotient.row_blocks) only tile memory; spans of
 whole blocks are the unit of work, in the caller or in forked workers.
 
+An arc average (horocycle_average, renormalization_identity_check) takes
+5-node Gauss-Legendre panels of step min_width / 4 (_STEP_FRACTION), or a
+finer step= (a coarser one is refused).  Against a step four times finer,
+the default moves the arc average of preset:bump1 from generic1 by at most
+3e-7 (measured 2.2e-8, 7.6e-8, 7.3e-9 and 1.4e-9 at T = 1e2 .. 1e5), under
+1% of the smallest deviation from the Haar integral that criterion 05
+reports (3.1e-5 at T = 1e5); a test checks it on the T = 1e3 and 1e4 arcs.
+
 Each average carries the invariant integral it is compared with, and a
 reference_kind that names where it came from: "explicit" (given by the
 caller); "haar-quadrature-k1", the fundamental-domain quadrature on the
 modular quotient; on a Hilbert quotient, "constant-level" for a constant,
 "covolume-k2" for a bump whose support box injects into the quotient
-(observables.haar_integral_k2), and else "horocycle-surrogate-k2(err=...)",
+(observables.haar_integral_bump), and else "horocycle-surrogate-k2(err=...)",
 the long-arc surrogate with its doubling error.
 """
 
@@ -46,8 +54,9 @@ _GL_X, _GL_W = gauss_legendre(_GL_ORDER)
 # a chunk must hold whole quadrature panels, so _SLAB_NODES % _GL_ORDER == 0
 _SLAB_NODES = 200_000
 TIME_RANGE_MAX = 1e12
-# quadrature must resolve the narrowest bump feature by this factor
-_STEP_FRACTION = 8.0
+# the default arc step is the narrowest bump width over this (the bound it
+# meets is in the module docstring)
+_STEP_FRACTION = 4.0
 # (nx, nv, ntheta) of the k = 1 Haar quadrature behind references and correlations
 _HAAR_GRID = (160, 160, 80)
 
@@ -395,7 +404,7 @@ def _reference_value(f, p: QuotientPoint, reference: float | None) -> tuple[floa
     if isinstance(f, ob.ConstantObservable):
         return float(f.level), "constant-level"
     if isinstance(f, ob.BumpFunction) and ob.box_injects_k2(f):
-        return ob.haar_integral_k2(f), "covolume-k2"
+        return ob.haar_integral_bump(f), "covolume-k2"
     val, err = ob.haar_reference_k2(f, p.lattice)
     return val, f"horocycle-surrogate-k2(err={err:.2e})"
 
@@ -406,8 +415,9 @@ def horocycle_average(f, p: QuotientPoint, t_span: float,
                       point_id: str = "") -> AverageResult:
     """(1/T) integral of f over the orbit arc u([0, T]) . p.
 
-    Composite Gauss-Legendre with the step tied to the narrowest feature
-    of f; the injectivity radius at the renormalised basepoint (the
+    Composite Gauss-Legendre of step min_width / 4 of f, within 3e-7 of a
+    step four times finer on the pinned arcs (module docstring), or of a
+    finer step; the injectivity radius at the renormalised basepoint (the
     diagonal push by log T) is recorded alongside, since every effective
     bound on this average is phrased through it.
     """
@@ -460,7 +470,8 @@ def renormalization_identity_check(f, p: QuotientPoint, t_span: float) -> float:
     with the conjugation evaluated as an explicit matrix product.  The
     two quadratures sample different node sets of the same underlying
     identity, so agreement is a genuine two-route check.  Both use the
-    natural step of f, on one thread.
+    default step min_width / 4 of f (the left side within 3e-7 of a step
+    four times finer on the pinned arcs, module docstring), on one thread.
     """
     if t_span <= 0:
         raise ConfigError("averaging horizon must be positive")

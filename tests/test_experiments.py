@@ -17,45 +17,16 @@ import horolab.experiments as ex
 from horolab.cli import build_parser, config_from_args, main
 from horolab.errors import ConfigError, ToleranceFailure
 from horolab.sieve import build_factor_table
+import id_diff
+from perfbench_source import load as perfbench
 
 # the directory holding the horolab package under test
 SRC = Path(ex.__file__).resolve().parents[1]
-# every pinned CLI content ID: (argv, content id)
-PINNED_CLI_IDS = [
-    (["average", "N=1", "T=1e3", "K=1"], "dad93dbe8998f80a"),
-    (["reduce"], "65786cf01b0d7b6d"),
-    (["average", "--timeset", "interval", "T=1e3"], "9c5ad06c18d300b7"),
-    (["reduce", "--lattice", "hilbert", "D=2",
-      "--point", "coords:0.1,1.3,0.4,-0.2,1.1,1.7"], "4c5cf3c5c835b6b1"),
-    (["dichotomy", "mode=poly", "--lattice", "hilbert", "D=2", "--point", "identity"],
-     "d13e102178387d0f"),
-    # through the exact k = 2 reference: the preset bump's box injects into the quotient
-    (["average", "--lattice", "hilbert", "D=2",
-      "--point", "coords:0.1,1.3,0.4,-0.2,1.1,1.7",
-      "--timeset", "poly", "N=1e3"], "290e041362ee3f5a"),
-    (["orbit", "--timeset", "progression", "K=0.01", "T=1e3"], "5216e9984061f1e5"),
-    (["orbit", "--lattice", "hilbert", "D=2",
-      "--point", "coords:0.1,1.3,0.4,-0.2,1.1,1.7",
-      "--timeset", "progression", "K=0.05", "T=1e3"], "965c621d62917407"),
-    # the README example and the only k = 1 run through the dichotomy torus branch
-    (["dichotomy", "mode=almost", "--point", "preset:cusp", "N=1e5"], "2bf8c7607f39ff83"),
-    (["torus", "--lattice", "hilbert", "D=19", "--point", "identity"], "be641b91ee1f818a"),
-    (["torus", "--lattice", "hilbert", "D=2", "--point", "identity"], "9717c529984f90bd"),
-    # through the Sobolev offsets of the block bound
-    (["blocks", "M=1e5"], "819f339eae263654"),
-    # through the geodesic probe's heights and the dense-branch cover
-    (["dichotomy", "mode=almost", "--point", "preset:generic1", "N=1e5"], "0efffde9a94a5979"),
-    # the README sieve example
-    (["sieve", "N=1e6", "z-exp=0.1111", "s=9"], "9ed36d62cf1399fb"),
-    # through the translated-pair correlations of the k = 1 Haar quadrature
-    (["mixing", "t_grid=2"], "2cceef46b405273c"),
-    # through haar_reference_k2's 400 k-row arc: min y1 * min y2 = 0.64, so the
-    # box is not certified
-    (["average", "--lattice", "hilbert", "D=2",
-      "--point", "coords:0.1,1.3,0.4,-0.2,1.1,1.7",
-      "--timeset", "poly", "N=1e3", "--observable",
-      "bump:0.05,1.6,0.8,0.45,0.8,1.4,-0.1,1.6,2.2,0.45,0.8,1.4"], "56c179e2e9b9c42c"),
-]
+# every pinned CLI content ID, (argv, content id), and those of the benchmark's
+# workloads, from tests/content_ids.json; tests/id_diff.py prints the ones that moved
+CONTENT_IDS = id_diff.load()
+PINNED_CLI_IDS = id_diff.cli_pins(CONTENT_IDS)
+PERFBENCH_IDS = id_diff.perfbench_pins(CONTENT_IDS)
 # the ones that reduce on a Hilbert lattice (k = 2)
 PINNED_K2_IDS = [(argv, cid) for argv, cid in PINNED_CLI_IDS if "hilbert" in argv]
 
@@ -481,10 +452,15 @@ class TestCli:
         assert "torus_dim = 2" in out
         assert " content 9717c529984f90bd " in out
 
-    @pytest.mark.parametrize("argv, content_id", PINNED_CLI_IDS)
+    @pytest.mark.parametrize("argv, content_id", PINNED_CLI_IDS + [
+        pytest.param(argv, cid, id=name) for name, argv, cid in PERFBENCH_IDS])
     def test_pinned_content_id(self, capsys, argv, content_id):
         assert main(argv) == 0
         assert f" content {content_id} " in capsys.readouterr().out
+
+    def test_content_ids_name_every_workload_and_the_runtime(self):
+        assert sorted(CONTENT_IDS["perfbench"]) == sorted(perfbench().specs.CLI_ARGV)
+        assert {"numpy", "numpy_simd", "blas"} <= set(CONTENT_IDS["runtime"])
 
     def test_readme_examples_are_pinned(self):
         # every "$ horolab ..." line followed by its "content <id>" line

@@ -7,38 +7,19 @@ and the hilbert-k2 canonicity pairs.  Both probes fail today.  Each is an
 xfail(strict=True) test here that names the ROADMAP item that mends it, so
 that the change which mends it must turn it into a plain pass.
 
-The perfbench files are run from their source, as tests/test_perfbench_tracer.py
-does, so that no bytecode is written next to them.
+The perfbench files are run from their source (tests/perfbench_source.py),
+so that no bytecode is written next to them.
 """
 
 import functools
-import sys
-import types
-from pathlib import Path
 
 import pytest
 
 from horolab import cli, experiments
+from perfbench_source import load as perfbench
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # the workload seed of the checks whose inputs it draws; the probes use their own
 SEED = 1
-
-
-@functools.cache
-def perfbench() -> types.SimpleNamespace:
-    """perfbench/specs.py, oracles.py and workloads.py, run from their source."""
-    loaded = {}
-    with pytest.MonkeyPatch.context() as mp:
-        for name in ("specs", "oracles", "workloads"):
-            path = PERFBENCH / f"{name}.py"
-            module = types.ModuleType(name)
-            module.__file__ = str(path)
-            # workloads imports oracles by name, and dataclasses look their module up
-            mp.setitem(sys.modules, name, module)
-            exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
-            loaded[name] = module
-    return types.SimpleNamespace(**loaded)
 
 
 def config(argv: list[str]) -> experiments.ExperimentConfig:

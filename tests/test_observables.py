@@ -17,8 +17,10 @@ from horolab import observables as ob
 from horolab import quotient as qt
 from horolab import sampling as sp
 from horolab import sl2
+from horolab.errors import ConfigError
 from horolab.presets import bump_preset, cover_bumps, point_preset
 from horolab.quadrature import gl_nodes
+from perfbench_source import load as perfbench
 
 # the directory holding the horolab package under test
 SRC = Path(ob.__file__).resolve().parents[1]
@@ -367,6 +369,39 @@ class TestHaarIntegralK1:
         assert float(out.stdout.splitlines()[-1]) < 2.0
 
 
+class TestHaarIntegralBumpK1:
+    def test_preset_against_the_oracle(self, test_bump):
+        want = perfbench().oracles.bump_integral_k1(test_bump.center[0], test_bump.widths[0])
+        got = ob.haar_integral_bump(test_bump)
+        assert type(got) is float
+        assert abs(want - 0.009149584656423085) <= 1e-15
+        assert abs(got - want) <= 1e-12 * want
+
+    def test_error_of_the_grid_reference(self, test_bump):
+        # the 160 x 160 x 80 grid that k = 1 averages are compared with lies
+        # 1.50e-4 (relative) above the exact integral: 1.4e-6, more than four
+        # times the arc step's bound (tests/test_sampling.py, ARC_STEP_BOUND)
+        exact = ob.haar_integral_bump(test_bump)
+        grid = ob.haar_integral_k1(test_bump, *sp._HAAR_GRID)
+        assert 1.49e-4 < (grid - exact) / exact < 1.51e-4
+        assert grid - exact > 4.0 * 3e-7
+
+    # the cases of TestHaarIntegralK1 whose box lies in the fundamental domain
+    @pytest.mark.parametrize("case", ["x-edge-on-node", "negative", "negative-between-nodes"])
+    def test_other_boxes_against_the_oracle(self, modular, case):
+        f = HAAR_CASES[case](modular)
+        want = perfbench().oracles.bump_integral_k1(f.center[0], f.widths[0], f.amplitude)
+        assert abs(ob.haar_integral_bump(f) - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("center, widths", [
+        ([[0.35, 1.5, 1.0]], [[0.2, 0.3, 0.5]]),   # across x = 1/2
+        ([[0.0, 1.2, 1.0]], [[0.2, 0.3, 0.5]]),    # below y = 1
+    ], ids=["x-edge", "unit-circle"])
+    def test_box_outside_the_domain_is_refused(self, modular, center, widths):
+        with pytest.raises(ConfigError):
+            ob.haar_integral_bump(ob.BumpFunction(modular, center, widths))
+
+
 class TestHaarReference:
     def test_horocycle_average_agrees_with_quadrature_k1(self, test_bump):
         """Long-arc average against the fundamental-domain quadrature, from a
@@ -437,7 +472,7 @@ class TestHaarIntegralK2:
         f = bump_preset(hilbert)
         want = math.prod(math.prod(v) for v in quad_factor_integrals(f)) / (
             8.0 * math.pi ** 2 / 12.0 * math.pi ** 2)
-        got = ob.haar_integral_k2(f)
+        got = ob.haar_integral_bump(f)
         assert type(got) is float
         assert abs(want - 4.879295103e-5) <= 1e-12
         assert abs(got - want) <= 1e-12 * want
@@ -474,12 +509,12 @@ class TestHaarIntegralK2:
     def test_within_the_surrogate_doubling_error(self, hilbert):
         f = bump_preset(hilbert)
         surrogate, err = ob.haar_reference_k2(f, hilbert)
-        assert abs(ob.haar_integral_k2(f) - surrogate) < err
+        assert abs(ob.haar_integral_bump(f) - surrogate) < err
 
     def test_theta_mass_against_a_long_arc(self, hilbert):
         # pi^2 per point of PGamma \ H^2, not 2 pi^2
         f = wide_bump_k2(hilbert)
-        exact = ob.haar_integral_k2(f)
+        exact = ob.haar_integral_bump(f)
         arc, _ = ob.haar_reference_k2(f, hilbert, t_span=8.0e4, samples=1_600_000)
         assert abs(arc - exact) <= 0.1 * exact
         assert abs(arc - exact / 2.0) > 0.4 * (exact / 2.0)
@@ -489,9 +524,9 @@ class TestHaarIntegralK2:
             raise AssertionError("BLAS call on the exact k = 2 path")
 
         f = wide_bump_k2(hilbert)
-        want = ob.haar_integral_k2(f)
+        want = ob.haar_integral_bump(f)
         monkeypatch.setattr(np, "dot", refuse)
         monkeypatch.setattr(np, "matmul", refuse)
         assert ob.box_injects_k2(f)
-        assert ob.haar_integral_k2(f) == want
+        assert ob.haar_integral_bump(f) == want
 

@@ -173,7 +173,7 @@ class TestHorocycleAverage:
         r = sp.horocycle_average(test_bump, generic_point, 100.0)
         assert r.metadata["eta_renormalized"] > 0.0
         assert r.sample_count == len(sp.generate(sp.Interval(
-            100.0, test_bump.min_width() / 8.0)))
+            100.0, test_bump.min_width() / sp._STEP_FRACTION)))
 
     def test_linearity(self, modular, test_bump, generic_point):
         double = ob.BumpFunction(modular, test_bump.center, test_bump.widths, amplitude=2.0)
@@ -198,6 +198,26 @@ class TestHorocycleAverage:
         assert peak < 12 * 2**20
 
 
+# the bound the default arc step meets (sampling's module docstring, README):
+# under 1% of the smallest deviation criterion 05 reports, 3.1e-5 at T = 1e5
+ARC_STEP_BOUND = 3e-7
+
+
+class TestArcStepBound:
+    @pytest.mark.parametrize("t_span", [1.0e3, 1.0e4], ids=["pinned-interval", "horocycle-k1"])
+    def test_default_step_against_a_four_times_finer_one(self, test_bump, generic_point, t_span):
+        # the arcs of `average --timeset interval T=1e3` and of the horocycle-k1
+        # workload, which move by 7.6e-8 and 7.3e-9
+        step = test_bump.min_width() / sp._STEP_FRACTION
+        default = sp.horocycle_average(test_bump, generic_point, t_span)
+        finer = sp.horocycle_average(test_bump, generic_point, t_span, step=step / 4.0,
+                                     reference=default.reference)
+        assert default.timeset == sp.Interval(t_span, step)
+        assert finer.sample_count == 4 * default.sample_count
+        assert abs(default.value - finer.value) <= ARC_STEP_BOUND
+        assert ARC_STEP_BOUND <= 0.01 * min(default.deviation, finer.deviation)
+
+
 class TestRenormalizationIdentity:
     def test_unit_horizon_identical(self, test_bump, generic_point):
         assert sp.renormalization_identity_check(
@@ -209,7 +229,7 @@ class TestRenormalizationIdentity:
 
     def test_pinned_bytes(self, test_bump, generic_point):
         assert sp.renormalization_identity_check(
-            test_bump, generic_point, 500.0).hex() == "0x1.0c00000000000p-52"
+            test_bump, generic_point, 500.0).hex() == "0x1.4720000000000p-48"
 
     def test_random_triples(self, rng, modular, test_bump):
         for _ in range(5):
@@ -286,7 +306,7 @@ class TestReferenceK2:
         f = bump_preset(hilbert)
         r = sp.sparse_average(f, hilbert_point, sp.Progression(1.0, 200.0))
         assert r.metadata["reference_kind"] == "covolume-k2"
-        assert type(r.reference) is float and r.reference == ob.haar_integral_k2(f)
+        assert type(r.reference) is float and r.reference == ob.haar_integral_bump(f)
 
     def test_uncertified_box_falls_back_on_the_surrogate(self, hilbert, hilbert_point):
         # y box (0.8, 1.2) in both factors: min y1 * min y2 < 1
@@ -486,8 +506,10 @@ class TestLayerBoundary:
     def test_horocycle_average_k1(self, monkeypatch, test_bump, generic_point):
         # the dense arc's blocks reduce only the rows the screen leaves, one
         # reduce_stack call per block, and every kernel row comes through it
+        # an arc of 1.5 chunks at the default step
+        t_span = 1.5 * sp._SLAB_NODES / sp._GL_ORDER * test_bump.min_width() / sp._STEP_FRACTION
         counts = self.count_reductions(monkeypatch)
-        r = sp.horocycle_average(test_bump, generic_point, 1500.0)
+        r = sp.horocycle_average(test_bump, generic_point, t_span)
         n = r.sample_count
         assert n > sp._SLAB_NODES
         full = self.expected(n)
@@ -503,7 +525,7 @@ class TestLayerBoundary:
 
 
 # Gauss-Legendre step of the chunk tests: 1/64 is exact in binary, and finer
-# than test_bump's natural step 0.2 / 8
+# than test_bump's default step 0.2 / sp._STEP_FRACTION
 CHUNK_STEP = 1.0 / 64.0
 CHUNK_PANELS = sp._SLAB_NODES // sp._GL_ORDER
 
