@@ -440,7 +440,18 @@ def _run_torus(cfg: ExperimentConfig):
 def _sieve_orbit(cfg: ExperimentConfig, p: qt.QuotientPoint,
                  observables) -> list[sieve.PipelineReport]:
     """One sieve pipeline report per observable f, over the orbit weights
-    a(n) = f(u(n) . p) for n = 1..N, with a(0) = 0."""
+    a(n) = f(u(n) . p) for n = 1..N, with a(0) = 0.
+
+    The pipeline's arguments are checked, and the factor table of 1..N that
+    every pipeline reads is built, before the orbit is walked.  Building it
+    frees a few MB of temporaries (8 MB for N = 10^6), which raises glibc's
+    dynamic mmap threshold from its 128 KiB start; the walk's row-block
+    temporaries, 128-512 KiB each, then come from the heap, in the caller
+    and in the forked workers that inherit it, instead of each being a
+    fresh mmap faulted in page by page.
+    """
+    sieve.pipeline_levels(cfg.n_max, cfg.alpha_exp, cfg.epsilon, cfg.s_target)
+    sieve.build_factor_table(cfg.n_max)
     return [sieve.dynamical_sieve_pipeline(weights, cfg.alpha_exp, epsilon=cfg.epsilon,
                                            s_target=cfg.s_target)
             for weights in sp.integer_orbit_weights(p, cfg.n_max, observables, cfg.workers)]

@@ -59,9 +59,13 @@ def bump_profile(r):
     r = np.asarray(r, dtype=float)
     out = np.zeros_like(r)
     inside = np.abs(r) < 1.0
-    ri = r[inside]
-    out[inside] = np.exp(1.0 + 1.0 / (ri * ri - 1.0))
+    out[inside] = _profile_inside(r[inside])
     return out
+
+
+def _profile_inside(r: np.ndarray) -> np.ndarray:
+    """bump_profile at points known to satisfy |r| < 1."""
+    return np.exp(1.0 + 1.0 / (r * r - 1.0))
 
 
 def _profile_cdf_table():
@@ -124,16 +128,8 @@ class BumpFunction:
         coords = np.asarray(coords, dtype=float)
         if coords.ndim == 2:
             coords = coords[None]
-        dx = (coords[:, :, 0] - self.center[:, 0]) / self.widths[:, 0]
-        dy = (coords[:, :, 1] - self.center[:, 1]) / self.widths[:, 1]
-        # off the support box a factor is 0, so the product is amplitude * 0.0
-        rows = np.flatnonzero(((np.abs(dx) < 1.0) & (np.abs(dy) < 1.0)).all(axis=1))
+        (rows, inner), = _box_values([self], coords)
         vals = np.full(coords.shape[0], self.amplitude * 0.0)
-        inner = np.full(len(rows), self.amplitude)
-        for i in range(self.k):
-            dt = np.abs(coords[rows, i, 2] - self.center[i, 2]) % math.pi
-            dt = np.minimum(dt, math.pi - dt) / self.widths[i, 2]
-            inner = inner * bump_profile(dx[rows, i]) * bump_profile(dy[rows, i]) * bump_profile(dt)
         vals[rows] = inner
         return vals
 
@@ -142,6 +138,77 @@ class BumpFunction:
         amplitude * 0.0 at every point outside the open box of half-widths
         widths around center in (x, y, theta mod pi), a signed zero."""
         return self.center, self.widths, self.amplitude * 0.0
+
+
+def _box_values(bumps, coords: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per bump, (rows, values): the ascending rows of the (N, k, 3) coords
+    inside its open (x, y) box and its values there; it is amplitude * 0.0
+    at every other row, where some factor is 0.
+
+    The one bump formula.  The offset (v - c) / w and its test |.| < 1 are
+    made once per factor, axis and (c, w), for all bumps that share them
+    (the ten cover bumps have 3 x columns and 4 y rows); the box rows pass
+    both, so their x and y profiles skip bump_profile's own test.  The
+    theta offset |t - c| is folded by np.fmod, which equals numpy's % (the
+    floored remainder) for a dividend >= 0 or NaN and a divisor pi > 0, at
+    a third of its cost.  Every step is elementwise, and exp only ever sees
+    contiguous arrays, so a row's value does not depend on the other rows
+    or bumps."""
+    tests = {}
+
+    def test(i: int, axis: int, c: float, w: float) -> tuple[np.ndarray, np.ndarray]:
+        key = (i, axis, c, w)  # a -0.0 and a +0.0 centre give the same |d| and d * d
+        if key not in tests:
+            d = (coords[:, i, axis] - c) / w
+            tests[key] = d, np.abs(d) < 1.0
+        return tests[key]
+
+    out = []
+    for f in bumps:
+        axes = [test(i, axis, float(f.center[i, axis]), float(f.widths[i, axis]))
+                for i in range(f.k) for axis in (0, 1)]
+        inside = axes[0][1]
+        for _, mask in axes[1:]:
+            inside = inside & mask
+        rows = np.flatnonzero(inside)
+        inner = np.full(len(rows), f.amplitude)
+        for i in range(f.k):
+            dt = np.fmod(np.abs(coords[:, i, 2][rows] - f.center[i, 2]), math.pi)
+            dt = np.minimum(dt, math.pi - dt) / f.widths[i, 2]
+            inner = (inner * _profile_inside(axes[2 * i][0][rows])
+                     * _profile_inside(axes[2 * i + 1][0][rows]) * bump_profile(dt))
+        out.append((rows, inner))
+    return out
+
+
+def kept_values(observables, coords: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per observable f, (rows, values): the ascending rows of the (N, k, 3)
+    coords where f's value is not bitwise +0.0 (a -0.0 is kept), and f's
+    values there, with the bytes of f.evaluate_coords(coords) at those rows.
+
+    The bumps go through _box_values together.  A bump whose off value
+    amplitude * 0.0 is +0.0 keeps the nonzero values of its box rows, with
+    no array of N values; any other bump (a negative amplitude, whose off
+    is -0.0, keeps every row outside its box) and any other observable are
+    evaluated densely and scanned."""
+    bumps = [f for f in observables if isinstance(f, BumpFunction)]
+    boxes = iter(_box_values(bumps, coords))
+    out = []
+    for f in observables:
+        if isinstance(f, BumpFunction):
+            rows, inner = next(boxes)
+            off = f.amplitude * 0.0
+            if np.float64(off).view(np.int64) == 0:
+                keep = inner.view(np.int64) != 0
+                out.append((rows[keep], inner[keep]))
+                continue
+            vals = np.full(coords.shape[0], off)
+            vals[rows] = inner
+        else:
+            vals = f.evaluate_coords(coords)
+        rows = np.flatnonzero(vals.view(np.int64))
+        out.append((rows, vals[rows]))
+    return out
 
 
 @dataclass

@@ -283,22 +283,23 @@ def integer_orbit_weights(p: QuotientPoint, n: int, observables, workers: int):
 
     One orbit walk serves them all: each row block makes its own times m and
     keeps, per f, only the rows whose value is not bitwise +0.0 (a -0.0
-    stays), as offsets into the block in the narrowest dtype that holds
-    every offset of a full block: quotient._BLOCK_ROWS sets it (uint16 for
-    16 384 rows), so a kept weight takes 10 bytes with its value.  Each
+    stays), from one observables.kept_values call for all of them: the
+    bumps share their x and y box tests, and a bump whose off value is +0.0
+    keeps rows of its box only, with no block-length array per bump.  The
+    rows are stored as offsets into the block in the narrowest dtype that
+    holds every offset of a full block: quotient._BLOCK_ROWS sets it (uint16
+    for 16 384 rows), so a kept weight takes 10 bytes with its value.  Each
     dense array is scattered back from those rows when it is asked for,
     each offset added to its block's start in intp, so that no block size
     can wrap it, with the bytes of concatenate(([0.0], f on the whole orbit)).
+    A caller that sieves the weights builds its factor table first
+    (experiments._sieve_orbit), so the walk's block temporaries come from
+    a heap whose mmap threshold has already grown.
     """
     offset = np.min_scalar_type(qt.row_blocks(_SLAB_NODES)[0][1] - 1)  # a full block's last row
 
     def support(coords) -> list:
-        kept = []
-        for f in observables:
-            vals = f.evaluate_coords(coords)
-            rows = np.flatnonzero(vals.view(np.int64))
-            kept.append((rows.astype(offset), vals[rows]))
-        return kept
+        return [(rows.astype(offset), vals) for rows, vals in ob.kept_values(observables, coords)]
 
     chunks = _orbit_chunks(p, n, lambda a, b: np.arange(a + 1, b + 1, dtype=float), workers,
                            support, list)

@@ -86,6 +86,7 @@ class FactorTable:
     primes: np.ndarray
     _omega: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _rough: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _at_most: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def omega_all(self) -> np.ndarray:
         """Omega(n), prime factors with multiplicity, for n = 0..n_max
@@ -110,9 +111,15 @@ class FactorTable:
     def omega_at_most(self, level: int) -> np.ndarray:
         """The mask Omega(n) <= level for n = 0..n_max.  Omega(n) < 31, so a
         level cut to int8's top gives the same mask: exact for any int level
-        on every numpy, whatever its rule for comparing int8 with an int."""
-        omega = self.omega_all()
-        return omega <= min(level, np.iinfo(omega.dtype).max)
+        on every numpy, whatever its rule for comparing int8 with an int.
+        Computed once per level and cached on the table."""
+        mask = self._at_most.get(level)
+        if mask is None:
+            omega = self.omega_all()
+            mask = omega <= min(level, np.iinfo(omega.dtype).max)
+            mask.flags.writeable = False  # shared by every caller of this table
+            self._at_most[level] = mask
+        return mask
 
     def rough_rows(self, z: float) -> np.ndarray:
         """The ascending n in {1} and {n : spf(n) >= z}: those no prime below
@@ -713,19 +720,11 @@ class PipelineReport:
     margin: float               # S_exact - 0.01 * V(z) |A| + R  (recorded check)
 
 
-def dynamical_sieve_pipeline(weights: np.ndarray, alpha_exp: float,
-                             epsilon: float = 0.004, s_target: float = 101.0) -> PipelineReport:
-    """Run the sieve over orbit weights a(n), n = 1..N.
-
-    z = N^alpha <= N, D = z^{s_target}; the excluded prime set comes from the
-    empirical Mertens threshold at 3*epsilon so the density hypothesis
-    holds with factor (1 + epsilon); the almost-prime level is
-    L = floor(1/alpha) + 1, and the report certifies the chain
-
-        sum over n with Omega(n) <= L of a(n)  >=  S(A,P,z)  >=  lower > 0.
-    """
-    w = np.asarray(weights, dtype=float)
-    n_max = len(w) - 1
+def pipeline_levels(n_max: int, alpha_exp: float, epsilon: float,
+                    s_target: float) -> tuple[float, float]:
+    """(z, D) = (N^alpha, z^s) of a pipeline over a(1..N); a ConfigError
+    for arguments it refuses, so a caller can check them before it makes
+    the weights."""
     if n_max < 100:
         raise ConfigError("pipeline needs a weight range of at least 100")
     if not alpha_exp > 0.0:
@@ -741,6 +740,23 @@ def dynamical_sieve_pipeline(weights: np.ndarray, alpha_exp: float,
         raise ConfigError(f"sieve level D = z^s overflows at z = {z:.6g}, s = {s_target:g}") from None
     if z > n_max:  # the primes below z would need a factor table past N
         raise ConfigError(f"sieve cut z = N^alpha = {z:.6g} exceeds N = {n_max}")
+    return z, level_d
+
+
+def dynamical_sieve_pipeline(weights: np.ndarray, alpha_exp: float,
+                             epsilon: float = 0.004, s_target: float = 101.0) -> PipelineReport:
+    """Run the sieve over orbit weights a(n), n = 1..N.
+
+    z = N^alpha <= N, D = z^{s_target}; the excluded prime set comes from the
+    empirical Mertens threshold at 3*epsilon so the density hypothesis
+    holds with factor (1 + epsilon); the almost-prime level is
+    L = floor(1/alpha) + 1, and the report certifies the chain
+
+        sum over n with Omega(n) <= L of a(n)  >=  S(A,P,z)  >=  lower > 0.
+    """
+    w = np.asarray(weights, dtype=float)
+    n_max = len(w) - 1
+    z, level_d = pipeline_levels(n_max, alpha_exp, epsilon, s_target)
     level = int(math.floor(1.0 / alpha_exp)) + 1
     table = build_factor_table(n_max)
     u_tilde = empirical_u_tilde(3.0 * epsilon)

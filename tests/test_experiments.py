@@ -358,6 +358,40 @@ class TestDichotomy:
         with pytest.raises(ConfigError):
             ex.run(ex.ExperimentConfig(kind="dichotomy", mode="sideways"))
 
+    @pytest.mark.parametrize("kind", ["dichotomy", "pipeline"])
+    def test_factor_table_built_before_the_walk(self, monkeypatch, kind):
+        # the table's freed temporaries raise the allocator's mmap threshold
+        # before the walk's block temporaries are made (experiments._sieve_orbit)
+        from horolab import sampling
+
+        walk = sampling.integer_orbit_weights
+        misses = []
+
+        def spy(p, n, observables, workers):
+            before = build_factor_table.cache_info().misses
+            build_factor_table(n)
+            misses.append(build_factor_table.cache_info().misses - before)
+            return walk(p, n, observables, workers)
+
+        monkeypatch.setattr(sampling, "integer_orbit_weights", spy)
+        build_factor_table.cache_clear()
+        ex.run(ex.ExperimentConfig(kind=kind, mode="almost", point="preset:generic1",
+                                   n_max=20_000))
+        assert misses == [0]  # the table of 1..N was already built
+
+    def test_pipeline_arguments_checked_before_the_walk(self, monkeypatch):
+        from horolab import sampling
+
+        def walk(*args):
+            raise AssertionError("the orbit was walked")
+
+        monkeypatch.setattr(sampling, "integer_orbit_weights", walk)
+        tables = build_factor_table.cache_info().currsize
+        with pytest.raises(ConfigError, match="exceeds N"):
+            ex.run(ex.ExperimentConfig(kind="pipeline", point="preset:generic1",
+                                       n_max=1000, alpha_exp=1.5, s_target=1.2))
+        assert build_factor_table.cache_info().currsize == tables
+
 
 class TestReport:
     def test_single_record_single_row(self, tmp_path):

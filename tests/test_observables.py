@@ -140,6 +140,101 @@ class TestBumpEvaluation:
         assert abs(value_at(tr, p) - direct) <= 1e-15
 
 
+def edge_rows(b: ob.BumpFunction) -> np.ndarray:
+    """Rows at b's centre with one coordinate moved onto a box edge, where the
+    bump's own offset (v - c) / w is exactly +-1 if a float near c +- w gives
+    that, and onto each float next to it."""
+    rows = []
+    for axis, sign in itertools.product(range(3), (1.0, -1.0)):
+        c, w = b.center[0, axis], b.widths[0, axis]
+        v = c + sign * w
+        for _ in range(64):
+            if (v - c) / w == sign:
+                break
+            v = np.nextafter(v, np.inf if (v - c) / w < sign else -np.inf)
+        for u in (np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)):
+            row = b.center.copy()
+            row[0, axis] = u
+            rows.append(row)
+    return np.array(rows)
+
+
+def cover_kernel_coords(rng, bumps) -> np.ndarray:
+    """Random points over the cover's part of the k = 1 domain, every bump's
+    centre and box edges, and rows with a NaN or infinite coordinate."""
+    n = 6000
+    rand = np.stack([rng.uniform(-0.5, 0.5, n), rng.uniform(1.0, 3.1, n),
+                     rng.uniform(0.0, math.pi, n)], axis=1)[:, None]
+    special = []
+    for b in bumps:
+        special += [b.center[None], edge_rows(b)]
+        for axis, bad in itertools.product(range(3), (np.nan, np.inf, -np.inf)):
+            row = b.center.copy()
+            row[0, axis] = bad
+            special.append(row[None])
+    special.append(np.full((1, 1, 3), np.nan))
+    coords = np.concatenate([rand] + special)
+    return coords[rng.permutation(len(coords))]
+
+
+def kept_by_dense_scan(f, coords) -> tuple[np.ndarray, np.ndarray]:
+    """f's values on every row, then the rows whose value is not bitwise +0.0."""
+    vals = f.evaluate_coords(coords)
+    rows = np.flatnonzero(vals.view(np.int64))
+    return rows, vals[rows]
+
+
+class TestKeptValues:
+    """The cover kernel: each observable's rows that are not +0.0 and its
+    values there, with the bytes of a dense evaluation and a scan."""
+
+    @staticmethod
+    def observables(modular) -> list:
+        # the ten cover bumps with a negative bump among them, whose value off
+        # its box is -0.0, and two observables with no box
+        cover = cover_bumps(modular)
+        negative = ob.BumpFunction(modular, [[0.0, 1.6, 1.0]], [[0.3, 0.4, 0.7]], amplitude=-1.0)
+        return (cover[:4] + [negative] + cover[4:]
+                + [ob.ConstantObservable(modular, 0.5),
+                   ob.TranslatedObservable(cover[1], sl2.unipotent_u(0.2))])
+
+    def test_bytes_equal_dense_scan(self, modular, rng):
+        fs = self.observables(modular)
+        bumps = [f for f in fs if isinstance(f, ob.BumpFunction)]
+        coords = cover_kernel_coords(rng, bumps)
+        with np.errstate(invalid="ignore"):
+            got = ob.kept_values(fs, coords)
+            ref = [kept_by_dense_scan(f, coords) for f in fs]
+            # and each bump's dense values are its whole-row product of profiles
+            for f in bumps:
+                assert f.evaluate_coords(coords).tobytes() == full_bump_product(f, coords).tobytes()
+        assert len(got) == len(fs)
+        for (rows, vals), (ref_rows, ref_vals) in zip(got, ref, strict=True):
+            assert rows.dtype == ref_rows.dtype and rows.tobytes() == ref_rows.tobytes()
+            assert vals.tobytes() == ref_vals.tobytes()
+        negative_rows, negative_vals = got[4]
+        assert len(negative_rows) > len(coords) // 2  # every row off its box is kept
+        assert np.signbit(negative_vals[negative_vals == 0.0]).all()
+
+    def test_edges_and_nan_rows_are_exercised(self, modular, rng):
+        # the edge rows hit |d| = 1 exactly on both sides of every x box
+        cover = cover_bumps(modular)
+        for b in cover:
+            rows = edge_rows(b)
+            d = (rows[:, 0, 0] - b.center[0, 0]) / b.widths[0, 0]
+            assert 1.0 in d and -1.0 in d
+        coords = cover_kernel_coords(rng, cover)
+        nan_rows = np.flatnonzero(np.isnan(coords).any(axis=(1, 2)))
+        with np.errstate(invalid="ignore"):  # an infinite theta folds to NaN
+            kept = ob.kept_values(cover, coords)
+        for rows, _ in kept:
+            assert not np.isin(rows, nan_rows).any()  # NaN is off every box, or +0.0 in theta
+
+    def test_empty_block(self, modular):
+        got = ob.kept_values(self.observables(modular), np.empty((0, 1, 3)))
+        assert all(len(rows) == len(vals) == 0 for rows, vals in got)
+
+
 class TestSmoothingKernel:
     def test_mass_is_exact_power(self):
         k = ob.SmoothingKernel(0.05, 0.7, 3)

@@ -487,6 +487,7 @@ class TestCaches:
                     fns.s_grid, fns.p_dev, fns.q_dev):
             assert not arr.flags.writeable
 
+    @pytest.mark.usefixtures("cold_prime_cache")
     def test_dichotomy_builds_each_table_once(self):
         from horolab import experiments as ex
 
@@ -496,10 +497,21 @@ class TestCaches:
         assert len(rec.payload["cover"]) == 10
         scans = sieve.empirical_u_tilde.cache_info()
         assert (scans.hits, scans.misses) == (9, 1)
-        # two tables, each built once: 1..N and the primes below z = N^(1/9)
-        assert sieve.build_factor_table.cache_info().misses == 2
-        sieve.build_factor_table(20_000)
-        assert sieve.build_factor_table.cache_info().misses == 2
+        # three tables, each built once: 1..N, the primes below z = N^(1/9)
+        # (the table of 1..3), and the base primes of the u-tilde scan's
+        # prime table below the cut (the table of 1..isqrt(2 278 383) = 1509)
+        assert sieve.build_factor_table.cache_info().misses == 3
+        for n in (20_000, 3, math.isqrt(sieve._MERTENS_CUT)):
+            sieve.build_factor_table(n)
+        assert sieve.build_factor_table.cache_info().misses == 3
+
+    def test_omega_mask_built_once_per_level(self):
+        table = sieve.build_factor_table(1000)
+        mask = table.omega_at_most(3)
+        assert table.omega_at_most(3) is mask
+        assert not mask.flags.writeable
+        assert mask.tobytes() == (table.omega_all() <= 3).tobytes()
+        assert table.omega_at_most(4) is not mask
 
     @pytest.mark.usefixtures("cold_prime_cache")
     @pytest.mark.parametrize("argv", [
